@@ -190,8 +190,8 @@ def _one_replication(args) -> tuple[bool, float, float, float, float]:
 
 
 def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
-              constants: Constants = CONSTANTS, jobs: int = 1,
-              progress=None) -> BiasScanResult:
+              constants: Constants = CONSTANTS,
+              jobs: int = 1) -> BiasScanResult:
     """Ensemble of drift-on pseudo-experiments fitted drift-off, window by
     window, with the drift-matched control on the same datasets.
 
@@ -244,11 +244,7 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(_one_replication, tasks))
         else:
-            outcomes = []
-            for rep, task in enumerate(tasks):
-                outcomes.append(_one_replication(task))
-                if progress is not None:
-                    progress(depth, rep)
+            outcomes = [_one_replication(task) for task in tasks]
 
         m2_mis, w0_mis, m2_ctl, w0_ctl = [], [], [], []
         excluded = 0

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, ModelError, ValidationError
 from .fit import FitConfig, minimize
 from .franck_condon import MoleculeModel, RecoilEngine, default_model
 from .fss import cumulative_moments, load_fss, save_fss
@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tribeta",
         description="Tritium beta-decay endpoint spectrum laboratory")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for ensemble studies")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_const = sub.add_parser("constants", help="physical constants")
@@ -339,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("--seed", type=int, default=20240901)
     p_bias.add_argument("--fss", default=None,
                         help="FSS table (default: built-in study FSS)")
+    p_bias.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the replications")
     p_bias.add_argument("--out", required=True)
     p_bias.set_defaults(handler=_cmd_bias_scan, command="bias-scan")
 
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
         return 1
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
+        return 2
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps ValidationError (and subclasses) to exit status 1 and
-AccuracyError / non-convergence to exit status 2.
+AccuracyError / ModelError / non-convergence to exit status 2.
 """
 
 

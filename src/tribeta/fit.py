@@ -1,11 +1,12 @@
 """Chi-square estimation of (A, W0, m2nu, b) from binned integral-spectrum data.
 
 The statistic is Pearson chi^2 with a unit floor on the denominator,
-Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i the convolved integral
-spectrum plus background.  Minimization is damped least squares
-(Levenberg-style trust parameter) with central finite-difference
-sensitivities; the model is smooth but carries theta gates, so analytic
-derivatives are deliberately avoided.
+Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from
+`response.expected_counts`, the forward model that also generates the
+pseudo-data.  Minimization is damped least squares (Levenberg-style trust
+parameter) with central finite-difference sensitivities; the model is
+smooth but carries theta gates, so analytic derivatives are deliberately
+avoided.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
-from .kernel import SpectrumParams, _prefactor
+from .kernel import SpectrumParams
 from .physics import CONSTANTS, Constants
-from .response import PseudoDataset, ResponseModel
+from .response import PseudoDataset, ResponseModel, expected_counts
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
@@ -83,44 +84,6 @@ class FitResult:
     message: str = ""
 
 
-class _BinnedModel:
-    """Expected counts on fixed bins with the energy grid and the
-    F E p prefactor cached across evaluations."""
-
-    def __init__(self, fss: FinalStateSpectrum, response: ResponseModel,
-                 centers: np.ndarray, exposure: float, z_daughter: int,
-                 drift: bool, constants: Constants):
-        offsets = response.offsets()
-        self.kernel = response.weights()
-        grid = centers[:, None] - offsets[None, :]
-        self.shape = grid.shape
-        g = grid.ravel()
-        self.prefactor = _prefactor(g, z_daughter, constants) / 3.0
-        mt = constants.triton_electron_ratio
-        if drift:
-            self.w0_coeff = 1.0 - 1.0 / mt
-            self.base_grid = g * (1.0 / mt - 1.0)
-        else:
-            self.w0_coeff = 1.0
-            self.base_grid = -g
-        self.energies = fss.energies
-        self.probabilities = fss.probabilities
-        self.exposure = exposure
-
-    def counts(self, amplitude: float, endpoint: float, m2nu: float,
-               background: float) -> np.ndarray:
-        en = (self.w0_coeff * endpoint + self.base_grid)[:, None] \
-            - self.energies[None, :]
-        if m2nu >= 0.0:
-            gate = en > math.sqrt(m2nu)
-            rad = np.where(gate, en * en - m2nu, 0.0)
-        else:
-            rad = np.where(en > 0.0, en * en - m2nu, 0.0)
-        inner = (rad * np.sqrt(rad)) @ self.probabilities
-        rate = (amplitude * self.prefactor * inner).reshape(self.shape)
-        return self.exposure * (rate @ self.kernel) + background
-
-
 def _window_mask(centers: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     lo, hi = window
     return (centers >= lo) & (centers <= hi)
@@ -137,11 +100,8 @@ def chi_square(params: SpectrumParams, dataset: PseudoDataset,
     mask = _window_mask(dataset.bin_centers, config.window_ev)
     if mask.sum() < 1:
         raise ValidationError("window selects no bins")
-    model = _BinnedModel(config.fss, config.response,
-                         dataset.bin_centers[mask], dataset.exposure,
-                         params.z_daughter, params.endpoint_drift, constants)
-    mu = model.counts(params.amplitude, params.endpoint_ev,
-                      params.m2nu_ev2, params.background)
+    mu = expected_counts(params, config.fss, config.response,
+                         dataset.bin_centers[mask], dataset.exposure, constants)
     n = dataset.counts[mask].astype(float)
     return float((((n - mu) ** 2) / np.maximum(mu, 1.0)).sum())
 
@@ -159,21 +119,28 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     if n_bins < len(free) + 1:
         raise ValidationError(
             f"window selects {n_bins} bins; need at least {len(free) + 1}")
+    centers = dataset.bin_centers[mask]
     counts = dataset.counts[mask].astype(float)
-    model = _BinnedModel(config.fss, config.response,
-                         dataset.bin_centers[mask], dataset.exposure,
-                         config.initial.z_daughter,
-                         config.initial.endpoint_drift, constants)
 
     fixed = _params_vector(config.initial)
     x = np.array([fixed[name] for name in free])
     steps = _fd_steps(x, free)
 
     def residuals(vec: np.ndarray) -> np.ndarray:
+        # mu is linear in A and b, so trial steps with A <= 0 or b < 0 are
+        # evaluated through the unit-amplitude, zero-background shape; a
+        # trial W0 or m2nu outside the sane region is a rejected step
         p = dict(fixed)
         p.update(zip(free, vec))
-        mu = model.counts(p["amplitude"], p["endpoint"], p["m2nu"],
-                          p["background"])
+        try:
+            shape_params = config.initial.with_values(
+                amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
+                background=0.0)
+        except ValidationError:
+            return np.full(n_bins, np.inf)
+        mu = p["amplitude"] * expected_counts(
+            shape_params, config.fss, config.response, centers,
+            dataset.exposure, constants) + p["background"]
         return (counts - mu) / np.sqrt(np.maximum(mu, 1.0))
 
     def jacobian(vec: np.ndarray) -> np.ndarray:

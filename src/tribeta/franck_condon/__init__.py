@@ -1,12 +1,12 @@
 """Synthetic final-state spectra from sudden-approximation recoil overlaps."""
 
-from .bessel import spherical_jn_single, spherical_jn_table
+from .bessel import spherical_jn_table
 from .molecule import (Channel, GridSpec, MoleculeModel, MorseParams,
                        default_model, GROUND_CHANNEL_WEIGHT, IONIC_GROUND,
                        T2_INITIAL)
 from .overlaps import (PseudoSpectrum, RecoilEngine, c_term_bound,
                        laplacian_expectation, operator_moments,
-                       pseudo_spectrum, recoil_overlaps, rotational_shift_ev)
+                       pseudo_spectrum, rotational_shift_ev)
 from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, kinetic_matrix,
                      solve_initial, solve_radial)
 
@@ -14,8 +14,7 @@ __all__ = [
     "Channel", "GridSpec", "MoleculeModel", "MorseParams", "PseudoSpectrum",
     "RadialEigenbasis", "RecoilEngine", "c_term_bound", "default_model",
     "kinetic_matrix", "laplacian_expectation", "operator_moments",
-    "pseudo_spectrum", "recoil_overlaps", "rotational_shift_ev",
-    "solve_initial", "solve_radial", "spherical_jn_single",
-    "spherical_jn_table", "CONVERGENCE_TOL_EV", "GROUND_CHANNEL_WEIGHT",
-    "IONIC_GROUND", "T2_INITIAL",
+    "pseudo_spectrum", "rotational_shift_ev", "solve_initial",
+    "solve_radial", "spherical_jn_table", "CONVERGENCE_TOL_EV",
+    "GROUND_CHANNEL_WEIGHT", "IONIC_GROUND", "T2_INITIAL",
 ]

@@ -68,7 +68,3 @@ def _miller_downward(l_max: int, x: np.ndarray) -> np.ndarray:
     scale = np.where(use0, j0 / denom0, j1 / denom1)
     return table[: l_max + 1] * scale
 
-
-def spherical_jn_single(l: int, x: float) -> float:
-    """Convenience scalar evaluation (table-based)."""
-    return float(spherical_jn_table(l, np.array([x]))[l, 0])

@@ -32,6 +32,11 @@ class MorseParams:
         if self.depth_ev <= 0 or self.steepness_inv_bohr <= 0 or self.r_eq_bohr <= 0:
             raise ValidationError("Morse parameters must be positive")
 
+    def potential(self, radii: np.ndarray, hartree_ev: float) -> np.ndarray:
+        """V(R) on the given radii, in hartree."""
+        return (self.depth_ev / hartree_ev) * (
+            1.0 - np.exp(-self.steepness_inv_bohr * (radii - self.r_eq_bohr))) ** 2
+
     def harmonic_omega_hartree(self, mass_au: float, hartree_ev: float) -> float:
         """omega = a sqrt(2 D_e / M) in hartree."""
         return self.steepness_inv_bohr * np.sqrt(
@@ -118,18 +123,10 @@ class MoleculeModel:
         ch = self.channels[channel]
         r = self.grid.radii()
         if ch.kind == "morse":
-            m = ch.morse
-            return (m.depth_ev / hartree_ev) * (
-                1.0 - np.exp(-m.steepness_inv_bohr * (r - m.r_eq_bohr))) ** 2
+            return ch.morse.potential(r, hartree_ev)
         if ch.kind == "coulomb":
             return ch.z_eff / r
         raise ConfigurationError(f"channel {channel} has no potential (kind 'line')")
-
-    def initial_potential(self, hartree_ev: float) -> np.ndarray:
-        r = self.grid.radii()
-        m = self.initial
-        return (m.depth_ev / hartree_ev) * (
-            1.0 - np.exp(-m.steepness_inv_bohr * (r - m.r_eq_bohr))) ** 2
 
     def parameter_hash(self) -> str:
         return hashlib.sha256(

@@ -103,33 +103,6 @@ class RecoilEngine:
             provenance["truncation_warning"] = True
         return from_lines(lines, q_ref=q_au, provenance=provenance)
 
-    def mean_rotation(self, q_au: float, channel: int = 0) -> float:
-        """Probability-weighted mean J of one channel's lines.
-
-        The mean is normalised by the probability the lines capture, not by
-        the channel weight w_c. With full capture and the J = 0 initial
-        state it equals pi q <R> / 4 - 1/2, with <R> over the initial
-        vibrational state: about 20.37 at the endpoint q ~ 18.64 a.u.
-        """
-        spectrum = self.overlaps(q_au)
-        num = den = 0.0
-        for line in spectrum.lines:
-            if line.channel == channel and line.rotation is not None:
-                num += line.probability * line.rotation
-                den += line.probability
-        if den == 0.0:
-            raise ValidationError(f"channel {channel} carries no rotational lines")
-        return num / den
-
-
-def recoil_overlaps(model: MoleculeModel, q_au: float, j_max: int = 60,
-                    v_max: int = 80, constants: Constants = CONSTANTS,
-                    convergence_check: bool = False) -> FinalStateSpectrum:
-    """One-shot FSS generation (builds a RecoilEngine internally)."""
-    engine = RecoilEngine(model, j_max=j_max, v_max=v_max, constants=constants,
-                          convergence_check=convergence_check)
-    return engine.overlaps(q_au)
-
 
 @dataclass(frozen=True)
 class PseudoSpectrum:
@@ -142,13 +115,6 @@ class PseudoSpectrum:
 
     def shifted_energies(self) -> np.ndarray:
         return self.energies_ev + self.rotational_shift_ev
-
-    def as_fss(self, provenance: dict | None = None) -> FinalStateSpectrum:
-        lines = [FssLine(float(e), float(p), channel=0, vibration=v)
-                 for v, (e, p) in enumerate(zip(self.shifted_energies(),
-                                                self.weights))
-                 if p > 0.0]
-        return from_lines(lines, provenance=provenance or {"pseudo_spectrum": True})
 
 
 def rotational_shift_ev(model: MoleculeModel, q_au: float,

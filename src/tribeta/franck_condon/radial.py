@@ -9,7 +9,7 @@ are flagged as resonant rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -40,11 +40,6 @@ class RadialEigenbasis:
     @property
     def step(self) -> float:
         return float(self.radii[1] - self.radii[0])
-
-    def resonant_mask(self) -> np.ndarray:
-        flags = np.zeros(self.energies_ev.size, dtype=bool)
-        flags[self.n_bound:] = True
-        return flags
 
 
 def kinetic_matrix(n: int, step: float, mass_au: float) -> np.ndarray:
@@ -81,19 +76,22 @@ def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
     if rotation < 0:
         raise ValidationError("rotation quantum number must be >= 0")
     hart = constants.hartree_ev
-    radii = model.grid.radii()
-    pot = model.potential(channel, hart)
-    if rotation:
-        pot = pot + rotation * (rotation + 1) / (2.0 * model.final_mass_au * radii**2)
-    w, v = _solve_grid(pot, radii, model.final_mass_au, n_states)
+
+    def eigenpairs(grid_model: MoleculeModel, k: int):
+        radii = grid_model.grid.radii()
+        pot = grid_model.potential(channel, hart)
+        if rotation:
+            pot = pot + rotation * (rotation + 1) / (
+                2.0 * grid_model.final_mass_au * radii**2)
+        return _solve_grid(pot, radii, grid_model.final_mass_au, k)
+
+    w, v = eigenpairs(model, n_states)
 
     if convergence_check:
-        fine = GridSpec(model.grid.r_min_bohr, model.grid.r_max_bohr,
-                        2 * model.grid.points)
-        rf = fine.radii()
-        potf = _channel_potential_on(model, channel, rf, rotation, hart)
+        fine = replace(model, grid=GridSpec(
+            model.grid.r_min_bohr, model.grid.r_max_bohr, 2 * model.grid.points))
         k = min(10, n_states)
-        wf, _ = _solve_grid(potf, rf, model.final_mass_au, k)
+        wf, _ = eigenpairs(fine, k)
         drift = np.abs(w[:k] - wf[:k]).max() * hart
         if drift > convergence_tol_ev:
             raise AccuracyError(
@@ -106,22 +104,9 @@ def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
     else:
         dissociation = 0.0  # repulsive: everything is a boxed pseudo-state
     n_bound = int(np.searchsorted(w, dissociation))
-    return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v,
-                            n_bound=n_bound, channel=channel, rotation=rotation)
-
-
-def _channel_potential_on(model: MoleculeModel, channel: int, radii: np.ndarray,
-                          rotation: int, hartree_ev: float) -> np.ndarray:
-    ch = model.channels[channel]
-    if ch.kind == "morse":
-        m = ch.morse
-        pot = (m.depth_ev / hartree_ev) * (
-            1.0 - np.exp(-m.steepness_inv_bohr * (radii - m.r_eq_bohr))) ** 2
-    else:
-        pot = ch.z_eff / radii
-    if rotation:
-        pot = pot + rotation * (rotation + 1) / (2.0 * model.final_mass_au * radii**2)
-    return pot
+    return RadialEigenbasis(radii=model.grid.radii(), energies_ev=w * hart,
+                            wavefunctions=v, n_bound=n_bound, channel=channel,
+                            rotation=rotation)
 
 
 def solve_initial(model: MoleculeModel, n_states: int = 1,
@@ -129,7 +114,7 @@ def solve_initial(model: MoleculeModel, n_states: int = 1,
     """Eigenbasis of the initial (T2 ground) curve at J = 0."""
     hart = constants.hartree_ev
     radii = model.grid.radii()
-    pot = model.initial_potential(hart)
+    pot = model.initial.potential(radii, hart)
     w, v = _solve_grid(pot, radii, model.initial_mass_au, n_states)
     n_bound = int(np.searchsorted(w, model.initial.depth_ev / hart))
     return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v,

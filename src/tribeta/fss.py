@@ -7,13 +7,12 @@ table file format is plain columnar text:
     # comment lines start with '#'
     E_n_eV  P_n  channel  J  v
 
-with `J` and `v` optionally `-`, energies written with 12 significant
-digits, and a terminating newline.
+with `J` and `v` optionally `-` (the channel is always an integer), values
+written with 17 significant digits, and a terminating newline.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from .errors import FssParseError, ValidationError
 
-#: a line with E_n = eps exactly is treated as closed (strict inequality),
-#: so threshold ties are deterministic
+#: upper bound on the summed line probabilities; the slack above 1 absorbs
+#: roundoff in generated spectra
 _TOTAL_PROBABILITY_MAX = 1.000001
 
 
@@ -106,13 +105,6 @@ def from_lines(lines: Sequence[FssLine], q_ref: Optional[float] = None,
     return FinalStateSpectrum(ordered, q_ref=q_ref, provenance=dict(provenance or {}))
 
 
-def merge(a: FinalStateSpectrum, b: FinalStateSpectrum) -> FinalStateSpectrum:
-    """Concatenate two spectra (probabilities are summed line-wise implicitly
-    by keeping both line sets; no renormalization)."""
-    prov = {"merged_from": [a.provenance, b.provenance]}
-    return from_lines(a.lines + b.lines, q_ref=a.q_ref, provenance=prov)
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -184,7 +176,10 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
                     f"line {lineno}: negative probability {prob}")
             channel = 0
             if len(cols) >= 3:
-                channel = _parse_quantum(cols[2], "channel", lineno) or 0
+                channel = _parse_quantum(cols[2], "channel", lineno)
+                if channel is None:
+                    raise FssParseError("channel must be an integer, got '-'",
+                                        lineno)
             rot = _parse_quantum(cols[3], "J", lineno) if len(cols) >= 4 else None
             vib = _parse_quantum(cols[4], "v", lineno) if len(cols) >= 5 else None
             lines.append(FssLine(energy, prob, channel, rot, vib))
@@ -199,10 +194,6 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
     if not was_sorted:
         prov["sorted_on_load"] = True
     return from_lines(lines, q_ref=parsed_q, provenance=prov)
-
-
-def loads_fss(text: str) -> FinalStateSpectrum:
-    return load_fss(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

@@ -56,16 +56,6 @@ class ResponseModel:
         w[-1] *= 0.5
         return w / w.sum()
 
-    def raw_norm_defect(self) -> float:
-        """|1 - trapezoid integral of R| before normalization."""
-        x = self.offsets()
-        h = x[1] - x[0]
-        w = np.exp(-x * x / (2.0 * self.sigma_ev ** 2)) \
-            / (math.sqrt(2.0 * math.pi) * self.sigma_ev)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return abs(1.0 - float(w.sum() * h))
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -73,8 +63,12 @@ class ResponseModel:
 def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
     """Smeared spectrum  N_exp(e) = int de' R(e - e') N(e').
 
-    Returns a vectorized callable; the input function must accept numpy
-    arrays of energies.
+    Returns a vectorized callable.  The input function must accept a 1-D
+    numpy array of energies and act elementwise: it is called once per
+    evaluation with each distinct energy of the bins x offsets grid, and
+    the values are scattered back onto the grid.  Bin centres on the
+    offset lattice (2 eV bins, sigma/10 = 0.25 eV steps) share most grid
+    energies.
     """
     offsets = response.offsets()
     weights = response.weights()
@@ -82,8 +76,9 @@ def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
     def smeared(eps_beta):
         eps = np.asarray(eps_beta, dtype=float)
         grid = np.atleast_1d(eps)[:, None] - offsets[None, :]
-        values = np.asarray(spectrum(grid.ravel()), dtype=float).reshape(grid.shape)
-        out = values @ weights
+        energies, inverse = np.unique(grid, return_inverse=True)
+        values = np.asarray(spectrum(energies), dtype=float)[inverse]
+        out = values.reshape(grid.shape) @ weights
         if eps.ndim == 0:
             return float(out[0])
         return out.reshape(eps.shape)

@@ -11,11 +11,10 @@ from tribeta.bias import ScanSpec, bias_scan, build_study_fss, fig2_study
 from tribeta.fit import FitConfig, minimize
 from tribeta.fss import (FssLine, direct_spectrum_term, from_lines,
                          moment_form_spectrum_term)
-from tribeta.franck_condon import (RecoilEngine, c_term_bound, default_model,
+from tribeta.franck_condon import (RecoilEngine, c_term_bound,
                                    operator_moments, pseudo_spectrum,
                                    rotational_shift_ev)
 from tribeta.kernel import SpectrumParams, effective_endpoint
-from tribeta.physics import momentum_from_kinetic
 from tribeta.response import PseudoDataset, ResponseModel, expected_counts
 
 W0 = 18575.0
@@ -25,16 +24,6 @@ def check(num, description, condition, detail):
     status = "PASS" if condition else "FAIL"
     print(f"ACCEPTANCE {num:2d} [{status}] {description}: {detail}")
     assert condition, f"criterion {num} ({description}): {detail}"
-
-
-@pytest.fixture(scope="module")
-def model():
-    return default_model()
-
-
-@pytest.fixture(scope="module")
-def q_endpoint():
-    return momentum_from_kinetic(W0).recoil_q_au
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +56,7 @@ def test_criterion_03_mean_rotational_excitation(engine, q_endpoint):
     j = np.array(sorted(by_j))
     p = np.array([by_j[k] for k in j])
     p /= p.sum()
+    mean_j = float(np.sum(j * p))
     mean_jj = float(np.sum(j * (j + 1) * p))
     peak_j = int(j[np.argmax(p)])
     median_j = int(j[np.searchsorted(np.cumsum(p), 0.5)])
@@ -74,7 +64,6 @@ def test_criterion_03_mean_rotational_excitation(engine, q_endpoint):
     density = engine.chi0**2 * engine.step
     mean_r = float(np.sum(density * engine.radii))
     mean_r2 = float(np.sum(density * engine.radii**2))
-    mean_j = engine.mean_rotation(q_endpoint)
     mean_j_closure = np.pi * q_endpoint * mean_r / 4.0 - 0.5
     mean_jj_closure = 2.0 / 3.0 * q_endpoint**2 * mean_r2
 

@@ -72,6 +72,13 @@ class TestBiasScanSmoke:
             result = bias_scan(spec, fss=study_fss)
             assert result.windows[0].mean_m2nu < 0.0
 
+    def test_job_count_independence(self, study_fss):
+        spec = ScanSpec(window_depths_ev=(150.0,), replications=2,
+                        base_seed=7)
+        serial = bias_scan(spec, fss=study_fss, jobs=1)
+        pooled = bias_scan(spec, fss=study_fss, jobs=2)
+        assert serial.to_dict() == pooled.to_dict()
+
     def test_spec_validation(self):
         with pytest.raises(Exception):
             ScanSpec(window_depths_ev=(200.0, 100.0))

@@ -7,9 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import tribeta.cli
+import tribeta.response as resp
 from tribeta.cli import main
+from tribeta.errors import ModelError
 from tribeta.fss import load_fss
 from tribeta.franck_condon import GridSpec, default_model
+from tribeta.kernel import SpectrumParams
 
 W0 = 18575.0
 
@@ -25,6 +29,28 @@ def small_fss_file(tmp_path_factory):
                     "--v-max", "10", "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(small_fss_file, tmp_path_factory):
+    """Seeded dataset (with sidecar) and fit config for the `fit` command."""
+    tmp = tmp_path_factory.mktemp("fit")
+    fss = load_fss(str(small_fss_file))
+    truth = SpectrumParams(amplitude=1e-12, endpoint_ev=W0, background=30.0)
+    response = resp.ResponseModel(sigma_ev=2.5)
+    centers = np.arange(W0 - 100.0, W0 + 20.0, 2.0)
+    ds = resp.generate_pseudodata(truth, fss, response, centers, 1.0, seed=3)
+    data_path = tmp / "data.csv"
+    resp.save_dataset(ds, str(data_path))
+    config = tmp / "fit.json"
+    config.write_text(json.dumps({
+        "window_ev": [W0 - 100.0, W0 + 20.0],
+        "initial": {"amplitude": 1.1e-12, "endpoint_ev": W0 - 0.2,
+                    "m2nu_ev2": 0.1, "background": 33.0},
+        "response": {"sigma_ev": 2.5},
+    }))
+    return ["fit", "--dataset", str(data_path), "--config", str(config),
+            "--fss", str(small_fss_file)], len(centers)
 
 
 class TestConstantsDump:
@@ -112,33 +138,25 @@ class TestSpectrumCommands:
         mid = float(rows[250].split(",")[1])
         assert mid == pytest.approx(2.0 + 0.01 * 50.0, rel=1e-3)
 
-    def test_fit_command(self, small_fss_file, tmp_path):
-        import tribeta.response as resp
-        from tribeta.kernel import SpectrumParams
-
-        fss = load_fss(str(small_fss_file))
-        truth = SpectrumParams(amplitude=1e-12, endpoint_ev=W0, background=30.0)
-        response = resp.ResponseModel(sigma_ev=2.5)
-        centers = np.arange(W0 - 100.0, W0 + 20.0, 2.0)
-        ds = resp.generate_pseudodata(truth, fss, response, centers, 1.0, seed=3)
-        data_path = tmp_path / "data.csv"
-        resp.save_dataset(ds, str(data_path))
-        config = tmp_path / "fit.json"
-        config.write_text(json.dumps({
-            "window_ev": [W0 - 100.0, W0 + 20.0],
-            "initial": {"amplitude": 1.1e-12, "endpoint_ev": W0 - 0.2,
-                        "m2nu_ev2": 0.1, "background": 33.0},
-            "response": {"sigma_ev": 2.5},
-        }))
+    def test_fit_command(self, fit_inputs, tmp_path):
+        argv, n_bins = fit_inputs
         out = tmp_path / "result.json"
-        code = run_cli(["fit", "--dataset", str(data_path),
-                        "--config", str(config),
-                        "--fss", str(small_fss_file), "--out", str(out)])
-        assert code == 0
+        assert run_cli(argv + ["--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert result["converged"]
-        assert result["dof"] == len(centers) - 4
+        assert result["dof"] == n_bins - 4
         assert "m2nu_ev2" in result["values"]
+
+    def test_model_error_exit_2(self, fit_inputs, tmp_path, monkeypatch,
+                                capsys):
+        def failing_minimize(dataset, config):
+            raise ModelError("fit left the sane parameter region: test")
+
+        monkeypatch.setattr(tribeta.cli, "minimize", failing_minimize)
+        argv, _ = fit_inputs
+        assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: fit left the sane parameter region: test\n"
 
 
 class TestStudies:
@@ -153,12 +171,20 @@ class TestStudies:
     @pytest.mark.slow
     def test_bias_scan_outputs(self, tmp_path):
         out = tmp_path / "bias.csv"
-        code = run_cli(["--jobs", "1", "bias-scan", "--depths", "150",
+        code = run_cli(["bias-scan", "--depths", "150",
                         "--replications", "2", "--seed", "7",
-                        "--out", str(out)])
+                        "--jobs", "1", "--out", str(out)])
         assert code == 0
         doc = json.loads((tmp_path / "bias.csv.json").read_text())
         assert doc["windows"][0]["n_fits"] == 2
+
+
+    def test_bias_scan_jobs_flag(self):
+        parser = tribeta.cli.build_parser()
+        args = parser.parse_args(["bias-scan", "--out", "b.csv"])
+        assert args.jobs == 1
+        args = parser.parse_args(["bias-scan", "--jobs", "2", "--out", "b.csv"])
+        assert args.jobs == 2
 
 
 class TestUsageErrors:

@@ -148,6 +148,28 @@ class TestMinimize:
         assert abs(result.params.endpoint_ev - W0) < 1e-4
         assert abs(result.params.m2nu_ev2) < 1e-3
 
+    def test_insane_trial_step_is_rejected(self, setup, monkeypatch):
+        # from m2nu = 9990 eV^2 the first damped steps overshoot the
+        # |m2nu| < 1e4 sanity bound; they count as rejected steps
+        fss, response, truth, centers, exposure, zero_noise = setup
+        rejected = []
+        with_values = SpectrumParams.with_values
+
+        def counting(self, **kwargs):
+            try:
+                return with_values(self, **kwargs)
+            except ValidationError:
+                rejected.append(kwargs)
+                raise
+
+        monkeypatch.setattr(SpectrumParams, "with_values", counting)
+        guess = truth.with_values(m2nu_ev2=9990.0)
+        result = minimize(zero_noise, make_config(fss, response, guess))
+        assert rejected
+        assert result.converged
+        assert abs(result.params.m2nu_ev2) < 1e-3
+        assert abs(result.params.endpoint_ev - W0) < 1e-4
+
     def test_window_needs_enough_bins(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth, window=(W0 - 4.0, W0 + 1.0))

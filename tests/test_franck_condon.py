@@ -124,12 +124,6 @@ class TestPseudoSpectrum:
         shift = rotational_shift_ev(model, 18.6)
         assert shift == pytest.approx(1.72, rel=0.02)
 
-    def test_as_fss_round_trip(self, model, q_endpoint):
-        ps = pseudo_spectrum(model, q_endpoint, v_max=10)
-        fss = ps.as_fss()
-        assert fss.energies[0] == pytest.approx(ps.rotational_shift_ev)
-        assert fss.total_probability == pytest.approx(ps.weights.sum())
-
 
 class TestOperatorMoments:
     def test_high_energy_mean(self, model, q_endpoint):

@@ -1,5 +1,7 @@
 """FSS parsing, moments and the moment-form identity."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from tribeta.errors import FssParseError, ValidationError
 from tribeta.fss import (FssLine, cumulative_moments, direct_spectrum_term,
-                         from_lines, load_fss, loads_fss, merge,
-                         moment_form_spectrum_term, save_fss)
+                         from_lines, load_fss, moment_form_spectrum_term,
+                         save_fss)
 
 
 def random_fss(rng, n_lines=None):
@@ -22,32 +24,36 @@ def random_fss(rng, n_lines=None):
 
 class TestIO:
     def test_two_line_file(self):
-        fss = loads_fss("0.0 0.5\n1.0 0.5\n")
+        fss = load_fss(io.StringIO("0.0 0.5\n1.0 0.5\n"))
         assert fss.total_probability == pytest.approx(1.0)
         assert len(fss) == 2
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValidationError, match="negative probability"):
-            loads_fss("0.0 0.5\n1.0 -0.1\n")
+            load_fss(io.StringIO("0.0 0.5\n1.0 -0.1\n"))
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(FssParseError, match="line 3"):
-            loads_fss("# header\n0.0 0.5\n1.0 oops\n")
+            load_fss(io.StringIO("# header\n0.0 0.5\n1.0 oops\n"))
 
     def test_missing_column(self):
         with pytest.raises(FssParseError):
-            loads_fss("1.0\n")
+            load_fss(io.StringIO("1.0\n"))
 
     def test_unsorted_input_sorted_with_flag(self):
-        fss = loads_fss("2.0 0.3\n1.0 0.2\n")
+        fss = load_fss(io.StringIO("2.0 0.3\n1.0 0.2\n"))
         assert fss.provenance.get("sorted_on_load") is True
         assert list(fss.energies) == [1.0, 2.0]
 
     def test_comments_and_quantum_labels(self):
-        fss = loads_fss("# c\n1.0 0.25 0 12 3\n2.0 0.25 1 - -\n")
+        fss = load_fss(io.StringIO("# c\n1.0 0.25 0 12 3\n2.0 0.25 1 - -\n"))
         assert fss.lines[0].rotation == 12
         assert fss.lines[0].vibration == 3
         assert fss.lines[1].rotation is None
+
+    def test_dash_channel_rejected(self):
+        with pytest.raises(FssParseError, match="line 2"):
+            load_fss(io.StringIO("1.0 0.25 0 12 3\n2.0 0.25 - - -\n"))
 
     def test_round_trip_bit_identical(self, tmp_path, rng):
         fss = random_fss(np.random.default_rng(7), 25)
@@ -97,22 +103,6 @@ class TestCumulativeMoments:
             m = cumulative_moments(fss, e)
             if m.open:
                 assert m.mean_e2 >= m.mean_e**2 - 1e-12
-
-    def test_merge_commutes_with_moments(self):
-        rng = np.random.default_rng(5)
-        a, b = random_fss(rng, 10), random_fss(rng, 15)
-        # rescale so the merged total stays within the normalization bound
-        a = from_lines([FssLine(l.energy_ev, 0.4 * l.probability) for l in a.lines])
-        b = from_lines([FssLine(l.energy_ev, 0.4 * l.probability) for l in b.lines])
-        both = merge(a, b)
-        for eps in (5.0, 20.0, 61.0):
-            ma, mb = cumulative_moments(a, eps), cumulative_moments(b, eps)
-            m = cumulative_moments(both, eps)
-            assert m.p_open == pytest.approx(ma.p_open + mb.p_open, abs=1e-15)
-            if m.open:
-                num = (ma.p_open * (ma.mean_e or 0.0)
-                       + mb.p_open * (mb.mean_e or 0.0))
-                assert m.mean_e == pytest.approx(num / m.p_open, rel=1e-12)
 
 
 class TestMomentFormIdentity:

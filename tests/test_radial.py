@@ -76,9 +76,7 @@ class TestBasisContracts:
     def test_bound_state_count_flags(self, model):
         basis = solve_radial(model, channel=0, rotation=0, n_states=31)
         assert 0 < basis.n_bound < 31
-        flags = basis.resonant_mask()
-        assert not flags[: basis.n_bound].any()
-        assert flags[basis.n_bound:].all()
+        assert np.all(basis.energies_ev[: basis.n_bound] < 2.04)
         assert np.all(basis.energies_ev[basis.n_bound:] > 2.04)
 
     def test_centrifugal_shift_j25(self, model):

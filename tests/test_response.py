@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from tribeta.errors import ConfigurationError, ValidationError
-from tribeta.kernel import SpectrumParams
+from tribeta.kernel import SpectrumParams, integral_spectrum
 from tribeta.response import (PseudoDataset, ResponseModel, convolve,
                               expected_counts, generate_pseudodata,
                               load_dataset, poisson_sample, save_dataset)
@@ -19,7 +19,11 @@ class TestResponseModel:
     def test_kernel_unit_normalization(self):
         r = ResponseModel(sigma_ev=2.5)
         assert r.weights().sum() == pytest.approx(1.0, abs=1e-15)
-        assert r.raw_norm_defect() < 1e-8
+        # trapezoid integral of the unnormalized Gaussian on the same grid
+        x = r.offsets()
+        raw = np.exp(-x * x / (2.0 * r.sigma_ev**2)) \
+            / (math.sqrt(2.0 * math.pi) * r.sigma_ev)
+        assert abs(1.0 - np.trapezoid(raw, x)) < 1e-8
 
     def test_too_coarse_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -87,6 +91,37 @@ class TestConvolve:
         x = np.array([3.0, 25.0, 60.0])
         expected = 2.5 * convolve(f, r)(x) - 0.75 * convolve(g, r)(x)
         assert np.allclose(convolve(combo, r)(x), expected, rtol=1e-12)
+
+    def test_each_grid_energy_evaluated_once(self):
+        # 2 eV bins on the 0.25 eV offset lattice share most grid energies
+        r = ResponseModel(sigma_ev=2.5)
+        centers = W0 + np.arange(-200.0, 11.0) * 2.0
+        grid = centers[:, None] - r.offsets()[None, :]
+        calls = []
+
+        def spectrum(e):
+            calls.append(np.array(e))
+            return (e - W0) ** 2  # correctly rounded: same bits on any path
+
+        out = convolve(spectrum, r)(centers)
+        assert len(calls) == 1
+        assert calls[0].ndim == 1
+        assert np.array_equal(calls[0], np.unique(grid))
+        assert calls[0].size == 1801 < grid.size
+        assert np.array_equal(out, ((grid - W0) ** 2) @ r.weights())
+
+    @pytest.mark.parametrize("drift", [False, True])
+    def test_expected_counts_is_the_direct_grid_sum(self, study_fss, drift):
+        p = SpectrumParams(amplitude=1.3, endpoint_ev=W0, m2nu_ev2=0.2,
+                           background=7.0, endpoint_drift=drift)
+        r = ResponseModel(sigma_ev=2.5)
+        centers = W0 + np.arange(-200.0, 11.0) * 2.0
+        exposure = 3.0e3
+        grid = centers[:, None] - r.offsets()[None, :]
+        direct = integral_spectrum(grid.ravel(), p, study_fss).reshape(grid.shape)
+        expected = exposure * (direct @ r.weights()) + p.background
+        mu = expected_counts(p, study_fss, r, centers, exposure)
+        assert np.array_equal(mu, expected)
 
 
 class TestPoissonSampler:

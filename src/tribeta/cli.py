@@ -189,7 +189,11 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    dataset = load_dataset(args.dataset)
+    sidecar = args.dataset + ".json"
+    if not os.path.exists(sidecar):
+        print(f"warning: dataset sidecar {sidecar} not found; "
+              "fitting with exposure = 1.0", file=sys.stderr)
+    dataset = load_dataset(args.dataset, sidecar)
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     spectrum_fss = load_fss(args.fss)

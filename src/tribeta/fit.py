@@ -1,12 +1,15 @@
 """Chi-square estimation of (A, W0, m2nu, b) from binned integral-spectrum data.
 
 The statistic is Pearson chi^2 with a unit floor on the denominator,
-Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from
-`response.expected_counts`, the forward model that also generates the
-pseudo-data.  Minimization is damped least squares (Levenberg-style trust
-parameter) with central finite-difference sensitivities; the model is
-smooth but carries theta gates, so analytic derivatives are deliberately
-avoided.
+Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from the forward model that
+also generates the pseudo-data (`response.Lattice.counts`, behind
+`response.expected_counts`).  Minimization is damped least squares
+(Levenberg-style trust parameter) on a closed-form Jacobian: mu is linear
+in A and b, and the W0 and m2nu columns come from
+`kernel.integral_spectrum_derivatives` in the same kernel pass as mu.  The
+(eps_n^2 - m2nu)^{3/2} term is C^1 at threshold for m2nu >= 0; for
+m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and the Jacobian is the
+derivative away from that jump.
 """
 
 from __future__ import annotations
@@ -21,23 +24,24 @@ from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
 from .physics import CONSTANTS, Constants
-from .response import PseudoDataset, ResponseModel, expected_counts
+from .response import Lattice, PseudoDataset, ResponseModel, expected_counts
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
-#: central-difference steps: A * 1e-6, 1e-4 eV, 1e-3 eV^2, b * 1e-4
-def _fd_steps(x0: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    steps = []
+#: parameter scales for the gradient and step tolerances:
+#: A * 1e-6, 1e-4 eV, 1e-3 eV^2, b * 1e-4
+def _param_scales(x0: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    scales = []
     for name, value in zip(names, x0):
         if name == "amplitude":
-            steps.append(abs(value) * 1e-6)
+            scales.append(abs(value) * 1e-6)
         elif name == "endpoint":
-            steps.append(1e-4)
+            scales.append(1e-4)
         elif name == "m2nu":
-            steps.append(1e-3)
+            scales.append(1e-3)
         else:
-            steps.append(max(abs(value), 1.0) * 1e-4)
-    return np.array(steps)
+            scales.append(max(abs(value), 1.0) * 1e-4)
+    return np.array(scales)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class FitConfig:
     free: tuple[str, ...] = PARAM_NAMES
     max_iterations: int = 100
     chi2_tol: float = 1e-10      # relative chi^2 change
-    step_tol: float = 1e-4       # accepted step, in units of the FD steps
+    step_tol: float = 1e-4       # accepted step, in parameter scales
     gradient_tol: float = 1e-8   # scaled gradient max-norm
 
     def __post_init__(self):
@@ -106,6 +110,70 @@ def chi_square(params: SpectrumParams, dataset: PseudoDataset,
     return float((((n - mu) ** 2) / np.maximum(mu, 1.0)).sum())
 
 
+class _Residuals:
+    """Pearson residuals (n - mu) / sqrt(max(mu, 1)) of a fit's window bins
+    as a function of the free-parameter vector, with their Jacobian.
+
+    The window's `Lattice` is built once.  mu is linear in A and b, so it is
+    built from the unit-amplitude, zero-background shape, and trial steps
+    with A <= 0 or b < 0 are still evaluated; a trial W0 or m2nu outside the
+    sane region gives infinite residuals, a rejected step.
+    """
+
+    def __init__(self, dataset: PseudoDataset, config: FitConfig,
+                 constants: Constants = CONSTANTS):
+        mask = _window_mask(dataset.bin_centers, config.window_ev)
+        self.n_bins = int(mask.sum())
+        self.free = tuple(config.free)
+        if self.n_bins < len(self.free) + 1:
+            raise ValidationError(
+                f"window selects {self.n_bins} bins; "
+                f"need at least {len(self.free) + 1}")
+        self.counts = dataset.counts[mask].astype(float)
+        self.lattice = Lattice.build(config.response,
+                                     dataset.bin_centers[mask])
+        self.fixed = _params_vector(config.initial)
+        self.x0 = np.array([self.fixed[name] for name in self.free])
+        self.exposure = dataset.exposure
+        self.config = config
+        self.constants = constants
+
+    def _split(self, vec: np.ndarray):
+        p = dict(self.fixed)
+        p.update(zip(self.free, vec))
+        try:
+            shape = self.config.initial.with_values(
+                amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
+                background=0.0)
+        except ValidationError:
+            shape = None
+        return p, shape
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        p, shape = self._split(vec)
+        if shape is None:
+            return np.full(self.n_bins, np.inf)
+        mu = p["amplitude"] * self.lattice.counts(
+            shape, self.config.fss, self.exposure, self.constants) \
+            + p["background"]
+        return (self.counts - mu) / np.sqrt(np.maximum(mu, 1.0))
+
+    def with_jacobian(self, vec: np.ndarray):
+        """(residuals, Jacobian) at a sane point, from one kernel pass."""
+        p, shape = self._split(vec)
+        unit, d_w0, d_m2 = self.lattice.counts_with_derivatives(
+            shape, self.config.fss, self.exposure, self.constants)
+        amplitude = p["amplitude"]
+        mu = amplitude * unit + p["background"]
+        s = np.sqrt(np.maximum(mu, 1.0))
+        r = (self.counts - mu) / s
+        dmu = {"amplitude": unit, "endpoint": amplitude * d_w0,
+               "m2nu": amplitude * d_m2, "background": np.ones(self.n_bins)}
+        dr_dmu = -(1.0 + np.where(mu > 1.0, r / (2.0 * s), 0.0)) / s
+        jac = np.column_stack([dmu[name] for name in self.free])
+        return r, jac * dr_dmu[:, None]
+
+
 def minimize(dataset: PseudoDataset, config: FitConfig,
              constants: Constants = CONSTANTS) -> FitResult:
     """Damped least-squares descent to a local chi^2 minimum.
@@ -113,47 +181,13 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     Deterministic given the config.  Non-convergence is flagged on the
     result, not raised; a singular Hessian leaves the covariance absent.
     """
-    mask = _window_mask(dataset.bin_centers, config.window_ev)
-    n_bins = int(mask.sum())
-    free = tuple(config.free)
-    if n_bins < len(free) + 1:
-        raise ValidationError(
-            f"window selects {n_bins} bins; need at least {len(free) + 1}")
-    centers = dataset.bin_centers[mask]
-    counts = dataset.counts[mask].astype(float)
+    residuals = _Residuals(dataset, config, constants)
+    free, n_bins = residuals.free, residuals.n_bins
+    x = residuals.x0
+    scales = _param_scales(x, free)
 
-    fixed = _params_vector(config.initial)
-    x = np.array([fixed[name] for name in free])
-    steps = _fd_steps(x, free)
-
-    def residuals(vec: np.ndarray) -> np.ndarray:
-        # mu is linear in A and b, so trial steps with A <= 0 or b < 0 are
-        # evaluated through the unit-amplitude, zero-background shape; a
-        # trial W0 or m2nu outside the sane region is a rejected step
-        p = dict(fixed)
-        p.update(zip(free, vec))
-        try:
-            shape_params = config.initial.with_values(
-                amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
-                background=0.0)
-        except ValidationError:
-            return np.full(n_bins, np.inf)
-        mu = p["amplitude"] * expected_counts(
-            shape_params, config.fss, config.response, centers,
-            dataset.exposure, constants) + p["background"]
-        return (counts - mu) / np.sqrt(np.maximum(mu, 1.0))
-
-    def jacobian(vec: np.ndarray) -> np.ndarray:
-        cols = []
-        for i, s in enumerate(steps):
-            up = vec.copy()
-            dn = vec.copy()
-            up[i] += s
-            dn[i] -= s
-            cols.append((residuals(up) - residuals(dn)) / (2.0 * s))
-        return np.column_stack(cols)
-
-    r = residuals(x)
+    r, jac = residuals.with_jacobian(x)
+    jac_x = x
     chi2 = float(r @ r)
     if not np.isfinite(chi2):
         raise ModelError("initial chi^2 is not finite")
@@ -162,11 +196,10 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     converged = False
     message = "max iterations reached"
     iteration = 0
-    jac = jacobian(x)
     for iteration in range(1, config.max_iterations + 1):
         grad = jac.T @ r
         hess = jac.T @ jac
-        if np.max(np.abs(grad * steps)) < config.gradient_tol * max(1.0, chi2):
+        if np.max(np.abs(grad * scales)) < config.gradient_tol * max(1.0, chi2):
             converged = True
             message = "gradient below tolerance"
             break
@@ -188,7 +221,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
             if lam > 1e15:
                 break
         if not accepted:
-            converged = np.max(np.abs(grad * steps)) < 1e-3 * max(1.0, chi2)
+            converged = np.max(np.abs(grad * scales)) < 1e-3 * max(1.0, chi2)
             message = "damping exhausted"
             break
         change = chi2 - chi2_try
@@ -196,16 +229,19 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
         r = r_try
         chi2 = chi2_try
         lam = max(lam / 3.0, 1e-14)
-        small_step = np.max(np.abs(delta) / steps) < config.step_tol
+        small_step = np.max(np.abs(delta) / scales) < config.step_tol
         small_change = change <= config.chi2_tol * max(1.0, chi2)
         if small_step or small_change:
             converged = True
             message = "step and chi^2 change below tolerance"
             break
-        jac = jacobian(x)
+        _, jac = residuals.with_jacobian(x)
+        jac_x = x
 
-    # covariance: inverse of half the Hessian approximation 2 J^T J
-    jac = jacobian(x)
+    # covariance: inverse of half the Hessian approximation 2 J^T J; x is
+    # rebound only by accepted steps, so jac is current unless one came last
+    if jac_x is not x:
+        _, jac = residuals.with_jacobian(x)
     hess = jac.T @ jac
     covariance = None
     errors = None
@@ -220,7 +256,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     except np.linalg.LinAlgError:
         covariance = None
 
-    values = dict(fixed)
+    values = dict(residuals.fixed)
     values.update(zip(free, x))
     try:
         fitted = config.initial.with_values(

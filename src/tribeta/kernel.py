@@ -104,14 +104,21 @@ def _finalize(values: np.ndarray, shape, scalar: bool):
     return values.reshape(shape)
 
 
+def _gated_roots(eps: np.ndarray, params: SpectrumParams,
+                 fss: FinalStateSpectrum, constants: Constants):
+    """eps_n, the gated radicand (eps_n^2 - m2nu) theta and its square root."""
+    en, rad, gate = _open_energies(eps, params, fss, constants)
+    rad = np.where(gate, rad, 0.0)
+    return en, rad, np.sqrt(rad)
+
+
 def spectral_sum(eps_beta: ArrayLike, params: SpectrumParams,
                  fss: FinalStateSpectrum,
                  constants: Constants = CONSTANTS) -> ArrayLike:
     """Inner integral-spectrum sum  sum_n P_n (eps_n^2 - m2nu)^{3/2} theta."""
     eps, shape, scalar = _as_grid(eps_beta)
-    _, rad, gate = _open_energies(eps, params, fss, constants)
-    rad = np.where(gate, rad, 0.0)
-    s = (fss.probabilities[None, :] * rad * np.sqrt(rad)).sum(axis=1)
+    _, rad, root = _gated_roots(eps, params, fss, constants)
+    s = (fss.probabilities[None, :] * rad * root).sum(axis=1)
     return _finalize(s, shape, scalar)
 
 
@@ -148,6 +155,33 @@ def integral_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
     out = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter,
                                                 constants) * s
     return _finalize(out, shape, scalar)
+
+
+def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
+                                  fss: FinalStateSpectrum,
+                                  constants: Constants = CONSTANTS):
+    """`integral_spectrum` with its derivatives by W0 and by m2nu, in one pass.
+
+    Returns (value, d/dW0, d/dm2nu); the value is bit-identical to
+    `integral_spectrum`.  Per line, d/dW0 (eps_n^2 - m2nu)^{3/2} is
+    3 eps_n (eps_n^2 - m2nu)^{1/2}, times 1 - 1/M_t with endpoint drift, and
+    d/dm2nu is -(3/2) (eps_n^2 - m2nu)^{1/2}.  The term is C^1 at threshold
+    for m2nu >= 0; for m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and
+    these are the derivatives away from that jump.
+    """
+    eps, shape, scalar = _as_grid(eps_beta)
+    en, rad, root = _gated_roots(eps, params, fss, constants)
+    prob = fss.probabilities[None, :]
+    s = (prob * rad * root).sum(axis=1)
+    prob_root = prob * root
+    ds_dw0 = 3.0 * (prob_root * en).sum(axis=1)
+    if params.endpoint_drift:
+        ds_dw0 *= 1.0 - 1.0 / constants.triton_electron_ratio
+    ds_dm2 = -1.5 * prob_root.sum(axis=1)
+    scale = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter,
+                                                  constants)
+    return tuple(_finalize(scale * v, shape, scalar)
+                 for v in (s, ds_dw0, ds_dm2))
 
 
 def linearized_spectrum(eps_beta: ArrayLike, params: SpectrumParams,

@@ -22,10 +22,14 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelError, ValidationError
 from .fss import FinalStateSpectrum
-from .kernel import SpectrumParams, integral_spectrum
+from .kernel import (SpectrumParams, integral_spectrum,
+                     integral_spectrum_derivatives)
 from .physics import CONSTANTS, Constants
 
 _PTRS_SWITCH = 30.0
+#: largest expected count sampled (NaN fails the test too): counts are
+#: int64, and half its range leaves the draw room above mu
+_MU_MAX = 2.0 ** 62
 
 
 @dataclass(frozen=True)
@@ -60,25 +64,60 @@ class ResponseModel:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class Lattice:
+    """The bins x offsets convolution grid, reduced to its distinct energies.
+
+    Bin centres on the offset lattice (2 eV bins, sigma/10 = 0.25 eV steps)
+    share most grid energies, so a spectrum is evaluated once per distinct
+    energy and scattered back onto the grid: `energies[inverse]` is the grid
+    c_i - o_k.  It depends only on the response and the bin centres, so a
+    fit builds it once.
+    """
+
+    energies: np.ndarray
+    inverse: np.ndarray      # shape (bins, offsets)
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, response: ResponseModel, bin_centers) -> "Lattice":
+        centers = np.atleast_1d(np.asarray(bin_centers, dtype=float)).ravel()
+        grid = centers[:, None] - response.offsets()[None, :]
+        energies, inverse = np.unique(grid, return_inverse=True)
+        return cls(energies, inverse.reshape(grid.shape), response.weights())
+
+    def smear(self, values: np.ndarray) -> np.ndarray:
+        """Convolve values given at `energies`; one result per bin."""
+        return np.asarray(values, dtype=float)[self.inverse] @ self.weights
+
+    def counts(self, params: SpectrumParams, fss: FinalStateSpectrum,
+               exposure: float, constants: Constants = CONSTANTS) -> np.ndarray:
+        """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
+        values = integral_spectrum(self.energies, params, fss, constants)
+        return exposure * self.smear(values) + params.background
+
+    def counts_with_derivatives(self, params: SpectrumParams,
+                                fss: FinalStateSpectrum, exposure: float,
+                                constants: Constants = CONSTANTS):
+        """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is `counts`."""
+        values, d_w0, d_m2 = integral_spectrum_derivatives(
+            self.energies, params, fss, constants)
+        return (exposure * self.smear(values) + params.background,
+                exposure * self.smear(d_w0), exposure * self.smear(d_m2))
+
+
 def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
     """Smeared spectrum  N_exp(e) = int de' R(e - e') N(e').
 
     Returns a vectorized callable.  The input function must accept a 1-D
     numpy array of energies and act elementwise: it is called once per
-    evaluation with each distinct energy of the bins x offsets grid, and
-    the values are scattered back onto the grid.  Bin centres on the
-    offset lattice (2 eV bins, sigma/10 = 0.25 eV steps) share most grid
-    energies.
+    evaluation with the distinct energies of the evaluation's `Lattice`.
     """
-    offsets = response.offsets()
-    weights = response.weights()
 
     def smeared(eps_beta):
         eps = np.asarray(eps_beta, dtype=float)
-        grid = np.atleast_1d(eps)[:, None] - offsets[None, :]
-        energies, inverse = np.unique(grid, return_inverse=True)
-        values = np.asarray(spectrum(energies), dtype=float)[inverse]
-        out = values.reshape(grid.shape) @ weights
+        lattice = Lattice.build(response, eps)
+        out = lattice.smear(spectrum(lattice.energies))
         if eps.ndim == 0:
             return float(out[0])
         return out.reshape(eps.shape)
@@ -146,7 +185,10 @@ def poisson_sample(rng: np.random.Generator, mus: np.ndarray) -> np.ndarray:
     out = np.empty(len(mus), dtype=np.int64)
     for i, mu in enumerate(mus):
         if mu < 0.0:
-            raise ModelError(f"negative expected counts mu = {mu}")
+            raise ModelError(f"negative expected counts mu = {mu} in bin {i}")
+        if not mu < _MU_MAX:
+            raise ModelError(
+                f"expected counts mu = {mu} in bin {i} is not below 2^62")
         if mu == 0.0:
             out[i] = 0
         elif mu < _PTRS_SWITCH:
@@ -161,9 +203,8 @@ def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
                     exposure: float,
                     constants: Constants = CONSTANTS) -> np.ndarray:
     """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-    smeared = convolve(
-        lambda e: integral_spectrum(e, params, fss, constants), response)
-    return exposure * smeared(bin_centers) + params.background
+    return Lattice.build(response, bin_centers).counts(params, fss, exposure,
+                                                       constants)
 
 
 def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,

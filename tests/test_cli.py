@@ -1,6 +1,7 @@
 """End-to-end CLI contracts: subcommands, exit codes, idempotence."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -146,6 +147,23 @@ class TestSpectrumCommands:
         assert result["converged"]
         assert result["dof"] == n_bins - 4
         assert "m2nu_ev2" in result["values"]
+
+    def test_missing_sidecar_warns(self, fit_inputs, tmp_path, capsys):
+        argv, _ = fit_inputs
+        data = tmp_path / "bare.csv"
+        shutil.copyfile(argv[2], data)
+        with_sidecar, bare = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(argv + ["--out", str(with_sidecar)]) == 0
+        assert capsys.readouterr().err == ""
+        argv = list(argv)
+        argv[2] = str(data)
+        assert run_cli(argv + ["--out", str(bare)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: ")
+        assert f"{data}.json" in err[0]
+        # the seeded dataset was made at exposure 1.0, the fallback
+        assert bare.read_bytes() == with_sidecar.read_bytes()
 
     def test_model_error_exit_2(self, fit_inputs, tmp_path, monkeypatch,
                                 capsys):

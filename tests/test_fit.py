@@ -4,8 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import tribeta.kernel
 from tribeta.errors import ValidationError
-from tribeta.fit import FitConfig, chi_square, minimize
+from tribeta.fit import (FitConfig, _param_scales, _Residuals, chi_square,
+                         minimize)
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams
 from tribeta.response import (PseudoDataset, ResponseModel, expected_counts,
@@ -187,3 +189,80 @@ class TestMinimize:
         with pytest.raises(ValidationError):
             FitConfig(window_ev=(W0 - 10.0, W0), initial=truth,
                       response=response, fss=fss, free=())
+
+
+def central_difference(residuals, x, steps):
+    cols = []
+    for i, h in enumerate(steps):
+        up, dn = x.copy(), x.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((residuals(up) - residuals(dn)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def fd_gauss_newton(residuals, x, iterations=30):
+    """Undamped Gauss-Newton on a central-difference Jacobian."""
+    for _ in range(iterations):
+        jac = central_difference(residuals, x, _param_scales(x, residuals.free))
+        delta = np.linalg.solve(jac.T @ jac, -jac.T @ residuals(x))
+        x = x + delta
+        if np.all(np.abs(delta) < 1e-6 * _param_scales(x, residuals.free)):
+            break
+    return x
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("free", [
+        ("amplitude", "endpoint", "m2nu", "background"), ("endpoint", "m2nu")])
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("m2nu", [-0.5, 0.0, 0.5])
+    def test_closed_form_matches_central_difference(self, setup, m2nu,
+                                                    drift, free):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        initial = truth.with_values(amplitude=1.01, endpoint_ev=W0 - 0.3,
+                                    m2nu_ev2=m2nu, background=410.0,
+                                    endpoint_drift=drift)
+        cfg = FitConfig(window_ev=(W0 - 200.0, W0 + 20.0), initial=initial,
+                        response=response, fss=fss, free=free)
+        residuals = _Residuals(zero_noise, cfg)
+        x = residuals.x0
+        r, jac = residuals.with_jacobian(x)
+        assert np.array_equal(r, residuals(x))
+        fd = central_difference(residuals, x, _param_scales(x, free))
+        assert jac.shape == fd.shape == (len(centers), len(free))
+        for col, fd_col in zip(jac.T, fd.T):
+            assert np.max(np.abs(col - fd_col)) <= 1e-6 * np.max(np.abs(col))
+
+    def test_fit_agrees_with_central_difference_fit(self, setup):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        dataset = generate_pseudodata(truth, fss, response, centers, exposure,
+                                      seed=5)
+        cfg = make_config(fss, response,
+                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
+        result = minimize(dataset, cfg)
+        assert result.converged
+        residuals = _Residuals(dataset, cfg)
+        x_fd = fd_gauss_newton(residuals, residuals.x0)
+        fitted = [result.params.amplitude, result.params.endpoint_ev,
+                  result.params.m2nu_ev2, result.params.background]
+        for name, ours, theirs in zip(residuals.free, fitted, x_fd):
+            assert abs(ours - theirs) <= 1e-3 * result.errors[name]
+
+    def test_one_kernel_pass_per_evaluation(self, setup, monkeypatch):
+        # a finite-difference Jacobian would cost 2 passes per free parameter
+        fss, response, truth, centers, exposure, zero_noise = setup
+        passes = []
+        open_energies = tribeta.kernel._open_energies
+
+        def counting(*args):
+            passes.append(1)
+            return open_energies(*args)
+
+        monkeypatch.setattr(tribeta.kernel, "_open_energies", counting)
+        guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
+                                  m2nu_ev2=0.5, background=440.0)
+        result = minimize(zero_noise, make_config(fss, response, guess))
+        assert result.converged
+        assert result.n_iterations >= 2
+        assert len(passes) <= 3 * result.n_iterations + 2

@@ -1,14 +1,15 @@
 """Convolution quadrature and seeded Poisson pseudo-data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from tribeta.errors import ConfigurationError, ValidationError
+from tribeta.errors import ConfigurationError, ModelError, ValidationError
 from tribeta.kernel import SpectrumParams, integral_spectrum
-from tribeta.response import (PseudoDataset, ResponseModel, convolve,
+from tribeta.response import (Lattice, PseudoDataset, ResponseModel, convolve,
                               expected_counts, generate_pseudodata,
                               load_dataset, poisson_sample, save_dataset)
 
@@ -123,6 +124,29 @@ class TestConvolve:
         mu = expected_counts(p, study_fss, r, centers, exposure)
         assert np.array_equal(mu, expected)
 
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("depth", [100.0, 200.0, 400.0])
+    def test_shared_lattice_is_bit_identical(self, study_fss, depth, drift):
+        # one lattice per window, reused across parameter points as a fit does
+        r = ResponseModel(sigma_ev=2.5)
+        centers = np.arange(W0 - depth, W0 + 20.0 + 1e-9, 2.0)
+        lattice = Lattice.build(r, centers)
+        grid = centers[:, None] - r.offsets()[None, :]
+        assert np.array_equal(lattice.energies[lattice.inverse], grid)
+        exposure = 3.0e3
+        for m2nu, w0 in ((-0.5, W0), (0.0, W0 - 0.3), (0.5, W0 + 0.2)):
+            p = SpectrumParams(amplitude=1.3, endpoint_ev=w0, m2nu_ev2=m2nu,
+                               background=7.0, endpoint_drift=drift)
+            mu = expected_counts(p, study_fss, r, centers, exposure)
+            direct = integral_spectrum(grid.ravel(), p, study_fss)
+            assert np.array_equal(
+                mu, exposure * (direct.reshape(grid.shape) @ r.weights())
+                + p.background)
+            assert np.array_equal(lattice.counts(p, study_fss, exposure), mu)
+            mu_d, _, _ = lattice.counts_with_derivatives(p, study_fss,
+                                                         exposure)
+            assert np.array_equal(mu_d, mu)
+
 
 class TestPoissonSampler:
     def test_deterministic_given_seed(self, study_fss):
@@ -150,6 +174,12 @@ class TestPoissonSampler:
             se = math.sqrt(mu / n)
             assert abs(draws.mean() - mu) < 4.0 * se
             assert abs(draws.var() / mu - 1.0) < 0.15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e21])
+    def test_unsamplable_mu_is_a_model_error(self, bad):
+        rng = np.random.Generator(np.random.PCG64(1))
+        with pytest.raises(ModelError, match=re.escape(f"mu = {bad} in bin 2 ")):
+            poisson_sample(rng, np.array([3.0, 50.0, bad, 4.0]))
 
     def test_bins_outside_window_rejected(self, study_fss):
         p = SpectrumParams(amplitude=1.0, endpoint_ev=W0)

@@ -71,10 +71,35 @@ def _load_model(path: str | None) -> MoleculeModel:
         return MoleculeModel.from_json(fh.read())
 
 
+def _from_doc(cls, doc, source: str):
+    """cls(**doc), with a bad key or value type as a ValidationError."""
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
+
+
 def _load_params(path: str) -> SpectrumParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return SpectrumParams(**doc)
+    return _from_doc(SpectrumParams, doc, path)
+
+
+def _load_rates(path: str) -> np.ndarray:
+    """(energy, rate) rows of a rate CSV, after its header row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    data = []
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            energy, rate = row
+            data.append((float(energy), float(rate)))
+        except ValueError:
+            raise ValidationError(f"{path} row {lineno}: expected two numbers "
+                                  f"epsilon_beta_eV,rate, got {row!r}") from None
+    return np.array(data)
 
 
 def _energy_grid(args) -> np.ndarray:
@@ -174,10 +199,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    with open(args.rates, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        data = np.array([[float(a), float(b)] for a, b in reader])
+    data = _load_rates(args.rates)
     response = ResponseModel(sigma_ev=args.sigma)
     smeared = convolve(
         lambda e: np.interp(e, data[:, 0], data[:, 1]), response)
@@ -197,8 +219,9 @@ def _cmd_fit(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     spectrum_fss = load_fss(args.fss)
-    params = SpectrumParams(**doc["initial"])
-    response = ResponseModel(**doc.get("response", {"sigma_ev": 2.5}))
+    params = _from_doc(SpectrumParams, doc["initial"], f"{args.config} initial")
+    response = _from_doc(ResponseModel, doc.get("response", {"sigma_ev": 2.5}),
+                         f"{args.config} response")
     config = FitConfig(
         window_ev=tuple(doc["window_ev"]), initial=params, response=response,
         fss=spectrum_fss, free=tuple(doc.get("free", ["amplitude", "endpoint",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 
 from ..errors import AccuracyError, ValidationError
 from ..physics import CONSTANTS, Constants
@@ -44,12 +44,9 @@ class RadialEigenbasis:
 
 def kinetic_matrix(n: int, step: float, mass_au: float) -> np.ndarray:
     """Sinc-DVR kinetic energy matrix (hartree)."""
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 2.0 * np.where(diff == 0, 0.0, (-1.0) ** diff / np.where(diff == 0, 1, diff) ** 2)
-    np.fill_diagonal(t, np.pi * np.pi / 3.0)
-    return t / (2.0 * mass_au * step * step)
+    k = np.arange(1, n)
+    column = np.concatenate(([np.pi * np.pi / 3.0], 2.0 * (-1.0) ** k / k**2))
+    return toeplitz(column) / (2.0 * mass_au * step * step)
 
 
 def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,

@@ -98,10 +98,9 @@ class FinalStateSpectrum:
 
 
 def from_lines(lines: Sequence[FssLine], q_ref: Optional[float] = None,
-               provenance: Optional[dict] = None,
-               sort: bool = True) -> FinalStateSpectrum:
+               provenance: Optional[dict] = None) -> FinalStateSpectrum:
     """Build a spectrum, sorting lines by energy (stable for ties)."""
-    ordered = tuple(sorted(lines, key=lambda l: l.energy_ev)) if sort else tuple(lines)
+    ordered = tuple(sorted(lines, key=lambda l: l.energy_ev))
     return FinalStateSpectrum(ordered, q_ref=q_ref, provenance=dict(provenance or {}))
 
 

@@ -257,14 +257,19 @@ def load_dataset(path: str, sidecar_path: Optional[str] = None) -> PseudoDataset
     centers, counts = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["bin_center_eV", "counts"]:
-            raise ValidationError(f"unexpected dataset header {header!r}")
+            raise ValidationError(f"{path}: unexpected dataset header {header!r}")
         for row in reader:
             if not row:
                 continue
-            centers.append(float(row[0]))
-            counts.append(int(row[1]))
+            try:
+                centers.append(float(row[0]))
+                counts.append(int(row[1]))
+            except (IndexError, ValueError):
+                raise ValidationError(
+                    f"{path} row {reader.line_num}: expected a bin centre and an "
+                    f"integer count, got {row!r}") from None
     truth, exposure, seed = {}, 1.0, -1
     sidecar = sidecar_path or path + ".json"
     try:

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +217,65 @@ class TestUsageErrors:
             capture_output=True, text=True)
         assert result.returncode == 1
         assert "usage" in result.stderr
+
+    @staticmethod
+    def assert_input_error(argv, capsys, *fragments):
+        """Exit 1 with one `error:` line that names the bad input."""
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    @pytest.mark.parametrize("content,fragments", [
+        ("", ("no data rows",)),
+        ("epsilon_beta_eV,rate\n", ("no data rows",)),
+        ("epsilon_beta_eV,rate\n1.0,2.0\n2.0,3.0,4.0\n", ("row 3", "'4.0'")),
+        ("epsilon_beta_eV,rate\n1.0,abc\n", ("row 2", "'abc'")),
+    ])
+    def test_convolve_bad_rates(self, tmp_path, capsys, content, fragments):
+        rates = tmp_path / "rates.csv"
+        rates.write_text(content)
+        self.assert_input_error(
+            ["convolve", "--rates", str(rates), "--sigma", "1.0",
+             "--out", str(tmp_path / "out.csv")], capsys, str(rates), *fragments)
+
+    def test_fit_non_integer_count(self, fit_inputs, tmp_path, capsys):
+        argv, _ = fit_inputs
+        rows = Path(argv[2]).read_text().splitlines()
+        rows[5] = rows[5].split(",")[0] + ",12.5"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        shutil.copyfile(argv[2] + ".json", str(data) + ".json")
+        argv = list(argv)
+        argv[2] = str(data)
+        self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
+                                capsys, str(data), "row 6", "'12.5'")
+
+    def test_spectrum_unknown_param_key(self, small_fss_file, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0,
+                                      "mass_ev": 0.2}))
+        self.assert_input_error(
+            ["spectrum", "--params", str(params), "--fss", str(small_fss_file),
+             "--emin", str(W0 - 10.0), "--emax", str(W0), "--out",
+             str(tmp_path / "s.csv")], capsys, str(params), "'mass_ev'")
+
+    @pytest.mark.parametrize("section,doc,unknown", [
+        ("initial", {"amplitude": 1e-12, "endpoint_ev": W0, "m2nu": 0.1},
+         "m2nu"),
+        ("response", {"sigma": 2.5}, "sigma"),
+    ])
+    def test_fit_config_unknown_key(self, fit_inputs, tmp_path, capsys,
+                                    section, doc, unknown):
+        argv, _ = fit_inputs
+        argv = list(argv)
+        config = json.loads(Path(argv[4]).read_text())
+        config[section] = doc
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(config))
+        argv[4] = str(path)
+        self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
+                                capsys, f"{path} {section}", f"'{unknown}'")

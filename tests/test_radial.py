@@ -7,8 +7,9 @@ import pytest
 
 from tribeta.errors import AccuracyError, ConfigurationError, ValidationError
 from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
-                                   MorseParams, default_model, solve_initial,
-                                   solve_radial)
+                                   MorseParams, default_model, kinetic_matrix,
+                                   solve_initial, solve_radial)
+from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.physics import CONSTANTS
 
 HART = CONSTANTS.hartree_ev
@@ -20,6 +21,31 @@ def morse_levels(depth_ev, a, mass, n):
     omega = a * math.sqrt(2.0 * de / mass)
     v = np.arange(n)
     return (-de + omega * (v + 0.5) - omega**2 * (v + 0.5) ** 2 / (4.0 * de)) * HART
+
+
+class TestGridOperators:
+    """Both grid operators are Toeplitz; pin them to their elementwise
+    definitions in the index difference i - j."""
+
+    @pytest.mark.parametrize("n", [256, 1536])
+    def test_kinetic_matrix(self, n):
+        step, mass = 0.0123, 2734.5
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        off = diff != 0
+        ref = np.full((n, n), np.pi * np.pi / 3.0)
+        ref[off] = 2.0 * (-1.0) ** diff[off] / diff[off] ** 2
+        ref /= 2.0 * mass * step * step
+        assert np.array_equal(kinetic_matrix(n, step, mass), ref)
+
+    @pytest.mark.parametrize("n", [256, 1536])
+    def test_derivative_matrix(self, n):
+        step = 0.0123
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        ref = np.zeros((n, n))
+        for offset, coeff in ((-1, 8.0), (1, -8.0), (-2, -1.0), (2, 1.0)):
+            ref[diff == offset] = coeff
+        ref /= 12.0 * step
+        assert np.array_equal(_derivative_matrix(n, step), ref)
 
 
 class TestMorseOracle:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AccuracyError, ModelError, ValidationError
-from .fit import FitConfig, minimize
+from .fit import PARAM_NAMES, FitConfig, minimize
 from .franck_condon import MoleculeModel, RecoilEngine, default_model
 from .fss import cumulative_moments, load_fss, save_fss
 from .kernel import (SpectrumParams, differential_spectrum, integral_spectrum,
@@ -218,15 +218,26 @@ def _cmd_fit(args) -> int:
     dataset = load_dataset(args.dataset, sidecar)
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{args.config}: expected a JSON object")
+    window = doc.get("window_ev")
+    free = doc.get("free", list(PARAM_NAMES))
+    max_iterations = doc.get("max_iterations", 100)
+    for key, ok, expected in (
+            ("window_ev", isinstance(window, list) and len(window) == 2
+             and all(type(x) in (int, float) for x in window), "[lo, hi] in eV"),
+            ("free", isinstance(free, list), "a list of parameter names"),
+            ("max_iterations", type(max_iterations) is int, "an integer")):
+        if not ok:
+            raise ValidationError(
+                f"{args.config} {key}: expected {expected}, got {doc.get(key)!r}")
     spectrum_fss = load_fss(args.fss)
-    params = _from_doc(SpectrumParams, doc["initial"], f"{args.config} initial")
+    params = _from_doc(SpectrumParams, doc.get("initial"), f"{args.config} initial")
     response = _from_doc(ResponseModel, doc.get("response", {"sigma_ev": 2.5}),
                          f"{args.config} response")
     config = FitConfig(
-        window_ev=tuple(doc["window_ev"]), initial=params, response=response,
-        fss=spectrum_fss, free=tuple(doc.get("free", ["amplitude", "endpoint",
-                                                      "m2nu", "background"])),
-        max_iterations=doc.get("max_iterations", 100))
+        window_ev=tuple(window), initial=params, response=response,
+        fss=spectrum_fss, free=tuple(free), max_iterations=max_iterations)
     result = minimize(dataset, config)
     out = {
         "values": {

@@ -4,14 +4,14 @@ from .bessel import spherical_jn_table
 from .molecule import (Channel, GridSpec, MoleculeModel, MorseParams,
                        default_model, GROUND_CHANNEL_WEIGHT, IONIC_GROUND,
                        T2_INITIAL)
-from .overlaps import (PseudoSpectrum, RecoilEngine, c_term_bound,
+from .overlaps import (RecoilEngine, c_term_bound,
                        laplacian_expectation, operator_moments,
                        pseudo_spectrum, rotational_shift_ev)
 from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, kinetic_matrix,
                      solve_initial, solve_radial)
 
 __all__ = [
-    "Channel", "GridSpec", "MoleculeModel", "MorseParams", "PseudoSpectrum",
+    "Channel", "GridSpec", "MoleculeModel", "MorseParams",
     "RadialEigenbasis", "RecoilEngine", "c_term_bound", "default_model",
     "kinetic_matrix", "laplacian_expectation", "operator_moments",
     "pseudo_spectrum", "rotational_shift_ev", "solve_initial",

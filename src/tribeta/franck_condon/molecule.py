@@ -37,11 +37,6 @@ class MorseParams:
         return (self.depth_ev / hartree_ev) * (
             1.0 - np.exp(-self.steepness_inv_bohr * (radii - self.r_eq_bohr))) ** 2
 
-    def harmonic_omega_hartree(self, mass_au: float, hartree_ev: float) -> float:
-        """omega = a sqrt(2 D_e / M) in hartree."""
-        return self.steepness_inv_bohr * np.sqrt(
-            2.0 * self.depth_ev / hartree_ev / mass_au)
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -13,13 +13,14 @@ commutator corrections evaluated on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from ..errors import ValidationError
-from ..fss import FinalStateSpectrum, FssLine, MomentSet, from_lines
+from ..fss import (FinalStateSpectrum, FssLine, MomentSet, cumulative_moments,
+                   from_lines)
 from ..physics import CONSTANTS, Constants
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
@@ -107,19 +108,6 @@ class RecoilEngine:
         return from_lines(lines, q_ref=q_au, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class PseudoSpectrum:
-    """Vibrational-only final-state expansion with the uniform recoil shift."""
-
-    weights: np.ndarray        # w_c |<v|T2>|^2
-    energies_ev: np.ndarray    # E_v - E_0, vibrational only
-    rotational_shift_ev: float
-    channel_weight: float
-
-    def shifted_energies(self) -> np.ndarray:
-        return self.energies_ev + self.rotational_shift_ev
-
-
 def rotational_shift_ev(model: MoleculeModel, q_au: float,
                         constants: Constants = CONSTANTS) -> float:
     """Uniform rotational recoil shift q^2 / 2M in eV."""
@@ -127,20 +115,19 @@ def rotational_shift_ev(model: MoleculeModel, q_au: float,
 
 
 def pseudo_spectrum(model: MoleculeModel, q_au: float, v_max: int = 30,
-                    constants: Constants = CONSTANTS) -> PseudoSpectrum:
-    """Vibrational overlaps |<T2|v>|^2 of the ground channel at J = 0."""
+                    constants: Constants = CONSTANTS) -> FinalStateSpectrum:
+    """Ground-channel vibrational pseudo-spectrum: lines w_c |<v|T2>|^2 of
+    the J = 0 basis at E_v - E_0 + q^2/2M, labelled by v (P > 0 only)."""
     init = solve_initial(model, constants=constants)
-    chi0 = init.wavefunctions[:, 0]
     basis = solve_radial(model, channel=0, rotation=0, n_states=v_max + 1,
                          constants=constants)
-    integrals = basis.wavefunctions.T @ chi0 * init.step
-    w_c = model.channels[0].weight
-    return PseudoSpectrum(
-        weights=w_c * integrals**2,
-        energies_ev=basis.energies_ev - basis.energies_ev[0],
-        rotational_shift_ev=rotational_shift_ev(model, q_au, constants),
-        channel_weight=w_c,
-    )
+    integrals = basis.wavefunctions.T @ init.wavefunctions[:, 0] * init.step
+    probs = model.channels[0].weight * integrals**2
+    energies = (basis.energies_ev - basis.energies_ev[0]) \
+        + rotational_shift_ev(model, q_au, constants)
+    return from_lines([FssLine(float(e), float(p), vibration=v)
+                       for v, (e, p) in enumerate(zip(energies, probs))
+                       if p > 0.0], q_ref=q_au)
 
 
 def laplacian_expectation(model: MoleculeModel,
@@ -155,28 +142,22 @@ def laplacian_expectation(model: MoleculeModel,
 def operator_moments(model: MoleculeModel, q_au: float, eps_ev: float,
                      v_max: int = 30,
                      constants: Constants = CONSTANTS) -> MomentSet:
-    """Cumulative moments from the pseudo-spectrum operator expressions.
+    """Cumulative ground-channel moments from the operator expressions.
 
-    P_eps gates each vibrational pseudo-line at E_v + q^2/2M; the first
-    moment adds the uniform shift, and the second carries the gradient
-    correction -(q/M)^2 <T2|Lap|T2> (a positive contribution, since the
-    Laplacian expectation of a bound state is negative).
+    P_eps, <E> and <E^3> are the cumulative moments of the pseudo-spectrum;
+    <E^2> adds the gradient term w_c (1/3) (q/M)^2 <T2| -d^2/dR^2 |T2> / P_eps,
+    the angular average of the rotational broadening that the pseudo-spectrum
+    lacks (positive, since the Laplacian expectation of a bound state is
+    negative).
     """
-    ps = pseudo_spectrum(model, q_au, v_max=v_max, constants=constants)
-    shifted = ps.shifted_energies()
-    open_mask = shifted < eps_ev
-    p_open = float(ps.weights[open_mask].sum())
-    if p_open == 0.0:
-        return MomentSet(eps_ev, 0.0, None, None, None)
-    w = ps.weights[open_mask]
-    e_vib = ps.energies_ev[open_mask]
-    shift = ps.rotational_shift_ev
-    mean_e = shift + float((w * e_vib).sum()) / p_open
-    grad_term = -(q_au / model.final_mass_au) ** 2 * laplacian_expectation(
+    moments = cumulative_moments(
+        pseudo_spectrum(model, q_au, v_max=v_max, constants=constants), eps_ev)
+    if not moments.open:
+        return moments
+    grad_term = -(q_au / model.final_mass_au) ** 2 / 3.0 * laplacian_expectation(
         model, constants) * constants.hartree_ev ** 2
-    mean_e2 = float((w * (e_vib + shift) ** 2).sum()) / p_open + grad_term / p_open
-    mean_e3 = float((w * (e_vib + shift) ** 3).sum()) / p_open
-    return MomentSet(eps_ev, p_open, mean_e, mean_e2, mean_e3)
+    return replace(moments, mean_e2=moments.mean_e2
+                   + model.channels[0].weight * grad_term / moments.p_open)
 
 
 def _derivative_matrix(n: int, step: float) -> np.ndarray:

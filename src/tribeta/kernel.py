@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .fss import FinalStateSpectrum
 from .physics import CONSTANTS, Constants, fermi_factor
 
@@ -194,24 +194,3 @@ def linearized_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
                                                 constants) * s
     return _finalize(out, shape, scalar)
 
-
-def uniform_shifts(species: str, j_initial: int, r_eq_bohr: float,
-                   constants: Constants = CONSTANTS) -> float:
-    """Uniform spectral shift (J+1/2)^2 / (2 M R_e^2) in eV for a nonzero
-    initial rotational state; zero for J = 0 (beyond the species recoil,
-    which is handled by physics.rotational_recoil)."""
-    if j_initial < 0:
-        raise ValidationError("initial J must be >= 0")
-    if r_eq_bohr <= 0.0:
-        raise ValidationError("R_e must be positive")
-    if species == "T2":
-        mass = constants.reduced_t_he3
-    elif species == "TH":
-        mt, mp = constants.triton_electron_ratio, constants.proton_electron_ratio
-        mass = mt * mp / (mt + mp)
-    else:
-        raise ConfigurationError(f"unknown species {species!r}")
-    if j_initial == 0:
-        return 0.0
-    return (j_initial + 0.5) ** 2 / (2.0 * mass * r_eq_bohr ** 2) \
-        * constants.hartree_ev

@@ -132,16 +132,6 @@ def momentum_from_kinetic(kinetic_ev: float,
     )
 
 
-def kinetic_from_momentum(momentum_ev: float,
-                          constants: Constants = CONSTANTS) -> float:
-    """Inverse of momentum_from_kinetic; stable for small momenta."""
-    if momentum_ev < 0.0:
-        raise ValidationError("momentum must be >= 0")
-    me = constants.electron_mass_ev
-    # eps = sqrt(p^2 + me^2) - me, written to avoid cancellation
-    return momentum_ev * momentum_ev / (math.hypot(momentum_ev, me) + me)
-
-
 def fermi_factor(momentum_ev, z_daughter: int = 2,
                  constants: Constants = CONSTANTS):
     """Nonrelativistic Coulomb (Fermi) factor F = 2 pi eta / (1 - exp(-2 pi eta)).
@@ -163,57 +153,3 @@ def fermi_factor(momentum_ev, z_daughter: int = 2,
         return float(out)
     return out
 
-
-def _momentum_sq_ev2(kinetic_ev: float, constants: Constants) -> float:
-    me = constants.electron_mass_ev
-    return kinetic_ev * (kinetic_ev + 2.0 * me)
-
-
-def rotational_recoil(kinetic_ev: float, species: str = "T2",
-                      constants: Constants = CONSTANTS) -> float:
-    """Rotational recoil energy shift q^2/2M in eV.
-
-    T2 : q = p/2 on the relative coordinate, M the reduced T-3He mass.
-    TH : the unequal masses give p^2 / (2 M_t (1 + M_t/M_p)), about half
-         of the T2 value.
-    """
-    if kinetic_ev < 0.0:
-        raise ValidationError("kinetic energy must be >= 0")
-    p2 = _momentum_sq_ev2(kinetic_ev, constants)
-    me = constants.electron_mass_ev
-    mt = constants.triton_electron_ratio
-    if species == "T2":
-        return p2 / (8.0 * constants.reduced_t_he3 * me)
-    if species == "TH":
-        mp = constants.proton_electron_ratio
-        return p2 / (2.0 * mt * (1.0 + mt / mp) * me)
-    raise ConfigurationError(f"unknown species {species!r} (expected 'T2' or 'TH')")
-
-
-def center_of_mass_recoil(kinetic_ev: float, species: str = "T2",
-                          constants: Constants = CONSTANTS) -> float:
-    """Center-of-mass recoil energy p^2/(2 M_mol) in eV.
-
-    For T2 the molecular mass is taken as 2 M_t; for TH as M_t + M_p.
-    """
-    if kinetic_ev < 0.0:
-        raise ValidationError("kinetic energy must be >= 0")
-    p2 = _momentum_sq_ev2(kinetic_ev, constants)
-    me = constants.electron_mass_ev
-    mt = constants.triton_electron_ratio
-    if species == "T2":
-        return p2 / (4.0 * mt * me)
-    if species == "TH":
-        return p2 / (2.0 * (mt + constants.proton_electron_ratio) * me)
-    raise ConfigurationError(f"unknown species {species!r} (expected 'T2' or 'TH')")
-
-
-def composite_recoil(kinetic_ev: float, species: str = "T2",
-                     constants: Constants = CONSTANTS) -> float:
-    """Total recoil energy: center-of-mass plus rotational part, in eV.
-
-    Numerically this is very close to (eps/M_t)(1 + eps/2 m_e c^2); for TH
-    the two parts rearrange to exactly that closed form.
-    """
-    return (center_of_mass_recoil(kinetic_ev, species, constants)
-            + rotational_recoil(kinetic_ev, species, constants))

@@ -79,7 +79,7 @@ def test_criterion_03_mean_rotational_excitation(engine, q_endpoint):
 
 def test_criterion_04_vibrational_hierarchy(model, q_endpoint):
     ps = pseudo_spectrum(model, q_endpoint)
-    shares = ps.weights / ps.channel_weight
+    shares = ps.probabilities / model.channels[0].weight
     decreasing = bool(shares[0] > shares[1] > shares[2] > shares[3])
     share_ok = 0.522 / 0.574 / 2.0 <= shares[0] <= min(1.0, 0.522 / 0.574 * 2.0)
     ratio = shares[0] / shares[1]
@@ -94,11 +94,15 @@ def test_criterion_05_operator_moment_consistency(engine, model, q_endpoint):
     p = np.array([l.probability for l in spectrum.lines if l.channel == 0])
     e = np.array([l.energy_ev for l in spectrum.lines if l.channel == 0])
     full_mean = float((p * e).sum() / p.sum())
-    op_mean = operator_moments(model, q_endpoint, 1e6, v_max=120).mean_e
-    rel = abs(op_mean - full_mean) / full_mean
+    full_e2 = float((p * e * e).sum() / p.sum())
+    op = operator_moments(model, q_endpoint, 1e6, v_max=120)
+    rel = abs(op.mean_e - full_mean) / full_mean
+    rel2 = abs(op.mean_e2 - full_e2) / full_e2
     check(5, "operator vs full-FSS first moment",
-          rel <= 0.01,
-          f"operator {op_mean:.4f} eV vs full {full_mean:.4f} eV ({rel:.2e} rel)")
+          rel <= 0.01 and rel2 <= 1e-4,
+          f"operator {op.mean_e:.4f} eV vs full {full_mean:.4f} eV ({rel:.2e} rel)"
+          f"; <E^2> operator {op.mean_e2:.5f} eV^2 vs full {full_e2:.5f} eV^2 "
+          f"({rel2:.2e} rel <= 1e-4)")
 
 
 def test_criterion_06_commutator_bound(model, q_endpoint):

@@ -279,3 +279,26 @@ class TestUsageErrors:
         argv[4] = str(path)
         self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
                                 capsys, f"{path} {section}", f"'{unknown}'")
+
+    @pytest.mark.parametrize("config,fragments", [
+        ([1], ("expected a JSON object",)),
+        ({"window_ev": 5}, ("window_ev", "5")),
+        ({"window_ev": [18500]}, ("window_ev", "[18500]")),
+        ({"free": 5}, ("free", "5")),
+        ({"max_iterations": "x"}, ("max_iterations", "'x'")),
+    ], ids=["list", "window-number", "window-one-edge", "free-number",
+            "iterations-string"])
+    def test_fit_config_bad_shape(self, fit_inputs, tmp_path, capsys, config,
+                                  fragments):
+        argv, _ = fit_inputs
+        argv = list(argv)
+        doc = json.loads(Path(argv[4]).read_text())
+        if isinstance(config, dict):
+            doc.update(config)
+        else:
+            doc = config
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        argv[4] = str(path)
+        self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
+                                capsys, str(path), *fragments)

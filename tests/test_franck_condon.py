@@ -10,6 +10,7 @@ from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
                                    pseudo_spectrum, rotational_shift_ev,
                                    solve_initial)
 from tribeta.franck_condon.overlaps import _derivative_matrix
+from tribeta.fss import cumulative_moments, from_lines
 from tribeta.physics import CONSTANTS
 
 HART = CONSTANTS.hartree_ev
@@ -39,7 +40,7 @@ class TestRecoilOverlaps:
         probs = [l.probability for l in sorted(
             (l for l in fss.lines if l.channel == 0),
             key=lambda l: l.vibration)]
-        assert np.allclose(probs, ps.weights[ps.weights > 0.0], rtol=1e-10)
+        assert np.allclose(probs, ps.probabilities, rtol=1e-10)
 
     def test_identical_potentials_orthonormality(self):
         engine = RecoilEngine(identical_curves_model(), j_max=2, v_max=10)
@@ -108,7 +109,8 @@ class TestRecoilOverlaps:
 class TestPseudoSpectrum:
     def test_hierarchy_and_calibration(self, model, q_endpoint):
         ps = pseudo_spectrum(model, q_endpoint)
-        shares = ps.weights / ps.channel_weight
+        assert [l.vibration for l in ps.lines] == list(range(len(ps)))
+        shares = ps.probabilities / model.channels[0].weight
         assert shares[0] > shares[1] > shares[2] > shares[3]
         # v=0 share within a factor 2 of 52.2/57.4
         assert 0.522 / 0.574 / 2.0 <= shares[0] <= 1.0
@@ -118,7 +120,17 @@ class TestPseudoSpectrum:
 
     def test_completeness(self, model, q_endpoint):
         ps = pseudo_spectrum(model, q_endpoint, v_max=40)
-        assert ps.weights.sum() == pytest.approx(ps.channel_weight, abs=1e-3)
+        assert ps.q_ref == q_endpoint
+        assert ps.total_probability == pytest.approx(model.channels[0].weight,
+                                                     abs=1e-3)
+
+    def test_lines_carry_the_rotational_shift(self, model, q_endpoint):
+        at_rest = pseudo_spectrum(model, 0.0)
+        recoiled = pseudo_spectrum(model, q_endpoint)
+        assert at_rest.energies[0] == 0.0
+        assert np.array_equal(recoiled.probabilities, at_rest.probabilities)
+        assert np.allclose(recoiled.energies - at_rest.energies,
+                           rotational_shift_ev(model, q_endpoint), rtol=1e-12)
 
     def test_rotational_shift_value(self, model):
         shift = rotational_shift_ev(model, 18.6)
@@ -135,7 +147,8 @@ class TestOperatorMoments:
     def test_q_zero_reduces_to_vibrational(self, model):
         m = operator_moments(model, 0.0, 1e6)
         ps = pseudo_spectrum(model, 0.0)
-        vib_mean = float((ps.weights * ps.energies_ev).sum() / ps.weights.sum())
+        vib_mean = float((ps.probabilities * ps.energies).sum()
+                         / ps.total_probability)
         assert m.mean_e == pytest.approx(vib_mean, abs=1e-9)
 
     def test_closed_below_first_line(self, model, q_endpoint):
@@ -147,8 +160,8 @@ class TestOperatorMoments:
         lap = laplacian_expectation(model)
         assert lap < 0.0
         ps = pseudo_spectrum(model, q_endpoint)
-        plain = float((ps.weights * ps.shifted_energies() ** 2).sum()
-                      / ps.weights.sum())
+        plain = float((ps.probabilities * ps.energies ** 2).sum()
+                      / ps.total_probability)
         m = operator_moments(model, q_endpoint, 1e6)
         assert m.mean_e2 > plain
 
@@ -162,6 +175,15 @@ class TestOperatorMoments:
         full_mean = float((p * e).sum() / p.sum())
         op_mean = operator_moments(small_model, q_endpoint, 1e6, v_max=40).mean_e
         assert abs(op_mean - full_mean) / full_mean < 0.01
+
+    @pytest.mark.parametrize("q", [5.0, 10.0])
+    def test_second_moment_matches_full_fss(self, small_engine, small_model, q):
+        # <E^2> of the full recoil FSS, channel 0: the pseudo-spectrum plus
+        # the angular-averaged gradient term w_c (1/3) (q/M)^2 <-d^2/dR^2>
+        ground = [l for l in small_engine.overlaps(q).lines if l.channel == 0]
+        full = cumulative_moments(from_lines(ground), 1e6)
+        op = operator_moments(small_model, q, 1e6)
+        assert op.mean_e2 == pytest.approx(full.mean_e2, rel=1e-4)
 
 
 class TestCommutatorTerm:

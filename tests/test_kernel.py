@@ -10,8 +10,7 @@ from tribeta.errors import ValidationError
 from tribeta.fss import FssLine, from_lines, moment_form_spectrum_term
 from tribeta.kernel import (SpectrumParams, differential_spectrum,
                             effective_endpoint, integral_spectrum,
-                            linearized_spectrum, linearized_sum, spectral_sum,
-                            uniform_shifts)
+                            linearized_spectrum, linearized_sum, spectral_sum)
 from tribeta.physics import CONSTANTS, fermi_factor, momentum_from_kinetic
 
 mp.mp.dps = 30
@@ -181,34 +180,6 @@ class TestEffectiveEndpoint:
         off = integral_spectrum(eps, params(), study_fss)
         rel = abs(on - off) / off
         assert 3e-4 < rel < 1e-3
-
-
-class TestUniformShifts:
-    def test_zero_initial_rotation(self):
-        assert uniform_shifts("T2", 0, 1.4) == 0.0
-
-    def test_j1_value(self):
-        # (1.5)^2 / (2 M R_e^2) in eV, M the reduced T-3He mass
-        expected = 2.25 / (2.0 * CONSTANTS.reduced_t_he3 * 1.4**2) \
-            * CONSTANTS.hartree_ev
-        assert uniform_shifts("T2", 1, 1.4) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(5.68e-3, rel=0.01)
-
-    def test_cross_check_with_solver(self, model):
-        from tribeta.franck_condon import solve_radial
-        r_eq = model.channels[0].morse.r_eq_bohr
-        e0 = solve_radial(model, rotation=0, n_states=1).energies_ev[0]
-        e1 = solve_radial(model, rotation=1, n_states=1).energies_ev[0]
-        solver_shift = e1 - e0  # J(J+1) = 2 at the vibrationally averaged R
-        estimate = uniform_shifts("T2", 1, r_eq)
-        # (J+1/2)^2 = 2.25 vs J(J+1) = 2, plus averaging effects
-        assert estimate / solver_shift == pytest.approx(2.25 / 2.0, rel=0.10)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            uniform_shifts("T2", -1, 1.4)
-        with pytest.raises(ValidationError):
-            uniform_shifts("T2", 1, -1.0)
 
 
 class TestParamsValidation:

@@ -1,4 +1,4 @@
-"""Kinematics, Fermi factor and recoil energies against independent oracles."""
+"""Kinematics, Fermi factor and the recoil shift against independent oracles."""
 
 import dataclasses
 import json
@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribeta.errors import ConfigurationError, ValidationError
-from tribeta.physics import (CONSTANTS, Constants, center_of_mass_recoil,
-                             composite_recoil, fermi_factor,
-                             kinetic_from_momentum, load_constants,
-                             momentum_from_kinetic, rotational_recoil)
+from tribeta.franck_condon import default_model, rotational_shift_ev
+from tribeta.physics import (CONSTANTS, Constants, fermi_factor,
+                             load_constants, momentum_from_kinetic)
 
 mp.mp.dps = 30
 
@@ -95,8 +94,9 @@ class TestKinematics:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1.0, max_value=1e6))
     def test_round_trip(self, eps):
-        k = momentum_from_kinetic(eps)
-        back = kinetic_from_momentum(k.momentum_ev)
+        # eps = sqrt(p^2 + m^2) - m, written without cancellation
+        p, me = momentum_from_kinetic(eps).momentum_ev, CONSTANTS.electron_mass_ev
+        back = p * p / (math.hypot(p, me) + me)
         assert abs(back - eps) <= 1e-12 * eps
 
 
@@ -137,44 +137,23 @@ class TestFermiFactor:
 
 
 class TestRecoil:
+    """The rotational recoil q^2/2M (`rotational_shift_ev`) at q = p/2."""
+
+    @staticmethod
+    def shift(eps):
+        q = momentum_from_kinetic(eps).recoil_q_au
+        return rotational_shift_ev(default_model(), q)
+
     def test_zero_energy(self):
-        assert composite_recoil(0.0, "T2") == 0.0
+        assert self.shift(0.0) == 0.0
 
-    def test_endpoint_value(self):
-        # evaluates near 3.4 eV; cross-check against the closed form
-        # p^2/(2 M_t) = (eps/M_t)(1 + eps/2 m_e c^2)
-        e_r = composite_recoil(18575.0, "T2")
-        assert 3.3 < e_r < 3.5
-        me, mt = CONSTANTS.electron_mass_ev, CONSTANTS.triton_electron_ratio
-        closed = (18575.0 / mt) * (1.0 + 18575.0 / (2.0 * me))
-        assert e_r == pytest.approx(closed, rel=1e-4)
-
-    def test_decomposition_identity(self):
-        # CM part p^2/(4 M_t) plus rotational part q^2/(2 M), M reduced T-3He
-        eps = 18575.0
+    def test_rotational_shift_closed_form(self):
+        # p^2 / (8 M m_e), M the reduced T-3He mass; CODATA's hartree is not
+        # exactly m_e c^2 alpha^2 (gap ~6e-12)
         me = CONSTANTS.electron_mass_ev
-        p2 = eps * (eps + 2.0 * me)
-        cm = p2 / (4.0 * CONSTANTS.triton_electron_ratio * me)
-        rot = (p2 / 4.0) / (2.0 * CONSTANTS.reduced_t_he3 * me)
-        assert composite_recoil(eps, "T2") == pytest.approx(cm + rot, rel=1e-10)
-        assert center_of_mass_recoil(eps, "T2") == pytest.approx(cm, rel=1e-12)
-        assert rotational_recoil(eps, "T2") == pytest.approx(rot, rel=1e-12)
+        for eps in (1000.0, 18575.0):
+            closed = eps * (eps + 2.0 * me) / (8.0 * CONSTANTS.reduced_t_he3 * me)
+            assert self.shift(eps) == pytest.approx(closed, rel=1e-10)
 
     def test_rotational_part_at_endpoint(self):
-        assert rotational_recoil(18575.0, "T2") == pytest.approx(1.72, abs=0.02)
-
-    def test_th_composite_equals_t2_closed_form(self):
-        # 1/(M_t+M_p) + M_p/(M_t (M_t+M_p)) = 1/M_t exactly
-        eps = 18575.0
-        me, mt = CONSTANTS.electron_mass_ev, CONSTANTS.triton_electron_ratio
-        p2 = eps * (eps + 2.0 * me)
-        assert composite_recoil(eps, "TH") == pytest.approx(
-            p2 / (2.0 * mt * me), rel=1e-12)
-
-    def test_th_rotational_about_half(self):
-        ratio = rotational_recoil(18575.0, "TH") / rotational_recoil(18575.0, "T2")
-        assert 0.48 < ratio < 0.52
-
-    def test_unknown_species(self):
-        with pytest.raises(ConfigurationError):
-            composite_recoil(1.0, "D2")
+        assert self.shift(18575.0) == pytest.approx(1.72, abs=0.02)

@@ -73,8 +73,8 @@ class TestMorseOracle:
                               morse=MorseParams(40.0, 1.0, 1.4)),),
             grid=GridSpec(0.3, 12.0, 1024))
         basis = solve_radial(deep, n_states=3)
-        omega = MorseParams(40.0, 1.0, 1.4).harmonic_omega_hartree(
-            deep.final_mass_au, HART) * HART
+        # omega = a sqrt(2 D_e / M)
+        omega = 1.0 * math.sqrt(2.0 * 40.0 / HART / deep.final_mass_au) * HART
         spacing = basis.energies_ev[1] - basis.energies_ev[0]
         anharm = omega * omega / (2.0 * 40.0)
         assert spacing == pytest.approx(omega - anharm, rel=1e-6)

@@ -24,7 +24,7 @@ from .fit import FitConfig, minimize
 from .franck_condon import MoleculeModel, default_model, pseudo_spectrum
 from .fss import FinalStateSpectrum, FssLine, from_lines
 from .kernel import SpectrumParams, integral_spectrum, linearized_sum, spectral_sum
-from .physics import CONSTANTS, Constants, momentum_from_kinetic
+from .physics import momentum_from_kinetic
 from .response import ResponseModel, generate_pseudodata
 
 DEFAULT_ENDPOINT_EV = 18575.0
@@ -32,8 +32,7 @@ DEFAULT_ENDPOINT_EV = 18575.0
 
 def build_study_fss(model: Optional[MoleculeModel] = None,
                     q_au: Optional[float] = None,
-                    v_max: int = 24,
-                    constants: Constants = CONSTANTS) -> FinalStateSpectrum:
+                    v_max: int = 24) -> FinalStateSpectrum:
     """Compact FSS for fit studies: ground-channel pseudo-spectrum plus the
     model's lumped excited-electronic lines.
 
@@ -44,8 +43,8 @@ def build_study_fss(model: Optional[MoleculeModel] = None,
     """
     model = model or default_model()
     if q_au is None:
-        q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV, constants).recoil_q_au
-    lines = pseudo_spectrum(model, q_au, v_max=v_max, constants=constants).lines
+        q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV).recoil_q_au
+    lines = pseudo_spectrum(model, q_au, v_max=v_max).lines
     lines += tuple(FssLine(ch.offset_ev, ch.weight, channel=ic)
                    for ic, ch in enumerate(model.channels)
                    if ch.kind == "line" and ch.weight > 0.0)
@@ -80,8 +79,8 @@ class Fig2Result:
 
 def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV,
                m_nu_ev: float = 1.0, depth_min_ev: float = 2.0,
-               depth_max_ev: float = 300.0, n_points: int = 240,
-               constants: Constants = CONSTANTS) -> Fig2Result:
+               depth_max_ev: float = 300.0,
+               n_points: int = 240) -> Fig2Result:
     """|exact - linearized| spectral sum versus depth below the endpoint,
     with the m_nu^4 / depth trend and its fitted coefficient."""
     if m_nu_ev < 0.0:
@@ -90,8 +89,8 @@ def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV
     params = SpectrumParams(amplitude=1.0, endpoint_ev=endpoint_ev,
                             m2nu_ev2=m_nu_ev ** 2)
     eps = endpoint_ev - depths
-    exact = np.atleast_1d(spectral_sum(eps, params, fss, constants))
-    linear = np.atleast_1d(linearized_sum(eps, params, fss, constants))
+    exact = np.atleast_1d(spectral_sum(eps, params, fss))
+    linear = np.atleast_1d(linearized_sum(eps, params, fss))
     diff = np.abs(exact - linear)
     trend = np.where(depths > 0, m_nu_ev ** 4 / depths, np.inf)
     if m_nu_ev == 0.0:
@@ -177,11 +176,11 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 def _one_replication(args) -> tuple[bool, float, float, float, float]:
     (truth, fss, response, centers, exposure, seed, mismatch_cfg,
-     control_cfg, constants) = args
+     control_cfg) = args
     dataset = generate_pseudodata(truth, fss, response, centers, exposure,
-                                  seed, constants)
-    fit_mis = minimize(dataset, mismatch_cfg, constants)
-    fit_ctl = minimize(dataset, control_cfg, constants)
+                                  seed)
+    fit_mis = minimize(dataset, mismatch_cfg)
+    fit_ctl = minimize(dataset, control_cfg)
     ok = fit_mis.converged and fit_ctl.converged
     w0 = truth.endpoint_ev
     return (ok, fit_mis.params.m2nu_ev2, fit_mis.params.endpoint_ev - w0,
@@ -189,7 +188,6 @@ def _one_replication(args) -> tuple[bool, float, float, float, float]:
 
 
 def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
-              constants: Constants = CONSTANTS,
               jobs: int = 1) -> BiasScanResult:
     """Ensemble of drift-on pseudo-experiments fitted drift-off, window by
     window, with the drift-matched control on the same datasets.
@@ -198,7 +196,7 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
     and are reduced in replication order, so results are identical for any
     job count.
     """
-    fss = fss or build_study_fss(constants=constants)
+    fss = fss or build_study_fss()
     response = ResponseModel(sigma_ev=spec.sigma_ev)
     w0 = spec.endpoint_ev
 
@@ -206,7 +204,7 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
     # the endpoint-region statistics
     probe = SpectrumParams(amplitude=1.0, endpoint_ev=w0)
     anchor_rate = float(integral_spectrum(w0 - spec.anchor_depth_ev, probe,
-                                          fss, constants))
+                                          fss))
     exposure = spec.anchor_counts / anchor_rate
     background = spec.background_fraction * spec.anchor_counts
 
@@ -236,7 +234,7 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
 
         tasks = [(truth, fss, response, centers, exposure,
                   spec.base_seed + 1009 * iw + rep, mismatch_cfg,
-                  control_cfg, constants)
+                  control_cfg)
                  for rep in range(spec.replications)]
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor

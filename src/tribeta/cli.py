@@ -5,9 +5,10 @@ Subcommands: `constants dump`, `fss gen`, `fss moments`, `spectrum`,
 1 validation/usage error, 2 numerical-convergence failure.
 
 Every run that writes outputs also writes `<output>.manifest.json`
-recording the command, input hashes, constants version and seeds; re-runs
-with identical inputs produce byte-identical primary outputs (manifests
-differ only in the timestamp field).
+recording the command, input hashes (a TRIBETA_CONSTANTS override file
+among them), constants version and seeds; re-runs with identical inputs
+produce byte-identical primary outputs (manifests differ only in the
+timestamp field).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .franck_condon import MoleculeModel, RecoilEngine, default_model
 from .fss import cumulative_moments, load_fss, save_fss
 from .kernel import (SpectrumParams, differential_spectrum, integral_spectrum,
                      linearized_spectrum)
-from .physics import CONSTANTS
+from .physics import CONSTANTS, CONSTANTS_ENV_VAR
 from .response import ResponseModel, convolve, load_dataset
 from .bias import (ScanSpec, bias_scan, build_study_fss, fig2_study,
                    save_bias_csv, save_bias_json, save_fig2_csv)
@@ -50,7 +51,9 @@ def _write_manifest(output_path: str, args: argparse.Namespace,
         "command": args.command,
         "argv": sys.argv[1:],
         "constants_version": CONSTANTS.version,
-        "inputs": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
+        "inputs": {p: _sha256(p)
+                   for p in inputs + [os.environ.get(CONSTANTS_ENV_VAR)]
+                   if p and os.path.exists(p)},
         "seeds": seeds,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -103,6 +106,14 @@ def _load_rates(path: str) -> np.ndarray:
 
 
 def _energy_grid(args) -> np.ndarray:
+    # `not x > 0` and `not a < b` so that NaN fails too
+    if args.step is not None and not args.step > 0.0:
+        raise ValidationError(f"--step must be > 0, got {args.step}")
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    if not args.emin < args.emax:
+        raise ValidationError(
+            f"--emin must be below --emax, got {args.emin} and {args.emax}")
     if args.step is not None:
         return np.arange(args.emin, args.emax + 1e-9, args.step)
     return np.linspace(args.emin, args.emax, args.points)
@@ -269,6 +280,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bias_scan(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     spec = ScanSpec(window_depths_ev=tuple(args.depths),
                     replications=args.replications, base_seed=args.seed)
     fss = load_fss(args.fss) if args.fss else build_study_fss()

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
-from .physics import CONSTANTS, Constants
 from .response import Lattice, PseudoDataset, ResponseModel, expected_counts
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
@@ -99,13 +98,13 @@ def _params_vector(params: SpectrumParams) -> dict:
 
 
 def chi_square(params: SpectrumParams, dataset: PseudoDataset,
-               config: FitConfig, constants: Constants = CONSTANTS) -> float:
+               config: FitConfig) -> float:
     """Pearson chi^2 of the dataset's window bins under the given params."""
     mask = _window_mask(dataset.bin_centers, config.window_ev)
     if mask.sum() < 1:
         raise ValidationError("window selects no bins")
     mu = expected_counts(params, config.fss, config.response,
-                         dataset.bin_centers[mask], dataset.exposure, constants)
+                         dataset.bin_centers[mask], dataset.exposure)
     n = dataset.counts[mask].astype(float)
     return float((((n - mu) ** 2) / np.maximum(mu, 1.0)).sum())
 
@@ -120,8 +119,7 @@ class _Residuals:
     sane region gives infinite residuals, a rejected step.
     """
 
-    def __init__(self, dataset: PseudoDataset, config: FitConfig,
-                 constants: Constants = CONSTANTS):
+    def __init__(self, dataset: PseudoDataset, config: FitConfig):
         mask = _window_mask(dataset.bin_centers, config.window_ev)
         self.n_bins = int(mask.sum())
         self.free = tuple(config.free)
@@ -136,7 +134,6 @@ class _Residuals:
         self.x0 = np.array([self.fixed[name] for name in self.free])
         self.exposure = dataset.exposure
         self.config = config
-        self.constants = constants
 
     def _split(self, vec: np.ndarray):
         p = dict(self.fixed)
@@ -154,15 +151,14 @@ class _Residuals:
         if shape is None:
             return np.full(self.n_bins, np.inf)
         mu = p["amplitude"] * self.lattice.counts(
-            shape, self.config.fss, self.exposure, self.constants) \
-            + p["background"]
+            shape, self.config.fss, self.exposure) + p["background"]
         return (self.counts - mu) / np.sqrt(np.maximum(mu, 1.0))
 
     def with_jacobian(self, vec: np.ndarray):
         """(residuals, Jacobian) at a sane point, from one kernel pass."""
         p, shape = self._split(vec)
         unit, d_w0, d_m2 = self.lattice.counts_with_derivatives(
-            shape, self.config.fss, self.exposure, self.constants)
+            shape, self.config.fss, self.exposure)
         amplitude = p["amplitude"]
         mu = amplitude * unit + p["background"]
         s = np.sqrt(np.maximum(mu, 1.0))
@@ -174,14 +170,13 @@ class _Residuals:
         return r, jac * dr_dmu[:, None]
 
 
-def minimize(dataset: PseudoDataset, config: FitConfig,
-             constants: Constants = CONSTANTS) -> FitResult:
+def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
     """Damped least-squares descent to a local chi^2 minimum.
 
     Deterministic given the config.  Non-convergence is flagged on the
     result, not raised; a singular Hessian leaves the covariance absent.
     """
-    residuals = _Residuals(dataset, config, constants)
+    residuals = _Residuals(dataset, config)
     free, n_bins = residuals.free, residuals.n_bins
     x = residuals.x0
     scales = _param_scales(x, free)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError, ValidationError
-from ..physics import CONSTANTS, Constants
+from ..physics import CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class MorseParams:
         if self.depth_ev <= 0 or self.steepness_inv_bohr <= 0 or self.r_eq_bohr <= 0:
             raise ValidationError("Morse parameters must be positive")
 
-    def potential(self, radii: np.ndarray, hartree_ev: float) -> np.ndarray:
+    def potential(self, radii: np.ndarray) -> np.ndarray:
         """V(R) on the given radii, in hartree."""
-        return (self.depth_ev / hartree_ev) * (
+        return (self.depth_ev / CONSTANTS.hartree_ev) * (
             1.0 - np.exp(-self.steepness_inv_bohr * (radii - self.r_eq_bohr))) ** 2
 
 
@@ -113,12 +113,12 @@ class MoleculeModel:
                     f"grid r_max {self.grid.r_max_bohr} too small; "
                     f"need > R_e + 10/a = {reach:.2f} bohr")
 
-    def potential(self, channel: int, hartree_ev: float) -> np.ndarray:
+    def potential(self, channel: int) -> np.ndarray:
         """Channel potential on the grid, in hartree."""
         ch = self.channels[channel]
         r = self.grid.radii()
         if ch.kind == "morse":
-            return ch.morse.potential(r, hartree_ev)
+            return ch.morse.potential(r)
         if ch.kind == "coulomb":
             return ch.z_eff / r
         raise ConfigurationError(f"channel {channel} has no potential (kind 'line')")
@@ -168,8 +168,7 @@ IONIC_GROUND = MorseParams(depth_ev=2.04, steepness_inv_bohr=1.30,
 GROUND_CHANNEL_WEIGHT = 0.574
 
 
-def default_model(grid: Optional[GridSpec] = None,
-                  constants: Constants = CONSTANTS) -> MoleculeModel:
+def default_model(grid: Optional[GridSpec] = None) -> MoleculeModel:
     """Calibrated T2 -> T3He+ model with a lumped excited-electronic tail."""
     return MoleculeModel(
         initial=T2_INITIAL,
@@ -181,7 +180,5 @@ def default_model(grid: Optional[GridSpec] = None,
             Channel(kind="line", weight=0.096, offset_ev=42.0,
                     label="excited tail"),
         ),
-        initial_mass_au=constants.t2_reduced,
-        final_mass_au=constants.reduced_t_he3,
         grid=grid or GridSpec(),
     )

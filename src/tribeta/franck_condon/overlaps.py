@@ -21,7 +21,7 @@ from scipy.linalg import toeplitz
 from ..errors import ValidationError
 from ..fss import (FinalStateSpectrum, FssLine, MomentSet, cumulative_moments,
                    from_lines)
-from ..physics import CONSTANTS, Constants
+from ..physics import CONSTANTS
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
 from .radial import RadialEigenbasis, kinetic_matrix, solve_initial, solve_radial
@@ -40,15 +40,13 @@ class RecoilEngine:
     """
 
     def __init__(self, model: MoleculeModel, j_max: int = 60, v_max: int = 80,
-                 constants: Constants = CONSTANTS,
                  convergence_check: bool = False):
         if j_max < 0 or v_max < 0:
             raise ValidationError("j_max and v_max must be >= 0")
         self.model = model
         self.j_max = j_max
         self.v_max = v_max
-        self.constants = constants
-        init = solve_initial(model, constants=constants)
+        init = solve_initial(model)
         self.radii = init.radii
         self.step = init.step
         self.chi0 = init.wavefunctions[:, 0]
@@ -59,8 +57,7 @@ class RecoilEngine:
             for j in range(j_max + 1):
                 self.bases[(ic, j)] = solve_radial(
                     model, channel=ic, rotation=j, n_states=v_max + 1,
-                    convergence_check=(convergence_check and j == 0),
-                    constants=constants)
+                    convergence_check=(convergence_check and j == 0))
         self.reference_ev = self.bases[(0, 0)].energies_ev[0]
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
@@ -108,40 +105,36 @@ class RecoilEngine:
         return from_lines(lines, q_ref=q_au, provenance=provenance)
 
 
-def rotational_shift_ev(model: MoleculeModel, q_au: float,
-                        constants: Constants = CONSTANTS) -> float:
+def rotational_shift_ev(model: MoleculeModel, q_au: float) -> float:
     """Uniform rotational recoil shift q^2 / 2M in eV."""
-    return q_au * q_au / (2.0 * model.final_mass_au) * constants.hartree_ev
+    return q_au * q_au / (2.0 * model.final_mass_au) * CONSTANTS.hartree_ev
 
 
-def pseudo_spectrum(model: MoleculeModel, q_au: float, v_max: int = 30,
-                    constants: Constants = CONSTANTS) -> FinalStateSpectrum:
+def pseudo_spectrum(model: MoleculeModel, q_au: float,
+                    v_max: int = 30) -> FinalStateSpectrum:
     """Ground-channel vibrational pseudo-spectrum: lines w_c |<v|T2>|^2 of
     the J = 0 basis at E_v - E_0 + q^2/2M, labelled by v (P > 0 only)."""
-    init = solve_initial(model, constants=constants)
-    basis = solve_radial(model, channel=0, rotation=0, n_states=v_max + 1,
-                         constants=constants)
+    init = solve_initial(model)
+    basis = solve_radial(model, channel=0, rotation=0, n_states=v_max + 1)
     integrals = basis.wavefunctions.T @ init.wavefunctions[:, 0] * init.step
     probs = model.channels[0].weight * integrals**2
     energies = (basis.energies_ev - basis.energies_ev[0]) \
-        + rotational_shift_ev(model, q_au, constants)
+        + rotational_shift_ev(model, q_au)
     return from_lines([FssLine(float(e), float(p), vibration=v)
                        for v, (e, p) in enumerate(zip(energies, probs))
                        if p > 0.0], q_ref=q_au)
 
 
-def laplacian_expectation(model: MoleculeModel,
-                          constants: Constants = CONSTANTS) -> float:
+def laplacian_expectation(model: MoleculeModel) -> float:
     """<T2| d^2/dR^2 |T2> in bohr^-2 (negative for a normalized bound state)."""
-    init = solve_initial(model, constants=constants)
+    init = solve_initial(model)
     chi0 = init.wavefunctions[:, 0]
     grad = _derivative_matrix(init.radii.size, init.step) @ chi0
     return -float(np.sum(grad * grad) * init.step)
 
 
 def operator_moments(model: MoleculeModel, q_au: float, eps_ev: float,
-                     v_max: int = 30,
-                     constants: Constants = CONSTANTS) -> MomentSet:
+                     v_max: int = 30) -> MomentSet:
     """Cumulative ground-channel moments from the operator expressions.
 
     P_eps, <E> and <E^3> are the cumulative moments of the pseudo-spectrum;
@@ -151,11 +144,11 @@ def operator_moments(model: MoleculeModel, q_au: float, eps_ev: float,
     negative).
     """
     moments = cumulative_moments(
-        pseudo_spectrum(model, q_au, v_max=v_max, constants=constants), eps_ev)
+        pseudo_spectrum(model, q_au, v_max=v_max), eps_ev)
     if not moments.open:
         return moments
     grad_term = -(q_au / model.final_mass_au) ** 2 / 3.0 * laplacian_expectation(
-        model, constants) * constants.hartree_ev ** 2
+        model) * CONSTANTS.hartree_ev ** 2
     return replace(moments, mean_e2=moments.mean_e2
                    + model.channels[0].weight * grad_term / moments.p_open)
 
@@ -168,8 +161,7 @@ def _derivative_matrix(n: int, step: float) -> np.ndarray:
     return toeplitz(0.0 - row, row) / (12.0 * step)
 
 
-def c_term_bound(model: MoleculeModel, q_au: float,
-                 constants: Constants = CONSTANTS) -> float:
+def c_term_bound(model: MoleculeModel, q_au: float) -> float:
     """|<T2| C |T2>| in eV^3 for the ground final channel, where
 
         C = -1/3 (q/M)^2 ( [[H, d/dR], d/dR] - (d/dR)[H, d/dR] ).
@@ -177,12 +169,12 @@ def c_term_bound(model: MoleculeModel, q_au: float,
     H is the final ground-channel Hamiltonian; all operators act on the
     grid (dense kinetic matrix, finite-difference derivative).
     """
-    init = solve_initial(model, constants=constants)
+    init = solve_initial(model)
     chi0 = init.wavefunctions[:, 0]
     radii, step = init.radii, init.step
     n = radii.size
     tmat = kinetic_matrix(n, step, model.final_mass_au)
-    pot = model.potential(0, constants.hartree_ev)
+    pot = model.potential(0)
     dmat = _derivative_matrix(n, step)
 
     def apply_h(vec: np.ndarray) -> np.ndarray:
@@ -195,4 +187,4 @@ def c_term_bound(model: MoleculeModel, q_au: float,
     vec = commutator(dmat @ chi0) - 2.0 * (dmat @ commutator(chi0))
     expectation = float(np.sum(chi0 * vec) * step)
     c_hartree3 = -(q_au / model.final_mass_au) ** 2 / 3.0 * expectation
-    return abs(c_hartree3) * constants.hartree_ev ** 3
+    return abs(c_hartree3) * CONSTANTS.hartree_ev ** 3

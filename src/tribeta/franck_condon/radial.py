@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh, toeplitz
 
 from ..errors import AccuracyError, ValidationError
-from ..physics import CONSTANTS, Constants
+from ..physics import CONSTANTS
 from .molecule import GridSpec, MoleculeModel
 
 #: default N-doubling eigenvalue gate (eV) on the lowest 10 states
@@ -63,8 +63,8 @@ def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,
 
 def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
                  n_states: int = 31, convergence_check: bool = False,
-                 convergence_tol_ev: float = CONVERGENCE_TOL_EV,
-                 constants: Constants = CONSTANTS) -> RadialEigenbasis:
+                 convergence_tol_ev: float = CONVERGENCE_TOL_EV
+                 ) -> RadialEigenbasis:
     """Eigenbasis of channel potential + centrifugal term J(J+1)/(2 M R^2).
 
     With convergence_check=True the grid is doubled and the lowest 10
@@ -72,11 +72,11 @@ def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
     """
     if rotation < 0:
         raise ValidationError("rotation quantum number must be >= 0")
-    hart = constants.hartree_ev
+    hart = CONSTANTS.hartree_ev
 
     def eigenpairs(grid_model: MoleculeModel, k: int):
         radii = grid_model.grid.radii()
-        pot = grid_model.potential(channel, hart)
+        pot = grid_model.potential(channel)
         if rotation:
             pot = pot + rotation * (rotation + 1) / (
                 2.0 * grid_model.final_mass_au * radii**2)
@@ -106,12 +106,12 @@ def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
                             rotation=rotation)
 
 
-def solve_initial(model: MoleculeModel, n_states: int = 1,
-                  constants: Constants = CONSTANTS) -> RadialEigenbasis:
+def solve_initial(model: MoleculeModel,
+                  n_states: int = 1) -> RadialEigenbasis:
     """Eigenbasis of the initial (T2 ground) curve at J = 0."""
-    hart = constants.hartree_ev
+    hart = CONSTANTS.hartree_ev
     radii = model.grid.radii()
-    pot = model.initial.potential(radii, hart)
+    pot = model.initial.potential(radii)
     w, v = _solve_grid(pot, radii, model.initial_mass_au, n_states)
     n_bound = int(np.searchsorted(w, model.initial.depth_ev / hart))
     return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v,

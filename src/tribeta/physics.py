@@ -5,8 +5,11 @@ grids use atomic units (hartree, bohr).  Conversions are centralized here.
 
 Constant values are pinned literals (CODATA 2018) rather than runtime
 lookups so that results are reproducible independent of the installed
-scipy version; a JSON override can be supplied via the TRIBETA_CONSTANTS
-environment variable or `load_constants`.
+scipy version.  Every computation reads the one module-level `CONSTANTS`;
+no function takes a constants argument.  The one way to change the values
+is the TRIBETA_CONSTANTS environment variable, naming a JSON file with
+`Constants` field names (read by `load_constants` at import).  It is
+process-wide, and process-pool workers inherit it.
 """
 
 from __future__ import annotations
@@ -113,8 +116,7 @@ class Kinematics(NamedTuple):
     recoil_q_au: float        # q = p_beta/2 in atomic units
 
 
-def momentum_from_kinetic(kinetic_ev: float,
-                          constants: Constants = CONSTANTS) -> Kinematics:
+def momentum_from_kinetic(kinetic_ev: float) -> Kinematics:
     """Momentum (eV/c) and recoil q (a.u.) for a given kinetic energy.
 
     (p c)^2 = eps (eps + 2 m_e c^2) exactly; the recoil momentum q is half
@@ -122,18 +124,17 @@ def momentum_from_kinetic(kinetic_ev: float,
     """
     if kinetic_ev < 0.0:
         raise ValidationError(f"kinetic energy must be >= 0, got {kinetic_ev}")
-    me = constants.electron_mass_ev
+    me = CONSTANTS.electron_mass_ev
     pc = math.sqrt(kinetic_ev * (kinetic_ev + 2.0 * me))
     return Kinematics(
         kinetic_ev=kinetic_ev,
         total_energy_ev=kinetic_ev + me,
         momentum_ev=pc,
-        recoil_q_au=0.5 * pc / constants.momentum_au_ev,
+        recoil_q_au=0.5 * pc / CONSTANTS.momentum_au_ev,
     )
 
 
-def fermi_factor(momentum_ev, z_daughter: int = 2,
-                 constants: Constants = CONSTANTS):
+def fermi_factor(momentum_ev, z_daughter: int = 2):
     """Nonrelativistic Coulomb (Fermi) factor F = 2 pi eta / (1 - exp(-2 pi eta)).
 
     eta = Z alpha E_beta / (p_beta c) is the Sommerfeld parameter built from
@@ -144,9 +145,9 @@ def fermi_factor(momentum_ev, z_daughter: int = 2,
         raise ValidationError("fermi_factor requires p > 0 (diverges at rest)")
     if z_daughter < 1:
         raise ValidationError("nuclear charge must be >= 1")
-    me = constants.electron_mass_ev
+    me = CONSTANTS.electron_mass_ev
     energy = np.sqrt(p * p + me * me)
-    eta = z_daughter * constants.fine_structure * energy / p
+    eta = z_daughter * CONSTANTS.fine_structure * energy / p
     x = 2.0 * np.pi * eta
     out = x / (-np.expm1(-x))
     if np.ndim(momentum_ev) == 0:

@@ -24,7 +24,6 @@ from .errors import ConfigurationError, ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import (SpectrumParams, integral_spectrum,
                      integral_spectrum_derivatives)
-from .physics import CONSTANTS, Constants
 
 _PTRS_SWITCH = 30.0
 #: largest expected count sampled (NaN fails the test too): counts are
@@ -91,17 +90,16 @@ class Lattice:
         return np.asarray(values, dtype=float)[self.inverse] @ self.weights
 
     def counts(self, params: SpectrumParams, fss: FinalStateSpectrum,
-               exposure: float, constants: Constants = CONSTANTS) -> np.ndarray:
+               exposure: float) -> np.ndarray:
         """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-        values = integral_spectrum(self.energies, params, fss, constants)
+        values = integral_spectrum(self.energies, params, fss)
         return exposure * self.smear(values) + params.background
 
     def counts_with_derivatives(self, params: SpectrumParams,
-                                fss: FinalStateSpectrum, exposure: float,
-                                constants: Constants = CONSTANTS):
+                                fss: FinalStateSpectrum, exposure: float):
         """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is `counts`."""
         values, d_w0, d_m2 = integral_spectrum_derivatives(
-            self.energies, params, fss, constants)
+            self.energies, params, fss)
         return (exposure * self.smear(values) + params.background,
                 exposure * self.smear(d_w0), exposure * self.smear(d_m2))
 
@@ -200,17 +198,14 @@ def poisson_sample(rng: np.random.Generator, mus: np.ndarray) -> np.ndarray:
 
 def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
                     response: ResponseModel, bin_centers: np.ndarray,
-                    exposure: float,
-                    constants: Constants = CONSTANTS) -> np.ndarray:
+                    exposure: float) -> np.ndarray:
     """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-    return Lattice.build(response, bin_centers).counts(params, fss, exposure,
-                                                       constants)
+    return Lattice.build(response, bin_centers).counts(params, fss, exposure)
 
 
 def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
                         response: ResponseModel, bin_centers,
-                        exposure: float, seed: int,
-                        constants: Constants = CONSTANTS) -> PseudoDataset:
+                        exposure: float, seed: int) -> PseudoDataset:
     """Poisson pseudo-experiment; deterministic given the seed.
 
     exposure = 0 is allowed and yields background-only counts.
@@ -222,7 +217,7 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
     if np.any(centers < w0 - 1000.0) or np.any(centers > w0 + 50.0):
         raise ValidationError(
             "bins must lie within [W0 - 1000 eV, W0 + 50 eV]")
-    mus = expected_counts(params, fss, response, centers, exposure, constants)
+    mus = expected_counts(params, fss, response, centers, exposure)
     if np.any(mus < 0.0):
         raise ModelError("model produced negative expected counts")
     rng = np.random.Generator(np.random.PCG64(seed))

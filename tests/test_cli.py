@@ -1,6 +1,8 @@
 """End-to-end CLI contracts: subcommands, exit codes, idempotence."""
 
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -69,6 +71,18 @@ class TestConstantsDump:
         manifest = json.loads((tmp_path / "constants.json.manifest.json").read_text())
         assert manifest["command"] == "constants dump"
         assert "constants_version" in manifest
+
+    def test_override_recorded_in_manifest(self, tmp_path):
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({"fine_structure": 0.0073}))
+        out = tmp_path / "constants.json"
+        env = dict(os.environ, TRIBETA_CONSTANTS=str(override))
+        subprocess.run([sys.executable, "-m", "tribeta.cli", "constants",
+                        "dump", "--out", str(out)], env=env, check=True)
+        assert json.loads(out.read_text())["fine_structure"] == 0.0073
+        manifest = json.loads((tmp_path / "constants.json.manifest.json").read_text())
+        digest = hashlib.sha256(override.read_bytes()).hexdigest()
+        assert manifest["inputs"] == {str(override): digest}
 
 
 class TestFssCommands:
@@ -253,6 +267,33 @@ class TestUsageErrors:
         argv[2] = str(data)
         self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
                                 capsys, str(data), "row 6", "'12.5'")
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--step", "0"], "--step"),
+        (["--step", "-1"], "--step"),
+        (["--step", "nan"], "--step"),
+        (["--points", "0"], "--points"),
+        (["--points", "-3"], "--points"),
+        (["--emax", str(W0 - 10.0)], "--emin"),
+        (["--emax", str(W0 - 20.0)], "--emin"),
+    ], ids=["step-zero", "step-negative", "step-nan", "points-zero",
+            "points-negative", "emin-equals-emax", "emin-above-emax"])
+    def test_spectrum_bad_grid(self, small_fss_file, tmp_path, capsys, flags,
+                               fragment):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0}))
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--params", str(params), "--fss", str(small_fss_file),
+                "--emin", str(W0 - 10.0), "--emax", str(W0), "--out", str(out)]
+        self.assert_input_error(argv + flags, capsys, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bias_scan_bad_jobs(self, tmp_path, capsys, jobs):
+        out = tmp_path / "bias.csv"
+        self.assert_input_error(["bias-scan", "--jobs", jobs, "--out", str(out)],
+                                capsys, "--jobs", jobs)
+        assert not out.exists()
 
     def test_spectrum_unknown_param_key(self, small_fss_file, tmp_path, capsys):
         params = tmp_path / "params.json"

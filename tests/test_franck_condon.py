@@ -204,7 +204,7 @@ class TestCommutatorTerm:
         init = solve_initial(model)
         chi0 = init.wavefunctions[:, 0]
         r, h = init.radii, init.step
-        v = model.potential(0, HART)
+        v = model.potential(0)
         vpp = np.gradient(np.gradient(v, r), r)
         expected = 0.5 * (q_endpoint / model.final_mass_au) ** 2 \
             * float((chi0**2 * vpp).sum() * h) * HART**3
@@ -216,7 +216,7 @@ class TestCommutatorTerm:
         chi0 = init.wavefunctions[:, 0]
         n, h = init.radii.size, init.step
         tmat = kinetic_matrix(n, h, small_model.final_mass_au)
-        hmat = tmat + np.diag(small_model.potential(0, HART))
+        hmat = tmat + np.diag(small_model.potential(0))
         dmat = _derivative_matrix(n, h)
         via_products = (hmat @ dmat - dmat @ hmat) @ chi0
         via_vectors = hmat @ (dmat @ chi0) - dmat @ (hmat @ chi0)

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tribeta.errors import FssParseError, ValidationError
@@ -119,15 +119,33 @@ class TestMomentFormIdentity:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=-5.0, max_value=5.0))
+    @example(seed=23915, m2nu=0.0)
     def test_identity_random(self, seed, m2nu):
         rng = np.random.default_rng(seed)
         fss = random_fss(rng)
         eps = float(rng.uniform(0.5, 120.0))
         a = moment_form_spectrum_term(fss, eps, m2nu)
         b = direct_spectrum_term(fss, eps, m2nu)
-        scale = fss.total_probability * (abs(eps) ** 3
-                                         + 1.5 * abs(m2nu) * abs(eps)) + 1e-30
-        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-6 * scale)
+        # Forward-error bound (Higham's gamma_k = k u / (1 - k u)) over the
+        # n open lines.  S, the sum of the term magnitudes, bounds both
+        # forms: |eps_n|^3 <= (eps + |E_n|)^3 expands to its first terms.
+        # Moment form: a P_eps eps^3 term takes n - 1 roundings from the sum
+        # P_eps, 2 from pow (under 1 ulp), 4 from the bracket's additions
+        # and 1 from the product by P_eps; a moment term takes at most
+        # 3 + (n - 1) + 1 for p e^k, its sum and the division (P_eps then
+        # cancels), 1 + 2 + 1 for the coefficient, eps^2 and product, and
+        # the same 4 + 1: at most n + 10.  Direct form: eps_n takes 1,
+        # its cube 3 + 2, the m2nu part 2, the difference and the product
+        # by P_n 2, the sum n - 1: at most n + 6.  So
+        # |a - b| <= (gamma_{n+10} + gamma_{n+6}) S <= 2 gamma_{n+10} S.
+        open_mask = fss.energies < eps
+        e = np.abs(fss.energies[open_mask])
+        s = float((fss.probabilities[open_mask]
+                   * (eps**3 + 3.0 * e * eps**2 + 3.0 * e**2 * eps
+                      + 1.5 * abs(m2nu) * (eps + e) + e**3)).sum())
+        ku = (int(open_mask.sum()) + 10) * 2.0**-53
+        allowance = 2.0 * ku / (1.0 - ku) * s
+        assert abs(a - b) <= max(1e-10 * max(abs(a), abs(b)), allowance)
 
     def test_m2_zero_monotone_in_eps(self):
         fss = random_fss(np.random.default_rng(17))

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 
 from tribeta.errors import ConfigurationError, ValidationError
 from tribeta.franck_condon import default_model, rotational_shift_ev
-from tribeta.physics import (CONSTANTS, Constants, fermi_factor,
-                             load_constants, momentum_from_kinetic)
+from tribeta.physics import (CONSTANTS, CONSTANTS_ENV_VAR, Constants,
+                             fermi_factor, load_constants,
+                             momentum_from_kinetic)
 
 mp.mp.dps = 30
 
@@ -101,10 +105,17 @@ class TestKinematics:
 
 
 class TestFermiFactor:
-    def test_neutral_limit(self):
-        # eta -> 0 (vanishing coupling): F -> 1
-        weak = Constants(fine_structure=1e-12)
-        f = fermi_factor(1e5, 1, constants=weak)
+    def test_neutral_limit(self, tmp_path):
+        # eta -> 0 (vanishing coupling): F -> 1.  The coupling comes from a
+        # TRIBETA_CONSTANTS override, read once at import in a fresh process.
+        weak = tmp_path / "weak.json"
+        weak.write_text(json.dumps({"fine_structure": 1e-12}))
+        env = dict(os.environ, **{CONSTANTS_ENV_VAR: str(weak)})
+        result = subprocess.run(
+            [sys.executable, "-c", "from tribeta.physics import fermi_factor; "
+             "print(repr(fermi_factor(1e5, 1)))"],
+            env=env, capture_output=True, text=True, check=True)
+        f = float(result.stdout)
         assert 1.0 < f < 1.0 + 1e-9
 
     def test_eta_one_closed_form(self):

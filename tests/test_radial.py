@@ -176,4 +176,4 @@ class TestModelValidation:
 
     def test_line_channel_has_no_potential(self, model):
         with pytest.raises(ConfigurationError):
-            model.potential(1, HART)
+            model.potential(1)

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ValidationError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AccuracyError as exc:

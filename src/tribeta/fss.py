@@ -7,12 +7,14 @@ table file format is plain columnar text:
     # comment lines start with '#'
     E_n_eV  P_n  channel  J  v
 
-with `J` and `v` optionally `-` (the channel is always an integer), values
-written with 17 significant digits, and a terminating newline.
+with `J` and `v` optionally `-` (the channel is always an integer), E_n and
+P_n finite, P_n >= 0, values written with 17 significant digits, and a
+terminating newline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,9 +38,12 @@ class FssLine:
     vibration: Optional[int] = None  # v
 
     def __post_init__(self):
-        if self.probability < 0.0:
+        if not (math.isfinite(self.energy_ev) and math.isfinite(self.probability)):
             raise ValidationError(
-                f"line probability must be >= 0, got {self.probability}")
+                "line energy and probability must be finite, got "
+                f"{self.energy_ev} and {self.probability}")
+        if self.probability < 0.0:
+            raise ValidationError(f"negative probability {self.probability}")
         if self.channel < 0:
             raise ValidationError("channel index must be >= 0")
 
@@ -140,7 +145,8 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
     """Parse an FSS table file.
 
     Unsorted input is sorted silently, with a warning flag recorded in the
-    provenance; negative probabilities and malformed rows raise.
+    provenance; non-finite values, negative probabilities and malformed
+    rows raise, naming the file line.
     """
     if isinstance(path_or_file, (str, bytes)):
         fh = open(path_or_file, "r", encoding="utf-8")
@@ -170,9 +176,6 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
                 prob = float(cols[1])
             except ValueError:
                 raise FssParseError(f"bad numeric field in {cols[:2]}", lineno) from None
-            if prob < 0.0:
-                raise ValidationError(
-                    f"line {lineno}: negative probability {prob}")
             channel = 0
             if len(cols) >= 3:
                 channel = _parse_quantum(cols[2], "channel", lineno)
@@ -181,7 +184,10 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
                                         lineno)
             rot = _parse_quantum(cols[3], "J", lineno) if len(cols) >= 4 else None
             vib = _parse_quantum(cols[4], "v", lineno) if len(cols) >= 5 else None
-            lines.append(FssLine(energy, prob, channel, rot, vib))
+            try:
+                lines.append(FssLine(energy, prob, channel, rot, vib))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
     finally:
         if close:
             fh.close()

@@ -7,6 +7,14 @@ form carries amplitude A/3 with the (.)^{3/2} radicand unscaled.
 
 For m2nu < 0 (fit context) the standard experimental continuation is
 used: gate theta(eps_n) with radicand eps_n^2 - m2nu, which is positive.
+
+The line sums run over blocks of energies, about `_BLOCK_ELEMENTS`
+(energies x lines) elements each, so working memory stays bounded
+whatever the number of lines and energies.  Energies where every line is
+closed are skipped, and that is exact: the lines are sorted, so when the
+available energy W0_eff - eps is at or below the lowest line, eps_n <= 0
+for every line, theta(eps_n) closes it and the row sums to 0.  Each row
+still sums the same terms in the same order as one dense pass.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ ArrayLike = Union[float, np.ndarray]
 
 #: sanity bound on the neutrino mass-squared fit parameter (eV^2)
 M2NU_SANITY_EV2 = 1.0e4
+
+#: elements per (energies x lines) block of a line sum: each float
+#: temporary stays near 256 KB, inside a core's cache
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,19 +88,31 @@ def _prefactor(eps: np.ndarray, z_daughter: int) -> np.ndarray:
     return fermi_factor(pc, z_daughter) * (eps + me) * pc
 
 
-def _open_energies(eps: np.ndarray, params: SpectrumParams,
-                   fss: FinalStateSpectrum):
-    """eps_n = W0_eff - eps - E_n with the threshold gate; shape (n, lines)."""
-    w0eff = _effective_endpoints(eps, params)
-    en = w0eff[:, None] - eps[:, None] - fss.energies[None, :]
+def _line_blocks(eps: np.ndarray, params: SpectrumParams,
+                 fss: FinalStateSpectrum):
+    """Yield (rows, eps_n, gated radicand, its square root) per energy block.
+
+    eps_n = W0_eff - eps - E_n over all lines, and the radicand
+    eps_n^2 - m2nu is gated by theta(eps_n) (eps_n > sqrt(m2nu) for
+    m2nu >= 0).  Only rows with available energy above the lowest line are
+    yielded, about `_BLOCK_ELEMENTS` elements per block; the sums of the
+    other rows are 0.
+    """
+    avail = _effective_endpoints(eps, params) - eps
+    open_rows = np.flatnonzero(avail > fss.energies[0])
+    step = max(1, _BLOCK_ELEMENTS // len(fss))
     m2 = params.m2nu_ev2
-    if m2 >= 0.0:
-        gate = en > np.sqrt(m2)
-        radicand = np.maximum(en * en - m2, 0.0)
-    else:
-        gate = en > 0.0
-        radicand = en * en - m2
-    return en, radicand, gate
+    for start in range(0, len(open_rows), step):
+        rows = open_rows[start:start + step]
+        en = avail[rows, None] - fss.energies[None, :]
+        if m2 >= 0.0:
+            gate = en > np.sqrt(m2)
+            rad = np.maximum(en * en - m2, 0.0)
+        else:
+            gate = en > 0.0
+            rad = en * en - m2
+        rad = np.where(gate, rad, 0.0)
+        yield rows, en, rad, np.sqrt(rad)
 
 
 def _as_grid(eps_beta: ArrayLike):
@@ -102,20 +126,13 @@ def _finalize(values: np.ndarray, shape, scalar: bool):
     return values.reshape(shape)
 
 
-def _gated_roots(eps: np.ndarray, params: SpectrumParams,
-                 fss: FinalStateSpectrum):
-    """eps_n, the gated radicand (eps_n^2 - m2nu) theta and its square root."""
-    en, rad, gate = _open_energies(eps, params, fss)
-    rad = np.where(gate, rad, 0.0)
-    return en, rad, np.sqrt(rad)
-
-
 def spectral_sum(eps_beta: ArrayLike, params: SpectrumParams,
                  fss: FinalStateSpectrum) -> ArrayLike:
     """Inner integral-spectrum sum  sum_n P_n (eps_n^2 - m2nu)^{3/2} theta."""
     eps, shape, scalar = _as_grid(eps_beta)
-    _, rad, root = _gated_roots(eps, params, fss)
-    s = (fss.probabilities[None, :] * rad * root).sum(axis=1)
+    s = np.zeros_like(eps)
+    for rows, _, rad, root in _line_blocks(eps, params, fss):
+        s[rows] = (fss.probabilities * rad * root).sum(axis=1)
     return _finalize(s, shape, scalar)
 
 
@@ -123,10 +140,10 @@ def linearized_sum(eps_beta: ArrayLike, params: SpectrumParams,
                    fss: FinalStateSpectrum) -> ArrayLike:
     """Linearized inner sum  sum_n P_n [eps_n^3 - (3/2) m2nu eps_n] theta(eps_n)."""
     eps, shape, scalar = _as_grid(eps_beta)
-    en, _, _ = _open_energies(eps, params, fss)
-    open_gate = en > 0.0
-    term = en**3 - 1.5 * params.m2nu_ev2 * en
-    s = (fss.probabilities[None, :] * np.where(open_gate, term, 0.0)).sum(axis=1)
+    s = np.zeros_like(eps)
+    for rows, en, _, _ in _line_blocks(eps, params, fss):
+        term = en**3 - 1.5 * params.m2nu_ev2 * en
+        s[rows] = (fss.probabilities * np.where(en > 0.0, term, 0.0)).sum(axis=1)
     return _finalize(s, shape, scalar)
 
 
@@ -134,9 +151,12 @@ def differential_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
                           fss: FinalStateSpectrum) -> ArrayLike:
     """dN/deps: A F E p sum_n P_n eps_n sqrt(eps_n^2 - m2nu) theta."""
     eps, shape, scalar = _as_grid(eps_beta)
-    en, rad, gate = _open_energies(eps, params, fss)
-    inner = (fss.probabilities[None, :]
-             * np.where(gate, en * np.sqrt(np.where(gate, rad, 0.0)), 0.0)).sum(axis=1)
+    inner = np.zeros_like(eps)
+    for rows, en, _, root in _line_blocks(eps, params, fss):
+        # a closed line adds -0 or +0 here (root is 0) where the theta gate
+        # adds +0; a yielded row holds a term that is not -0, so the sum
+        # has the same bits
+        inner[rows] = (fss.probabilities * (en * root)).sum(axis=1)
     out = params.amplitude * _prefactor(eps, params.z_daughter) * inner
     return _finalize(out, shape, scalar)
 
@@ -162,14 +182,17 @@ def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
     these are the derivatives away from that jump.
     """
     eps, shape, scalar = _as_grid(eps_beta)
-    en, rad, root = _gated_roots(eps, params, fss)
-    prob = fss.probabilities[None, :]
-    s = (prob * rad * root).sum(axis=1)
-    prob_root = prob * root
-    ds_dw0 = 3.0 * (prob_root * en).sum(axis=1)
+    s, ds_dw0, ds_dm2 = (np.zeros_like(eps) for _ in range(3))
+    for rows, en, rad, root in _line_blocks(eps, params, fss):
+        s[rows] = (fss.probabilities * rad * root).sum(axis=1)
+        prob_root = fss.probabilities * root
+        ds_dw0[rows] = (prob_root * en).sum(axis=1)
+        ds_dm2[rows] = prob_root.sum(axis=1)
+    # scaled after the loop, so skipped rows get -1.5 * 0 = -0 as well
+    ds_dw0 *= 3.0
+    ds_dm2 *= -1.5
     if params.endpoint_drift:
         ds_dw0 *= 1.0 - 1.0 / CONSTANTS.triton_electron_ratio
-    ds_dm2 = -1.5 * prob_root.sum(axis=1)
     scale = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter)
     return tuple(_finalize(scale * v, shape, scalar)
                  for v in (s, ds_dw0, ds_dm2))

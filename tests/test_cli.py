@@ -295,6 +295,33 @@ class TestUsageErrors:
                                 capsys, "--jobs", jobs)
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["nan 0.3 0 - -", "inf 0.5 0 - -",
+                                     "1.0 nan 0 - -"])
+    def test_spectrum_non_finite_fss(self, tmp_path, capsys, row):
+        fss = tmp_path / "fss.dat"
+        fss.write_text(f"0.0 0.5 0 0 0\n{row}\n")
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0}))
+        out = tmp_path / "s.csv"
+        self.assert_input_error(
+            ["spectrum", "--params", str(params), "--fss", str(fss),
+             "--emin", str(W0 - 10.0), "--emax", str(W0), "--out", str(out)],
+            capsys, "line 2", "must be finite")
+        assert not out.exists()
+
+    def test_spectrum_fss_is_directory(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0}))
+        self.assert_input_error(
+            ["spectrum", "--params", str(params), "--fss", str(tmp_path),
+             "--emin", str(W0 - 10.0), "--emax", str(W0), "--out",
+             str(tmp_path / "s.csv")], capsys, "Is a directory", str(tmp_path))
+
+    def test_fss_gen_out_is_directory(self, tmp_path, capsys):
+        self.assert_input_error(
+            ["fss", "gen", "--q", "5.0", "--j-max", "2", "--v-max", "3",
+             "--out", str(tmp_path)], capsys, "Is a directory", str(tmp_path))
+
     def test_spectrum_unknown_param_key(self, small_fss_file, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0,

@@ -253,13 +253,13 @@ class TestJacobian:
         # a finite-difference Jacobian would cost 2 passes per free parameter
         fss, response, truth, centers, exposure, zero_noise = setup
         passes = []
-        open_energies = tribeta.kernel._open_energies
+        line_blocks = tribeta.kernel._line_blocks
 
         def counting(*args):
             passes.append(1)
-            return open_energies(*args)
+            return line_blocks(*args)
 
-        monkeypatch.setattr(tribeta.kernel, "_open_energies", counting)
+        monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
         result = minimize(zero_noise, make_config(fss, response, guess))

@@ -32,6 +32,19 @@ class TestIO:
         with pytest.raises(ValidationError, match="negative probability"):
             load_fss(io.StringIO("0.0 0.5\n1.0 -0.1\n"))
 
+    @pytest.mark.parametrize("row", ["nan 0.3 0 - -", "inf 0.5 0 - -",
+                                     "-inf 0.5", "1.0 nan", "1.0 inf"])
+    def test_non_finite_rejected_with_line(self, row):
+        with pytest.raises(ValidationError, match="line 3: .*must be finite"):
+            load_fss(io.StringIO(f"# header\n0.0 0.4\n{row}\n"))
+
+    @pytest.mark.parametrize("energy,prob", [(float("nan"), 0.3),
+                                             (float("-inf"), 0.5),
+                                             (1.0, float("nan"))])
+    def test_non_finite_line_rejected(self, energy, prob):
+        with pytest.raises(ValidationError, match="must be finite"):
+            FssLine(energy, prob)
+
     def test_malformed_row_reports_line(self):
         with pytest.raises(FssParseError, match="line 3"):
             load_fss(io.StringIO("# header\n0.0 0.5\n1.0 oops\n"))

@@ -1,6 +1,7 @@
 """Spectrum forms against closed forms, finite differences and mpmath."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from tribeta.errors import ValidationError
 from tribeta.fss import FssLine, from_lines, moment_form_spectrum_term
+import tribeta.kernel
 from tribeta.kernel import (SpectrumParams, differential_spectrum,
                             effective_endpoint, integral_spectrum,
-                            linearized_spectrum, linearized_sum, spectral_sum)
+                            integral_spectrum_derivatives, linearized_spectrum,
+                            linearized_sum, spectral_sum)
 from tribeta.physics import CONSTANTS, fermi_factor, momentum_from_kinetic
 
 mp.mp.dps = 30
@@ -194,3 +197,130 @@ class TestParamsValidation:
     def test_physical_endpoint_range(self):
         with pytest.raises(ValidationError):
             SpectrumParams(amplitude=1.0, endpoint_ev=90.0)
+
+
+def wide_fss(n_lines, lowest_ev=2.0):
+    """Synthetic FSS: sorted random lines from `lowest_ev` up, total 0.9."""
+    gen = np.random.default_rng(n_lines)
+    energies = np.sort(gen.uniform(lowest_ev, 80.0, n_lines))
+    energies[0] = lowest_ev
+    probs = gen.uniform(0.0, 1.0, n_lines)
+    probs *= 0.9 / probs.sum()
+    return from_lines([FssLine(float(e), float(q))
+                       for e, q in zip(energies, probs)])
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return wide_fss(5000)
+
+
+def dense_line_sums(eps, p, fss):
+    """Reference: every line sum as one (energies x lines) array, no blocks.
+
+    Returns the spectral, linearized and differential sums and the three
+    `integral_spectrum_derivatives` outputs, each with its prefactor.
+    """
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    if p.endpoint_drift:
+        w0eff = effective_endpoint(eps, p.endpoint_ev)
+    else:
+        w0eff = np.full_like(eps, p.endpoint_ev)
+    en = w0eff[:, None] - eps[:, None] - fss.energies[None, :]
+    m2 = p.m2nu_ev2
+    if m2 >= 0.0:
+        gate = en > np.sqrt(m2)
+        rad = np.maximum(en * en - m2, 0.0)
+    else:
+        gate = en > 0.0
+        rad = en * en - m2
+    rad = np.where(gate, rad, 0.0)
+    root = np.sqrt(rad)
+    prob = fss.probabilities[None, :]
+    spectral = (prob * rad * root).sum(axis=1)
+    linear = (prob * np.where(en > 0.0, en**3 - 1.5 * m2 * en, 0.0)).sum(axis=1)
+    inner = (prob * np.where(gate, en * root, 0.0)).sum(axis=1)
+    prob_root = prob * root
+    ds_dw0 = 3.0 * (prob_root * en).sum(axis=1)
+    if p.endpoint_drift:
+        ds_dw0 *= 1.0 - 1.0 / CONSTANTS.triton_electron_ratio
+    ds_dm2 = -1.5 * prob_root.sum(axis=1)
+    prefactor = tribeta.kernel._prefactor(eps, p.z_daughter)
+    scale = (p.amplitude / 3.0) * prefactor
+    return {"spectral": spectral, "linearized": linear,
+            "differential": p.amplitude * prefactor * inner,
+            "value": scale * spectral, "d_w0": scale * ds_dw0,
+            "d_m2": scale * ds_dm2}
+
+
+def blocked_line_sums(eps, p, fss):
+    value, d_w0, d_m2 = integral_spectrum_derivatives(eps, p, fss)
+    return {"spectral": spectral_sum(eps, p, fss),
+            "linearized": linearized_sum(eps, p, fss),
+            "differential": differential_spectrum(eps, p, fss),
+            "value": value, "d_w0": d_w0, "d_m2": d_m2}
+
+
+class TestBlockedLineSums:
+    """The blocked kernel is byte-identical to one dense pass."""
+
+    @staticmethod
+    def assert_bytes_equal(eps, p, fss):
+        got = blocked_line_sums(eps, p, fss)
+        want = dense_line_sums(eps, p, fss)
+        for name, ref in want.items():
+            value = np.asarray(got[name], dtype=float).ravel()
+            assert value.tobytes() == ref.tobytes(), name
+
+    @staticmethod
+    def unsorted_grid(n, lo, hi):
+        return np.random.default_rng(n).permutation(np.linspace(lo, hi, n))
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("m2", [-0.5, 0.0, 0.5])
+    def test_wide_fss_several_blocks(self, wide, m2, drift):
+        rows = tribeta.kernel._BLOCK_ELEMENTS // len(wide)
+        eps = self.unsorted_grid(3 * rows + 5, W0 - 90.0, W0 + 10.0)
+        self.assert_bytes_equal(eps, params(m2nu_ev2=m2, endpoint_drift=drift),
+                                wide)
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("m2", [-0.5, 0.0, 0.5])
+    def test_study_fss_several_blocks(self, study_fss, m2, drift):
+        rows = tribeta.kernel._BLOCK_ELEMENTS // len(study_fss)
+        eps = self.unsorted_grid(2 * rows + 7, W0 - 400.0, W0 + 10.0)
+        self.assert_bytes_equal(eps, params(m2nu_ev2=m2, endpoint_drift=drift),
+                                study_fss)
+
+    @pytest.mark.parametrize("m2", [-0.5, 0.0, 0.5])
+    def test_all_rows_closed(self, wide, m2):
+        # available energy at or below the lowest line (2 eV) everywhere
+        eps = np.linspace(W0 - 2.0, W0 + 10.0, 9)
+        self.assert_bytes_equal(eps, params(m2nu_ev2=m2), wide)
+        assert not np.any(spectral_sum(eps, params(m2nu_ev2=m2), wide))
+
+    @pytest.mark.parametrize("eps", [W0 - 30.0, W0 - 2.0, W0 + 1.0])
+    @pytest.mark.parametrize("m2", [-0.5, 0.5])
+    def test_scalar_call(self, wide, eps, m2):
+        got = blocked_line_sums(eps, params(m2nu_ev2=m2), wide)
+        assert all(isinstance(v, float) for v in got.values())
+        self.assert_bytes_equal(eps, params(m2nu_ev2=m2), wide)
+
+
+class TestWorkingMemory:
+    """Kernel temporaries do not grow with energies x lines."""
+
+    PEAK_MAX_BYTES = 8 * 2**20
+
+    @pytest.mark.parametrize("form", [integral_spectrum,
+                                      integral_spectrum_derivatives])
+    def test_peak_below_bound(self, wide, form):
+        eps = np.linspace(W0 - 150.0, W0 - 1.0, 2000)
+        p = params(m2nu_ev2=0.3)
+        tracemalloc.start()
+        try:
+            form(eps, p, wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_MAX_BYTES

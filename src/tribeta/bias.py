@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fit import FitConfig, minimize
-from .franck_condon import MoleculeModel, default_model, pseudo_spectrum
+from .franck_condon import default_model, pseudo_spectrum
 from .fss import FinalStateSpectrum, FssLine, from_lines
 from .kernel import SpectrumParams, integral_spectrum, linearized_sum, spectral_sum
 from .physics import momentum_from_kinetic
@@ -29,11 +29,17 @@ from .response import ResponseModel, generate_pseudodata
 
 DEFAULT_ENDPOINT_EV = 18575.0
 
+#: the fixed design of the bias study, recorded with each scan's `ScanSpec`
+STUDY_DESIGN = {"generator_drift": True, "fitter_drift": False,
+                "endpoint_ev": DEFAULT_ENDPOINT_EV, "sigma_ev": 2.5,
+                "bin_spacing_ev": 2.0, "window_top_margin_ev": 20.0,
+                "anchor_depth_ev": 200.0, "anchor_counts": 2.56e11,
+                "background_fraction": 0.04}
 
-def build_study_fss(model: Optional[MoleculeModel] = None,
-                    q_au: Optional[float] = None,
-                    v_max: int = 24) -> FinalStateSpectrum:
-    """Compact FSS for fit studies: ground-channel pseudo-spectrum plus the
+
+def build_study_fss() -> FinalStateSpectrum:
+    """Compact FSS for fit studies: the default model's ground-channel
+    pseudo-spectrum (v <= 24) at q of the 18575 eV endpoint, plus the
     model's lumped excited-electronic lines.
 
     A few dozen lines keep ensemble fitting fast.  Their channel-0 mean
@@ -41,9 +47,8 @@ def build_study_fss(model: Optional[MoleculeModel] = None,
     variance (0.0083 against 0.1864 eV^2): the pseudo-spectrum has no
     rotational broadening.
     """
-    model = model or default_model()
-    if q_au is None:
-        q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV).recoil_q_au
+    model, v_max = default_model(), 24
+    q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV).recoil_q_au
     lines = pseudo_spectrum(model, q_au, v_max=v_max).lines
     lines += tuple(FssLine(ch.offset_ev, ch.weight, channel=ic)
                    for ic, ch in enumerate(model.channels)
@@ -78,21 +83,21 @@ class Fig2Result:
 
 
 def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV,
-               m_nu_ev: float = 1.0, depth_min_ev: float = 2.0,
-               depth_max_ev: float = 300.0,
-               n_points: int = 240) -> Fig2Result:
-    """|exact - linearized| spectral sum versus depth below the endpoint,
-    with the m_nu^4 / depth trend and its fitted coefficient."""
-    if m_nu_ev < 0.0:
-        raise ValidationError("m_nu must be >= 0")
-    depths = np.geomspace(depth_min_ev, depth_max_ev, n_points)
+               m_nu_ev: float = 1.0) -> Fig2Result:
+    """|exact - linearized| spectral sum versus depth below the endpoint (240
+    depths, geometric from 2 to 300 eV), with the m_nu^4 / depth trend and
+    its fitted coefficient."""
+    # `not 0 <= x < inf` so that NaN fails too
+    if not 0.0 <= m_nu_ev < math.inf:
+        raise ValidationError(f"m_nu must be finite and >= 0, got {m_nu_ev}")
+    depths = np.geomspace(2.0, 300.0, 240)
     params = SpectrumParams(amplitude=1.0, endpoint_ev=endpoint_ev,
                             m2nu_ev2=m_nu_ev ** 2)
     eps = endpoint_ev - depths
     exact = np.atleast_1d(spectral_sum(eps, params, fss))
     linear = np.atleast_1d(linearized_sum(eps, params, fss))
     diff = np.abs(exact - linear)
-    trend = np.where(depths > 0, m_nu_ev ** 4 / depths, np.inf)
+    trend = m_nu_ev ** 4 / depths
     if m_nu_ev == 0.0:
         c_fit = 0.0
     else:
@@ -119,25 +124,23 @@ def save_fig2_csv(result: Fig2Result, path: str) -> None:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Window scan configuration for the bias study."""
+    """Window depths, replications and seed of a bias scan.  The rest is
+    `STUDY_DESIGN`: drift on in the data and the control fit, off in the
+    mismatch fit; W0 = 18575 eV; 2.5 eV resolution; 2 eV bins up to W0 +
+    20 eV; 2.56e11 counts at 200 eV depth, and 4% of that as background."""
 
     window_depths_ev: tuple[float, ...] = (100.0, 200.0, 400.0)
     replications: int = 100
     base_seed: int = 20240901
-    generator_drift: bool = True
-    fitter_drift: bool = False
-    endpoint_ev: float = DEFAULT_ENDPOINT_EV
-    sigma_ev: float = 2.5
-    bin_spacing_ev: float = 2.0
-    window_top_margin_ev: float = 20.0
-    anchor_depth_ev: float = 200.0
-    anchor_counts: float = 2.56e11
-    background_fraction: float = 0.04
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValidationError("need at least one replication")
         depths = self.window_depths_ev
+        # `not 0 < x < inf` so that NaN fails too
+        if not all(0.0 < d < math.inf for d in depths):
+            raise ValidationError(
+                f"window depths must be finite and > 0, got {depths}")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValidationError("window depths must be strictly increasing")
 
@@ -163,7 +166,8 @@ class BiasScanResult:
     flagged: bool = False   # >10% exclusions somewhere
 
     def to_dict(self) -> dict:
-        return {"spec": asdict(self.spec), "flagged": self.flagged,
+        return {"spec": {**asdict(self.spec), **STUDY_DESIGN},
+                "flagged": self.flagged,
                 "windows": [asdict(w) for w in self.windows]}
 
 
@@ -197,39 +201,41 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
     job count.
     """
     fss = fss or build_study_fss()
-    response = ResponseModel(sigma_ev=spec.sigma_ev)
-    w0 = spec.endpoint_ev
+    design = STUDY_DESIGN
+    response = ResponseModel(sigma_ev=design["sigma_ev"])
+    w0 = design["endpoint_ev"]
 
     # exposure anchored at a fixed depth so window choice does not change
     # the endpoint-region statistics
     probe = SpectrumParams(amplitude=1.0, endpoint_ev=w0)
-    anchor_rate = float(integral_spectrum(w0 - spec.anchor_depth_ev, probe,
-                                          fss))
-    exposure = spec.anchor_counts / anchor_rate
-    background = spec.background_fraction * spec.anchor_counts
+    anchor_rate = float(integral_spectrum(w0 - design["anchor_depth_ev"],
+                                          probe, fss))
+    exposure = design["anchor_counts"] / anchor_rate
+    background = design["background_fraction"] * design["anchor_counts"]
 
     truth = SpectrumParams(amplitude=1.0, endpoint_ev=w0, m2nu_ev2=0.0,
                            background=background,
-                           endpoint_drift=spec.generator_drift)
+                           endpoint_drift=design["generator_drift"])
 
+    spacing, top = design["bin_spacing_ev"], design["window_top_margin_ev"]
     windows = []
     flagged = False
     for iw, depth in enumerate(spec.window_depths_ev):
-        n_edge = int(round(depth / spec.bin_spacing_ev))
-        n_top = int(round(spec.window_top_margin_ev / spec.bin_spacing_ev))
-        centers = w0 + (np.arange(-n_edge, n_top + 1) * spec.bin_spacing_ev)
-        window = (w0 - depth - 1e-9, w0 + spec.window_top_margin_ev + 1e-9)
+        n_edge = int(round(depth / spacing))
+        n_top = int(round(top / spacing))
+        centers = w0 + (np.arange(-n_edge, n_top + 1) * spacing)
+        window = (w0 - depth - 1e-9, w0 + top + 1e-9)
 
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.3,
                                   endpoint_ev=w0 - 0.05,
                                   background=background * 1.05)
         mismatch_cfg = FitConfig(window_ev=window,
                                  initial=guess.with_values(
-                                     endpoint_drift=spec.fitter_drift),
+                                     endpoint_drift=design["fitter_drift"]),
                                  response=response, fss=fss)
         control_cfg = FitConfig(window_ev=window,
                                 initial=guess.with_values(
-                                    endpoint_drift=spec.generator_drift),
+                                    endpoint_drift=design["generator_drift"]),
                                 response=response, fss=fss)
 
         tasks = [(truth, fss, response, centers, exposure,

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -222,11 +223,11 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    sidecar = args.dataset + ".json"
-    if not os.path.exists(sidecar):
-        print(f"warning: dataset sidecar {sidecar} not found; "
-              "fitting with exposure = 1.0", file=sys.stderr)
-    dataset = load_dataset(args.dataset, sidecar)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataset = load_dataset(args.dataset)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

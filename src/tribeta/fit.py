@@ -27,6 +27,10 @@ from .response import Lattice, PseudoDataset, ResponseModel, expected_counts
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
+CHI2_TOL = 1e-10      # relative chi^2 change
+STEP_TOL = 1e-4       # accepted step, in parameter scales
+GRADIENT_TOL = 1e-8   # scaled gradient max-norm
+
 #: parameter scales for the gradient and step tolerances:
 #: A * 1e-6, 1e-4 eV, 1e-3 eV^2, b * 1e-4
 def _param_scales(x0: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -45,7 +49,7 @@ def _param_scales(x0: np.ndarray, names: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Window, free-parameter mask, initial guesses and tolerances."""
+    """Window, free-parameter mask, initial guesses and iteration limit."""
 
     window_ev: tuple[float, float]
     initial: SpectrumParams
@@ -53,9 +57,6 @@ class FitConfig:
     fss: FinalStateSpectrum
     free: tuple[str, ...] = PARAM_NAMES
     max_iterations: int = 100
-    chi2_tol: float = 1e-10      # relative chi^2 change
-    step_tol: float = 1e-4       # accepted step, in parameter scales
-    gradient_tol: float = 1e-8   # scaled gradient max-norm
 
     def __post_init__(self):
         lo, hi = self.window_ev
@@ -194,7 +195,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
     for iteration in range(1, config.max_iterations + 1):
         grad = jac.T @ r
         hess = jac.T @ jac
-        if np.max(np.abs(grad * scales)) < config.gradient_tol * max(1.0, chi2):
+        if np.max(np.abs(grad * scales)) < GRADIENT_TOL * max(1.0, chi2):
             converged = True
             message = "gradient below tolerance"
             break
@@ -224,8 +225,8 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
         r = r_try
         chi2 = chi2_try
         lam = max(lam / 3.0, 1e-14)
-        small_step = np.max(np.abs(delta) / scales) < config.step_tol
-        small_change = change <= config.chi2_tol * max(1.0, chi2)
+        small_step = np.max(np.abs(delta) / scales) < STEP_TOL
+        small_change = change <= CHI2_TOL * max(1.0, chi2)
         if small_step or small_change:
             converged = True
             message = "step and chi^2 change below tolerance"

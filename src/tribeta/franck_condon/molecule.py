@@ -168,8 +168,9 @@ IONIC_GROUND = MorseParams(depth_ev=2.04, steepness_inv_bohr=1.30,
 GROUND_CHANNEL_WEIGHT = 0.574
 
 
-def default_model(grid: Optional[GridSpec] = None) -> MoleculeModel:
-    """Calibrated T2 -> T3He+ model with a lumped excited-electronic tail."""
+def default_model() -> MoleculeModel:
+    """Calibrated T2 -> T3He+ model with a lumped excited-electronic tail,
+    on the default 768-point grid."""
     return MoleculeModel(
         initial=T2_INITIAL,
         channels=(
@@ -180,5 +181,4 @@ def default_model(grid: Optional[GridSpec] = None) -> MoleculeModel:
             Channel(kind="line", weight=0.096, offset_ev=42.0,
                     label="excited tail"),
         ),
-        grid=grid or GridSpec(),
     )

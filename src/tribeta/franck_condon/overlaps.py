@@ -62,8 +62,10 @@ class RecoilEngine:
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units)."""
-        if q_au < 0.0:
-            raise ValidationError("recoil momentum must be >= 0")
+        # `not 0 <= q < inf` so that NaN fails too
+        if not 0.0 <= q_au < np.inf:
+            raise ValidationError(
+                f"recoil momentum must be finite and >= 0, got {q_au}")
         jtab = spherical_jn_table(self.j_max, q_au * self.radii)
         lines: list[FssLine] = []
         deficits: dict[str, float] = {}

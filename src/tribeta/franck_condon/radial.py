@@ -18,7 +18,7 @@ from ..errors import AccuracyError, ValidationError
 from ..physics import CONSTANTS
 from .molecule import GridSpec, MoleculeModel
 
-#: default N-doubling eigenvalue gate (eV) on the lowest 10 states
+#: N-doubling eigenvalue gate (eV) on the lowest 10 states
 CONVERGENCE_TOL_EV = 1e-8
 
 
@@ -62,13 +62,12 @@ def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,
 
 
 def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
-                 n_states: int = 31, convergence_check: bool = False,
-                 convergence_tol_ev: float = CONVERGENCE_TOL_EV
+                 n_states: int = 31, convergence_check: bool = False
                  ) -> RadialEigenbasis:
     """Eigenbasis of channel potential + centrifugal term J(J+1)/(2 M R^2).
 
     With convergence_check=True the grid is doubled and the lowest 10
-    eigenvalues must agree within convergence_tol_ev, else AccuracyError.
+    eigenvalues must agree within CONVERGENCE_TOL_EV, else AccuracyError.
     """
     if rotation < 0:
         raise ValidationError("rotation quantum number must be >= 0")
@@ -90,10 +89,10 @@ def solve_radial(model: MoleculeModel, channel: int = 0, rotation: int = 0,
         k = min(10, n_states)
         wf, _ = eigenpairs(fine, k)
         drift = np.abs(w[:k] - wf[:k]).max() * hart
-        if drift > convergence_tol_ev:
+        if drift > CONVERGENCE_TOL_EV:
             raise AccuracyError(
                 f"grid too coarse: eigenvalues moved {drift:.3e} eV on doubling "
-                f"(tolerance {convergence_tol_ev:.1e} eV)")
+                f"(tolerance {CONVERGENCE_TOL_EV:.1e} eV)")
 
     ch = model.channels[channel]
     if ch.kind == "morse":

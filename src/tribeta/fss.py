@@ -136,17 +136,21 @@ def _parse_quantum(token: str, what: str, lineno: int) -> Optional[int]:
     if token == "-":
         return None
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise FssParseError(f"bad {what} value {token!r}", lineno) from None
+    if value < 0:
+        raise FssParseError(f"{what} must be >= 0, got {value}", lineno)
+    return value
 
 
-def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
-    """Parse an FSS table file.
+def load_fss(path_or_file) -> FinalStateSpectrum:
+    """Parse an FSS table file; q_ref comes from its `# q_ref_au` comment.
 
     Unsorted input is sorted silently, with a warning flag recorded in the
-    provenance; non-finite values, negative probabilities and malformed
-    rows raise, naming the file line.
+    provenance; non-finite values, negative probabilities, negative J or
+    v, more than five columns and malformed rows raise, naming the file
+    line.
     """
     if isinstance(path_or_file, (str, bytes)):
         fh = open(path_or_file, "r", encoding="utf-8")
@@ -155,7 +159,7 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
     else:
         fh, close, name = path_or_file, False, "<stream>"
     lines: list[FssLine] = []
-    parsed_q = q_ref
+    parsed_q = None
     try:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -169,8 +173,10 @@ def load_fss(path_or_file, q_ref: Optional[float] = None) -> FinalStateSpectrum:
                         pass
                 continue
             cols = text.split()
-            if len(cols) < 2:
-                raise FssParseError("expected at least E_n and P_n columns", lineno)
+            if not 2 <= len(cols) <= 5:
+                raise FssParseError(
+                    f"expected 2 to 5 columns (E_n P_n channel J v), got "
+                    f"{len(cols)}", lineno)
             try:
                 energy = float(cols[0])
                 prob = float(cols[1])

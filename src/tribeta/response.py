@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -234,21 +235,20 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
                          exposure=exposure, seed=seed, truth=truth)
 
 
-def save_dataset(dataset: PseudoDataset, path: str,
-                 sidecar_path: Optional[str] = None) -> None:
-    """CSV `bin_center_eV, counts` plus a JSON truth sidecar."""
+def save_dataset(dataset: PseudoDataset, path: str) -> None:
+    """CSV `bin_center_eV, counts` plus the JSON truth sidecar `<path>.json`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_center_eV", "counts"])
         for c, n in zip(dataset.bin_centers, dataset.counts):
             writer.writerow([f"{c:.12g}", int(n)])
-    sidecar = sidecar_path or path + ".json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(dataset.truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_dataset(path: str, sidecar_path: Optional[str] = None) -> PseudoDataset:
+def load_dataset(path: str) -> PseudoDataset:
+    """Read a `save_dataset` CSV, with exposure and seed from `<path>.json`."""
     centers, counts = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -265,14 +265,27 @@ def load_dataset(path: str, sidecar_path: Optional[str] = None) -> PseudoDataset
                 raise ValidationError(
                     f"{path} row {reader.line_num}: expected a bin centre and an "
                     f"integer count, got {row!r}") from None
-    truth, exposure, seed = {}, 1.0, -1
-    sidecar = sidecar_path or path + ".json"
+    sidecar = path + ".json"
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
             truth = json.load(fh)
-        exposure = truth.get("exposure", 1.0)
-        seed = truth.get("seed", -1)
     except FileNotFoundError:
-        pass
+        truth, fallback = {}, "not found"
+    else:
+        if not isinstance(truth, dict):
+            raise ValidationError(f"{sidecar}: expected a JSON object")
+        fallback = None if "exposure" in truth else "has no exposure"
+    if fallback:
+        warnings.warn(f"dataset sidecar {sidecar} {fallback}; using "
+                      "exposure = 1.0", stacklevel=2)
+    exposure = truth.get("exposure", 1.0)
+    seed = truth.get("seed", -1)
+    # type() excludes bools; `not 0 <= x < inf` fails NaN too
+    if type(exposure) not in (int, float) or not 0.0 <= exposure < math.inf:
+        raise ValidationError(f"{sidecar} exposure: expected a finite number "
+                              f">= 0, got {exposure!r}")
+    if type(seed) is not int:
+        raise ValidationError(
+            f"{sidecar} seed: expected an integer, got {seed!r}")
     return PseudoDataset(bin_centers=np.array(centers), counts=np.array(counts),
                          exposure=exposure, seed=seed, truth=truth)

@@ -1,5 +1,7 @@
 """Shared fixtures: calibrated model, cached recoil engines, study FSS."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def model():
 @pytest.fixture(scope="session")
 def small_model():
     """Coarser grid variant for cheap overlap tests."""
-    return default_model(grid=GridSpec(points=512))
+    return replace(default_model(), grid=GridSpec(points=512))
 
 
 @pytest.fixture(scope="session")

@@ -113,8 +113,7 @@ def test_criterion_06_commutator_bound(model, q_endpoint):
 
 def test_criterion_07_linearization_trend():
     fss = build_study_fss()
-    result = fig2_study(fss, endpoint_ev=W0, m_nu_ev=1.0,
-                        depth_min_ev=2.0, depth_max_ev=300.0)
+    result = fig2_study(fss, endpoint_ev=W0, m_nu_ev=1.0)
     check(7, "|exact - linear| bounded by C m^4 / depth",
           result.bound_holds() and 0.0 < result.c_fit < 50.0,
           f"C = {result.c_fit:.3f}, bound holds at all "

@@ -21,7 +21,7 @@ class TestStudyFss:
 class TestFig2:
     def test_single_line_closed_form(self):
         fss = from_lines([FssLine(0.0, 1.0)])
-        result = fig2_study(fss, m_nu_ev=1.0, n_points=60)
+        result = fig2_study(fss, m_nu_ev=1.0)
         for row in result.rows:
             # depth as actually represented after eps = W0 - u round trip
             u = W0 - (W0 - row.depth_ev)
@@ -33,7 +33,7 @@ class TestFig2:
             assert abs(row.difference - abs(exact - linear)) <= tol
 
     def test_difference_vanishes_with_mass(self, study_fss):
-        result = fig2_study(study_fss, m_nu_ev=1e-4, n_points=40)
+        result = fig2_study(study_fss, m_nu_ev=1e-4)
         scale = max(r.exact for r in result.rows)
         assert max(r.difference for r in result.rows) < 1e-12 * scale
 
@@ -43,7 +43,19 @@ class TestFig2:
         assert 0.0 < result.c_fit < 50.0
 
     def test_zero_mass_c_is_zero(self, study_fss):
-        assert fig2_study(study_fss, m_nu_ev=0.0, n_points=20).c_fit == 0.0
+        assert fig2_study(study_fss, m_nu_ev=0.0).c_fit == 0.0
+
+
+class TestBiasScanRecord:
+    def test_spec_records_fixed_study_settings(self, study_fss):
+        spec = ScanSpec(window_depths_ev=(50.0,), replications=1, base_seed=5)
+        recorded = bias_scan(spec, fss=study_fss).to_dict()["spec"]
+        assert recorded == {
+            "window_depths_ev": (50.0,), "replications": 1, "base_seed": 5,
+            "generator_drift": True, "fitter_drift": False,
+            "endpoint_ev": 18575.0, "sigma_ev": 2.5, "bin_spacing_ev": 2.0,
+            "window_top_margin_ev": 20.0, "anchor_depth_ev": 200.0,
+            "anchor_counts": 2.56e11, "background_fraction": 0.04}
 
 
 @pytest.mark.slow

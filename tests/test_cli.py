@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,8 @@ class TestFssCommands:
 
     def test_gen_with_model_file(self, tmp_path):
         model_path = tmp_path / "model.json"
-        model_path.write_text(default_model(grid=GridSpec(points=512)).to_json())
+        model_path.write_text(
+            replace(default_model(), grid=GridSpec(points=512)).to_json())
         out = tmp_path / "fss.dat"
         assert run_cli(["fss", "gen", "--model", str(model_path), "--q", "2.0",
                         "--j-max", "3", "--v-max", "5", "--no-grid-check",
@@ -295,9 +297,71 @@ class TestUsageErrors:
                                 capsys, "--jobs", jobs)
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", ["0", "-10", "nan", "inf"])
+    def test_bias_scan_bad_depths(self, tmp_path, capsys, depth):
+        out = tmp_path / "bias.csv"
+        self.assert_input_error(
+            ["bias-scan", "--depths", "100", depth, "--out", str(out)], capsys,
+            "window depths must be finite and > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mnu", ["nan", "inf", "-1"])
+    def test_fig2_bad_mass(self, tmp_path, capsys, mnu):
+        out = tmp_path / "fig2.csv"
+        self.assert_input_error(["fig2", "--mnu", mnu, "--out", str(out)],
+                                capsys, "m_nu must be finite and >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "-1"])
+    def test_fss_gen_bad_q(self, tmp_path, capsys, q):
+        out = tmp_path / "fss.dat"
+        self.assert_input_error(
+            ["fss", "gen", "--q", q, "--j-max", "2", "--v-max", "3",
+             "--no-grid-check", "--out", str(out)], capsys,
+            "recoil momentum must be finite and >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar,fragment", [
+        ('{"exposure": "abc"}', "exposure: expected a finite number"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_fit_bad_sidecar(self, fit_inputs, tmp_path, capsys, sidecar,
+                             fragment):
+        argv = list(fit_inputs[0])
+        data = tmp_path / "data.csv"
+        shutil.copyfile(argv[2], data)
+        Path(f"{data}.json").write_text(sidecar)
+        argv[2] = str(data)
+        self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
+                                capsys, f"{data}.json", fragment)
+
+    def test_fit_sidecar_without_exposure_warns(self, fit_inputs, tmp_path,
+                                                capsys):
+        argv = list(fit_inputs[0])
+        data = tmp_path / "data.csv"
+        shutil.copyfile(argv[2], data)
+        Path(f"{data}.json").write_text('{"seed": 3}')
+        argv[2] = str(data)
+        assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == (f"warning: dataset sidecar {data}.json has no "
+                          "exposure; using exposure = 1.0")
+
     @pytest.mark.parametrize("row", ["nan 0.3 0 - -", "inf 0.5 0 - -",
                                      "1.0 nan 0 - -"])
     def test_spectrum_non_finite_fss(self, tmp_path, capsys, row):
+        self.assert_bad_fss_row(tmp_path, capsys, row, "must be finite")
+
+    @pytest.mark.parametrize("row,fragment", [
+        ("1.0 0.5 0 -3 2", "J must be >= 0"),
+        ("2.0 0.2 0 1 2 junk", "got 6"),
+    ])
+    def test_spectrum_bad_fss_columns(self, tmp_path, capsys, row, fragment):
+        self.assert_bad_fss_row(tmp_path, capsys, row, fragment)
+
+    def assert_bad_fss_row(self, tmp_path, capsys, row, fragment):
+        """`spectrum` on an FSS file whose second row is `row`."""
         fss = tmp_path / "fss.dat"
         fss.write_text(f"0.0 0.5 0 0 0\n{row}\n")
         params = tmp_path / "params.json"
@@ -306,7 +370,7 @@ class TestUsageErrors:
         self.assert_input_error(
             ["spectrum", "--params", str(params), "--fss", str(fss),
              "--emin", str(W0 - 10.0), "--emax", str(W0), "--out", str(out)],
-            capsys, "line 2", "must be finite")
+            capsys, "line 2", fragment)
         assert not out.exists()
 
     def test_spectrum_fss_is_directory(self, tmp_path, capsys):

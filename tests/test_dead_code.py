@@ -5,9 +5,15 @@ name somewhere in `src/` outside its own definition (an import alone does
 not count), unless it is public API listed below.  No module-level import
 may go unused; package `__init__` modules are exempt, since their imports
 are the re-exported interface.
+
+Every defaulted function parameter and dataclass field must be passed by
+some call in `src/` (by keyword, by position or through `**`), matched by
+the callee's name, unless it is listed below with its outside source: a
+setting that no caller varies is a constant, not an option.
 """
 
 import ast
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tribeta"
@@ -70,3 +76,97 @@ def test_no_unused_module_imports():
                     if bound not in used:
                         unused.append(f"{path.relative_to(SRC)}:{bound}")
     assert unused == []
+
+
+#: defaulted parameters and dataclass fields that no call in src/ passes,
+#: one reason each; an owner without a setting name covers all its settings
+ALLOWED_UNPASSED = {
+    "Constants": "every field is read from the TRIBETA_CONSTANTS file",
+    "MoleculeModel.initial_mass_au": "read from the --model JSON",
+    "MoleculeModel.final_mass_au": "read from the --model JSON",
+    "MoleculeModel.grid": "read from the --model JSON",
+    "ResponseModel.half_width_sigmas": "read from the fit.json response",
+    "ResponseModel.step_fraction": "read from the fit.json response",
+    "SpectrumParams.z_daughter": "read from the spectrum params.json",
+    "operator_moments.v_max": "set by acceptance criterion 5",
+    "moment_form_spectrum_term.m2nu_ev2": "set by acceptance criterion 8",
+    "direct_spectrum_term.m2nu_ev2": "set by acceptance criterion 8",
+    "solve_initial.n_states": "the Morse oracle test reads excited levels",
+    "main.argv": "argument list of the console entry point, for callers",
+}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_false(stmt):
+    """A `field(init=False, ...)` declaration, which no caller can set."""
+    return isinstance(stmt.value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant)
+        and k.value.value is False for k in stmt.value.keywords)
+
+
+def _settings(tree):
+    """(owner, name, position) of every defaulted function parameter and
+    dataclass field, the position counted as a call passes it."""
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        if not _is_dataclass(cls):
+            continue
+        fields = [s for s in cls.body
+                  if isinstance(s, ast.AnnAssign) and not _init_false(s)]
+        for pos, stmt in enumerate(fields):
+            if stmt.value is not None:
+                yield cls.name, stmt.target.id, pos
+    methods = {id(f): cls.name for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for f in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        owner = fn.name
+        if id(fn) in methods and not any(getattr(d, "id", "") == "staticmethod"
+                                         for d in fn.decorator_list):
+            positional = positional[1:]
+            if fn.name == "__init__":
+                owner = methods[id(fn)]
+        defaults = fn.args.defaults
+        for pos, arg in enumerate(positional[len(positional) - len(defaults):],
+                                  start=len(positional) - len(defaults)):
+            yield owner, arg.arg, pos
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield owner, arg.arg, math.inf
+
+
+def _calls(trees):
+    """callee name -> list of (keywords, positional count, has **)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            n_pos = math.inf if any(isinstance(a, ast.Starred)
+                                    for a in node.args) else len(node.args)
+            calls.setdefault(name, []).append((
+                {k.arg for k in node.keywords}, n_pos,
+                any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def test_every_setting_is_passed_by_a_caller():
+    """A default that no call in src/ overrides is a constant, not an option."""
+    modules = _modules()
+    calls = _calls(modules.values())
+    unpassed = []
+    for path, tree in modules.items():
+        for owner, name, pos in _settings(tree):
+            passed = any(name in kw or star or n_pos > pos
+                         for kw, n_pos, star in calls.get(owner, []))
+            if not passed and owner not in ALLOWED_UNPASSED \
+                    and f"{owner}.{name}" not in ALLOWED_UNPASSED:
+                unpassed.append(f"{path.relative_to(SRC)}:{owner}.{name}")
+    assert unpassed == []

@@ -1,5 +1,7 @@
 """Recoil overlaps, pseudo-spectrum and the operator-moment machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ HART = CONSTANTS.hartree_ev
 
 def identical_curves_model():
     curve = MorseParams(4.747, 1.0298, 1.4011)
-    m = default_model(grid=GridSpec(points=512))
+    m = replace(default_model(), grid=GridSpec(points=512))
     return MoleculeModel(initial=curve,
                          channels=(Channel(kind="morse", weight=0.8, morse=curve),),
                          initial_mass_au=m.initial_mass_au,

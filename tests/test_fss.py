@@ -64,6 +64,21 @@ class TestIO:
         assert fss.lines[0].vibration == 3
         assert fss.lines[1].rotation is None
 
+    @pytest.mark.parametrize("row,fragment", [
+        ("1.0 0.5 0 -3 2", "J must be >= 0"),
+        ("1.0 0.5 0 3 -2", "v must be >= 0"),
+        ("1.0 0.5 -1 3 2", "channel must be >= 0"),
+        ("2.0 0.2 0 1 2 junk", "got 6"),
+    ])
+    def test_bad_quantum_or_extra_column_rejected(self, row, fragment):
+        with pytest.raises(FssParseError, match=f"line 3: .*{fragment}"):
+            load_fss(io.StringIO(f"# header\n0.0 0.4\n{row}\n"))
+
+    def test_q_ref_from_comment(self):
+        fss = load_fss(io.StringIO("# q_ref_au = 18.5\n0.0 0.5\n"))
+        assert fss.q_ref == 18.5
+        assert load_fss(io.StringIO("0.0 0.5\n")).q_ref is None
+
     def test_dash_channel_rejected(self):
         with pytest.raises(FssParseError, match="line 2"):
             load_fss(io.StringIO("1.0 0.25 0 12 3\n2.0 0.25 - - -\n"))

@@ -1,6 +1,7 @@
 """Radial solver against the Morse closed form; grid and model contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestBasisContracts:
     def test_variational_monotone_with_grid(self):
         levels = []
         for n in (256, 512, 1024):
-            m = default_model(grid=GridSpec(0.3, 12.0, n))
+            m = replace(default_model(), grid=GridSpec(0.3, 12.0, n))
             levels.append(solve_radial(m, n_states=5).energies_ev)
         # refining the grid never raises an eigenvalue (to roundoff)
         assert np.all(levels[0] >= levels[1] - 1e-10)

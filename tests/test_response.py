@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,53 @@ class TestDatasetIO:
         assert np.allclose(back.bin_centers, ds.bin_centers)
         assert back.seed == 7
         assert back.exposure == 2.0
+
+    @staticmethod
+    def bare_dataset(tmp_path, study_fss):
+        """A saved dataset whose sidecar the caller then rewrites."""
+        p = SpectrumParams(amplitude=1e-12, endpoint_ev=W0, background=3.0)
+        bins = np.arange(W0 - 30.0, W0 + 6.0, 3.0)
+        ds = generate_pseudodata(p, study_fss, ResponseModel(sigma_ev=2.5),
+                                 bins, 2.0, seed=7)
+        path = tmp_path / "data.csv"
+        save_dataset(ds, str(path))
+        return path
+
+    @pytest.mark.parametrize("sidecar,fragment", [
+        ("[1, 2]", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ('{"exposure": "abc"}', "exposure: expected a finite number"),
+        ('{"exposure": -1.0}', "exposure: expected a finite number"),
+        ('{"exposure": NaN}', "exposure: expected a finite number"),
+        ('{"exposure": Infinity}', "exposure: expected a finite number"),
+        ('{"exposure": true}', "exposure: expected a finite number"),
+        ('{"exposure": 2.0, "seed": 1.5}', "seed: expected an integer"),
+        ('{"exposure": 2.0, "seed": "3"}', "seed: expected an integer"),
+    ])
+    def test_bad_sidecar_rejected(self, tmp_path, study_fss, sidecar,
+                                  fragment):
+        path = self.bare_dataset(tmp_path, study_fss)
+        Path(f"{path}.json").write_text(sidecar)
+        with pytest.raises(ValidationError, match=fragment) as info:
+            load_dataset(str(path))
+        assert f"{path}.json" in str(info.value)
+
+    @pytest.mark.parametrize("sidecar,reason", [
+        (None, "not found"), ('{"seed": 3}', "has no exposure")])
+    def test_exposure_fallback_warns(self, tmp_path, study_fss, sidecar,
+                                     reason):
+        path = self.bare_dataset(tmp_path, study_fss)
+        if sidecar is None:
+            Path(f"{path}.json").unlink()
+        else:
+            Path(f"{path}.json").write_text(sidecar)
+        with pytest.warns(UserWarning) as record:
+            back = load_dataset(str(path))
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"{path}.json {reason}" in message
+        assert "exposure = 1.0" in message
+        assert back.exposure == 1.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):

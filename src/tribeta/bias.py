@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import FitConfig, minimize
 from .franck_condon import default_model, pseudo_spectrum
-from .fss import FinalStateSpectrum, FssLine, from_lines
+from .fss import FinalStateSpectrum, from_lines
 from .kernel import SpectrumParams, integral_spectrum, linearized_sum, spectral_sum
 from .physics import momentum_from_kinetic
 from .response import ResponseModel, generate_pseudodata
@@ -49,11 +49,13 @@ def build_study_fss() -> FinalStateSpectrum:
     """
     model, v_max = default_model(), 24
     q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV).recoil_q_au
-    lines = pseudo_spectrum(model, q_au, v_max=v_max).lines
-    lines += tuple(FssLine(ch.offset_ev, ch.weight, channel=ic)
-                   for ic, ch in enumerate(model.channels)
-                   if ch.kind == "line" and ch.weight > 0.0)
-    return from_lines(lines, q_ref=q_au,
+    ground = pseudo_spectrum(model, q_au, v_max=v_max)
+    blocks = [(ground.energies, ground.probabilities, ground.channels,
+               ground.rotations, ground.vibrations)]
+    blocks += [(ch.offset_ev, ch.weight, ic, -1, -1)
+               for ic, ch in enumerate(model.channels)
+               if ch.kind == "line" and ch.weight > 0.0]
+    return from_lines(blocks, q_ref=q_au,
                       provenance={"study_fss": True, "v_max": v_max,
                                   "model_hash": model.parameter_hash()})
 

@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import AccuracyError, ModelError, ValidationError
 from .fit import PARAM_NAMES, FitConfig, minimize
-from .franck_condon import MoleculeModel, RecoilEngine, default_model
+from .franck_condon import (MoleculeModel, RecoilEngine, check_recoil_momentum,
+                            default_model)
 from .fss import cumulative_moments, load_fss, save_fss
 from .kernel import (SpectrumParams, differential_spectrum, integral_spectrum,
                      linearized_spectrum)
@@ -68,11 +69,19 @@ def _ensure_outdir(path: str) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
+def _read_json(path: str):
+    """The JSON document in `path`; malformed JSON is an error naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_model(path: str | None) -> MoleculeModel:
     if path is None:
         return default_model()
-    with open(path, "r", encoding="utf-8") as fh:
-        return MoleculeModel.from_json(fh.read())
+    return MoleculeModel.from_dict(_read_json(path))
 
 
 def _from_doc(cls, doc, source: str):
@@ -84,9 +93,7 @@ def _from_doc(cls, doc, source: str):
 
 
 def _load_params(path: str) -> SpectrumParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _from_doc(SpectrumParams, doc, path)
+    return _from_doc(SpectrumParams, _read_json(path), path)
 
 
 def _load_rates(path: str) -> np.ndarray:
@@ -144,6 +151,7 @@ def _cmd_constants_dump(args) -> int:
 
 
 def _cmd_fss_gen(args) -> int:
+    check_recoil_momentum(args.q)
     model = _load_model(args.model)
     engine = RecoilEngine(model, j_max=args.j_max, v_max=args.v_max,
                           convergence_check=not args.no_grid_check)
@@ -228,8 +236,7 @@ def _cmd_fit(args) -> int:
         dataset = load_dataset(args.dataset)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.config)
     if not isinstance(doc, dict):
         raise ValidationError(f"{args.config}: expected a JSON object")
     window = doc.get("window_ev")
@@ -412,7 +419,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ValidationError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AccuracyError as exc:

@@ -151,10 +151,6 @@ class MoleculeModel:
                    final_mass_au=d.get("final_mass_au", CONSTANTS.reduced_t_he3),
                    grid=grid)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MoleculeModel":
-        return cls.from_dict(json.loads(text))
-
 
 # T2 ground curve: D_e and R_e from the hydrogen BO surface, a matched to
 # omega_e(T2) = 2546 cm^-1.  Ionic ground channel: HeH+-like depth and

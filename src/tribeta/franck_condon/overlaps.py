@@ -19,8 +19,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from ..errors import ValidationError
-from ..fss import (FinalStateSpectrum, FssLine, MomentSet, cumulative_moments,
-                   from_lines)
+from ..fss import FinalStateSpectrum, MomentSet, cumulative_moments, from_lines
 from ..physics import CONSTANTS
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
@@ -28,6 +27,13 @@ from .radial import RadialEigenbasis, kinetic_matrix, solve_initial, solve_radia
 
 #: generated spectra warn when a channel captures less than this fraction
 TRUNCATION_WARN_FRACTION = 0.99
+
+
+def check_recoil_momentum(q_au: float) -> None:
+    """Raise unless q (atomic units) is finite and >= 0; NaN fails too."""
+    if not 0.0 <= q_au < np.inf:
+        raise ValidationError(
+            f"recoil momentum must be finite and >= 0, got {q_au}")
 
 
 class RecoilEngine:
@@ -62,19 +68,16 @@ class RecoilEngine:
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units)."""
-        # `not 0 <= q < inf` so that NaN fails too
-        if not 0.0 <= q_au < np.inf:
-            raise ValidationError(
-                f"recoil momentum must be finite and >= 0, got {q_au}")
+        check_recoil_momentum(q_au)
         jtab = spherical_jn_table(self.j_max, q_au * self.radii)
-        lines: list[FssLine] = []
+        blocks = []
         deficits: dict[str, float] = {}
         warned = False
         for ic, ch in enumerate(self.model.channels):
             if ch.weight == 0.0:
                 continue
             if ch.kind == "line":
-                lines.append(FssLine(ch.offset_ev, ch.weight, channel=ic))
+                blocks.append((ch.offset_ev, ch.weight, ic, -1, -1))
                 deficits[ch.label or f"channel{ic}"] = 0.0
                 continue
             total = 0.0
@@ -85,10 +88,9 @@ class RecoilEngine:
                 probs = ch.weight * (2 * j + 1) * integrals**2
                 energies = ch.offset_ev + basis.energies_ev - self.reference_ev
                 total += float(probs.sum())
-                for v in range(probs.size):
-                    if probs[v] > 0.0:
-                        lines.append(FssLine(float(energies[v]), float(probs[v]),
-                                             channel=ic, rotation=j, vibration=v))
+                keep = probs > 0.0
+                blocks.append((energies[keep], probs[keep], ic, j,
+                               np.flatnonzero(keep)))
             deficit = 1.0 - total / ch.weight
             deficits[ch.label or f"channel{ic}"] = deficit
             if total < TRUNCATION_WARN_FRACTION * ch.weight:
@@ -104,7 +106,7 @@ class RecoilEngine:
         }
         if warned:
             provenance["truncation_warning"] = True
-        return from_lines(lines, q_ref=q_au, provenance=provenance)
+        return from_lines(blocks, q_ref=q_au, provenance=provenance)
 
 
 def rotational_shift_ev(model: MoleculeModel, q_au: float) -> float:
@@ -122,9 +124,9 @@ def pseudo_spectrum(model: MoleculeModel, q_au: float,
     probs = model.channels[0].weight * integrals**2
     energies = (basis.energies_ev - basis.energies_ev[0]) \
         + rotational_shift_ev(model, q_au)
-    return from_lines([FssLine(float(e), float(p), vibration=v)
-                       for v, (e, p) in enumerate(zip(energies, probs))
-                       if p > 0.0], q_ref=q_au)
+    keep = probs > 0.0
+    return from_lines([(energies[keep], probs[keep], 0, -1,
+                        np.flatnonzero(keep))], q_ref=q_au)
 
 
 def laplacian_expectation(model: MoleculeModel) -> float:

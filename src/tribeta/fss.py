@@ -1,22 +1,26 @@
 """Final-state spectrum (FSS) data model, file I/O and cumulative moments.
 
 An FSS is a discrete set of excitation energies E_n (eV, counted from the
-daughter-molecule ground level) with population probabilities P_n.  The
-table file format is plain columnar text:
+daughter-molecule ground level) with population probabilities P_n, held
+as read-only columns sorted by energy: energies, probabilities, channels,
+rotations (J) and vibrations (v), with J and v -1 where a line has none.
+The table file format is plain columnar text:
 
     # comment lines start with '#'
     E_n_eV  P_n  channel  J  v
 
 with `J` and `v` optionally `-` (the channel is always an integer), E_n and
 P_n finite, P_n >= 0, values written with 17 significant digits, and a
-terminating newline.
+terminating newline.  The cumulative moments and the moment-form spectral
+term read the open-line sums sum_{E_n < x} P_n (E_n - c)^k from prefix
+sums over the sorted lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,27 +29,6 @@ from .errors import FssParseError, ValidationError
 #: upper bound on the summed line probabilities; the slack above 1 absorbs
 #: roundoff in generated spectra
 _TOTAL_PROBABILITY_MAX = 1.000001
-
-
-@dataclass(frozen=True)
-class FssLine:
-    """One final-state line: energy, population and quantum labels."""
-
-    energy_ev: float
-    probability: float
-    channel: int = 0
-    rotation: Optional[int] = None   # J
-    vibration: Optional[int] = None  # v
-
-    def __post_init__(self):
-        if not (math.isfinite(self.energy_ev) and math.isfinite(self.probability)):
-            raise ValidationError(
-                "line energy and probability must be finite, got "
-                f"{self.energy_ev} and {self.probability}")
-        if self.probability < 0.0:
-            raise ValidationError(f"negative probability {self.probability}")
-        if self.channel < 0:
-            raise ValidationError("channel index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -67,54 +50,60 @@ class MomentSet:
         return self.p_open > 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinalStateSpectrum:
-    """Immutable, sorted collection of FSS lines with provenance metadata."""
+    """Immutable FSS: read-only line columns sorted by energy, with
+    provenance metadata.  J and v are -1 where a line has none."""
 
-    lines: tuple[FssLine, ...]
-    q_ref: Optional[float] = None
-    provenance: dict = field(default_factory=dict)
-    # cached column arrays, derived in __post_init__
-    energies: np.ndarray = field(init=False, repr=False, compare=False)
-    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+    energies: np.ndarray
+    probabilities: np.ndarray
+    channels: np.ndarray
+    rotations: np.ndarray
+    vibrations: np.ndarray
+    q_ref: Optional[float]
+    provenance: dict
 
     def __post_init__(self):
-        if not self.lines:
+        e, p = self.energies, self.probabilities
+        if not e.size:
             raise ValidationError("final-state spectrum must contain lines")
-        e = np.array([l.energy_ev for l in self.lines], dtype=float)
-        p = np.array([l.probability for l in self.lines], dtype=float)
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(p))):
+            raise ValidationError(
+                "line energies and probabilities must be finite")
+        if np.any(p < 0.0):
+            raise ValidationError(f"negative probability {p.min()}")
+        if np.any(self.channels < 0):
+            raise ValidationError("channel index must be >= 0")
         if np.any(np.diff(e) < 0.0):
             raise ValidationError("lines must be sorted ascending in energy")
         total = float(p.sum())
         if not (0.0 < total <= _TOTAL_PROBABILITY_MAX):
             raise ValidationError(
                 f"total probability {total} outside (0, {_TOTAL_PROBABILITY_MAX}]")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "probabilities", p)
-        self.energies.setflags(write=False)
-        self.probabilities.setflags(write=False)
+        for column in (e, p, self.channels, self.rotations, self.vibrations):
+            column.setflags(write=False)
 
     @property
     def total_probability(self) -> float:
         return float(self.probabilities.sum())
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return self.energies.size
 
 
-def from_lines(lines: Sequence[FssLine], q_ref: Optional[float] = None,
+def from_lines(blocks, q_ref: Optional[float] = None,
                provenance: Optional[dict] = None) -> FinalStateSpectrum:
-    """Build a spectrum, sorting lines by energy (stable for ties)."""
-    ordered = tuple(sorted(lines, key=lambda l: l.energy_ev))
-    return FinalStateSpectrum(ordered, q_ref=q_ref, provenance=dict(provenance or {}))
+    """Build a spectrum from (E, P, channel, J, v) blocks, each entry an
+    array or a scalar, sorting the lines by energy (stable for ties)."""
+    columns = [np.concatenate(c) for c in zip(
+        *(np.broadcast_arrays(*np.atleast_1d(*block)) for block in blocks))]
+    order = np.argsort(columns[0], kind="stable")
+    return FinalStateSpectrum(*(c[order] for c in columns), q_ref=q_ref,
+                              provenance=dict(provenance or {}))
 
 
 # ---------------------------------------------------------------------------
 # file I/O
-
-def _format_quantum(x: Optional[int]) -> str:
-    return "-" if x is None else str(int(x))
-
 
 def save_fss(fss: FinalStateSpectrum, path: str) -> None:
     """Write the columnar FSS table (UTF-8).
@@ -126,15 +115,17 @@ def save_fss(fss: FinalStateSpectrum, path: str) -> None:
         fh.write("# E_n_eV  P_n  channel  J  v\n")
         if fss.q_ref is not None:
             fh.write(f"# q_ref_au = {fss.q_ref:.17g}\n")
-        for line in fss.lines:
-            fh.write(f"{line.energy_ev:.16e} {line.probability:.16e} "
-                     f"{line.channel} {_format_quantum(line.rotation)} "
-                     f"{_format_quantum(line.vibration)}\n")
+        for e, p, c, j, v in zip(fss.energies.tolist(),
+                                 fss.probabilities.tolist(),
+                                 fss.channels.tolist(), fss.rotations.tolist(),
+                                 fss.vibrations.tolist()):
+            fh.write(f"{e:.16e} {p:.16e} {c} {'-' if j < 0 else j} "
+                     f"{'-' if v < 0 else v}\n")
 
 
-def _parse_quantum(token: str, what: str, lineno: int) -> Optional[int]:
+def _parse_quantum(token: str, what: str, lineno: int) -> int:
     if token == "-":
-        return None
+        return -1
     try:
         value = int(token)
     except ValueError:
@@ -158,7 +149,7 @@ def load_fss(path_or_file) -> FinalStateSpectrum:
         name = str(path_or_file)
     else:
         fh, close, name = path_or_file, False, "<stream>"
-    lines: list[FssLine] = []
+    rows: list[tuple[float, float, int, int, int]] = []
     parsed_q = None
     try:
         for lineno, raw in enumerate(fh, start=1):
@@ -182,33 +173,49 @@ def load_fss(path_or_file) -> FinalStateSpectrum:
                 prob = float(cols[1])
             except ValueError:
                 raise FssParseError(f"bad numeric field in {cols[:2]}", lineno) from None
+            if not (math.isfinite(energy) and math.isfinite(prob)):
+                raise FssParseError("line energy and probability must be "
+                                    f"finite, got {energy} and {prob}", lineno)
+            if prob < 0.0:
+                raise FssParseError(f"negative probability {prob}", lineno)
             channel = 0
             if len(cols) >= 3:
                 channel = _parse_quantum(cols[2], "channel", lineno)
-                if channel is None:
+                if channel < 0:
                     raise FssParseError("channel must be an integer, got '-'",
                                         lineno)
-            rot = _parse_quantum(cols[3], "J", lineno) if len(cols) >= 4 else None
-            vib = _parse_quantum(cols[4], "v", lineno) if len(cols) >= 5 else None
-            try:
-                lines.append(FssLine(energy, prob, channel, rot, vib))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
+            rot = _parse_quantum(cols[3], "J", lineno) if len(cols) >= 4 else -1
+            vib = _parse_quantum(cols[4], "v", lineno) if len(cols) >= 5 else -1
+            rows.append((energy, prob, channel, rot, vib))
     finally:
         if close:
             fh.close()
-    if not lines:
+    if not rows:
         raise FssParseError(f"no data rows in {name}")
-    energies = [l.energy_ev for l in lines]
-    was_sorted = all(a <= b for a, b in zip(energies, energies[1:]))
-    prov = {"source": name, "line_count": len(lines)}
-    if not was_sorted:
+    e, p, channels, rotations, vibrations = zip(*rows)
+    prov = {"source": name, "line_count": len(rows)}
+    if np.any(np.diff(e) < 0.0):
         prov["sorted_on_load"] = True
-    return from_lines(lines, q_ref=parsed_q, provenance=prov)
+    return from_lines([(e, p, channels, rotations, vibrations)],
+                      q_ref=parsed_q, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
 # cumulative moments
+
+def _open_sums(fss: FinalStateSpectrum, x, origin: float) -> np.ndarray:
+    """sum_{E_n < x} P_n (E_n - origin)^k for k = 0..3 (rows) at each x
+    (columns).
+
+    Prefix sums over the sorted lines, read at the count of lines below x
+    (`searchsorted`, strict): one lookup per x, whatever the line count.
+    """
+    e, p = fss.energies - origin, fss.probabilities
+    terms = np.stack([p, p * e, p * e * e, p * e * e * e])
+    prefix = np.concatenate([np.zeros((4, 1)), np.cumsum(terms, axis=1)],
+                            axis=1)
+    return prefix[:, np.searchsorted(fss.energies, x, side="left")]
+
 
 def cumulative_moments(fss: FinalStateSpectrum, eps_ev: float) -> MomentSet:
     """P_eps and the first three energy moments over open channels.
@@ -218,46 +225,27 @@ def cumulative_moments(fss: FinalStateSpectrum, eps_ev: float) -> MomentSet:
     """
     if not np.isfinite(eps_ev):
         raise ValidationError("eps must be finite")
-    open_mask = fss.energies < eps_ev
-    p_open = float(fss.probabilities[open_mask].sum())
+    p_open, s1, s2, s3 = (float(s) for s in _open_sums(fss, eps_ev, 0.0))
     if p_open == 0.0:
         return MomentSet(eps_ev, 0.0, None, None, None)
-    e = fss.energies[open_mask]
-    p = fss.probabilities[open_mask]
-    m1 = float((p * e).sum() / p_open)
-    m2 = float((p * e * e).sum() / p_open)
-    m3 = float((p * e * e * e).sum() / p_open)
-    return MomentSet(eps_ev, p_open, m1, m2, m3)
+    return MomentSet(eps_ev, p_open, s1 / p_open, s2 / p_open, s3 / p_open)
 
 
-def moment_form_spectrum_term(fss: FinalStateSpectrum, eps_ev: float,
-                              m2nu_ev2: float = 0.0) -> float:
-    """Moment-form spectral term (eV^3):
+def moment_form_spectrum_term(fss: FinalStateSpectrum, x,
+                              m2nu_ev2: float) -> np.ndarray:
+    """Moment-form spectral term (eV^3) at available energies x:
 
-        P_eps [ eps^3 - 3<E> eps^2 + 3<E^2> eps
-                - (3/2) m2nu (eps - <E>) - <E^3> ]
+        P_x [ y^3 - 3<D> y^2 + 3<D^2> y - (3/2) m2nu (y - <D>) - <D^3> ]
 
-    Algebraically identical to sum_n P_n [eps_n^3 - (3/2) m2nu eps_n]
-    over open channels; returns 0 when all channels are closed.
+    over the open lines E_n < x, with energies counted from the lowest line
+    (D = E - E_0, y = x - E_0) so that the offset of the whole spectrum
+    adds no cancellation, and each P_x <D^k> read as one open-line sum.  It
+    is the line sum sum_n P_n [x_n^3 - (3/2) m2nu x_n] theta(x_n),
+    x_n = x - E_n, and 0 where every line is closed.
     """
-    m = cumulative_moments(fss, eps_ev)
-    if not m.open:
-        return 0.0
-    eps = eps_ev
-    return m.p_open * (eps**3 - 3.0 * m.mean_e * eps**2 + 3.0 * m.mean_e2 * eps
-                       - 1.5 * m2nu_ev2 * (eps - m.mean_e) - m.mean_e3)
-
-
-def direct_spectrum_term(fss: FinalStateSpectrum, eps_ev: float,
-                         m2nu_ev2: float = 0.0) -> float:
-    """Direct line sum sum_n P_n [eps_n^3 - (3/2) m2nu eps_n] theta(eps_n).
-
-    The independent reference for the moment-form identity.
-    """
-    en = eps_ev - fss.energies
-    gate = en > 0.0
-    if not gate.any():
-        return 0.0
-    en = en[gate]
-    p = fss.probabilities[gate]
-    return float((p * (en**3 - 1.5 * m2nu_ev2 * en)).sum())
+    origin = fss.energies[0]
+    s0, s1, s2, s3 = _open_sums(fss, x, origin)
+    y = np.asarray(x, dtype=float) - origin
+    term = (s0 * y**3 - 3.0 * s1 * y**2 + 3.0 * s2 * y
+            - 1.5 * m2nu_ev2 * (s0 * y - s1) - s3)
+    return np.where(s0 > 0.0, term, 0.0)

@@ -1,5 +1,5 @@
-"""Beta-spectrum evaluation: differential, integral, linearized and
-moment forms, plus endpoint bookkeeping.
+"""Beta-spectrum evaluation: differential, integral and linearized
+forms, plus endpoint bookkeeping.
 
 All forms share the prefactor F(p, Z) E_beta p_beta evaluated at the
 electron energy (it sits outside the final-state sum).  The integral
@@ -8,13 +8,15 @@ form carries amplitude A/3 with the (.)^{3/2} radicand unscaled.
 For m2nu < 0 (fit context) the standard experimental continuation is
 used: gate theta(eps_n) with radicand eps_n^2 - m2nu, which is positive.
 
-The line sums run over blocks of energies, about `_BLOCK_ELEMENTS`
-(energies x lines) elements each, so working memory stays bounded
-whatever the number of lines and energies.  Energies where every line is
-closed are skipped, and that is exact: the lines are sorted, so when the
-available energy W0_eff - eps is at or below the lowest line, eps_n <= 0
-for every line, theta(eps_n) closes it and the row sums to 0.  Each row
-still sums the same terms in the same order as one dense pass.
+The linearized sum is the moment form of `fss`, one prefix-sum lookup per
+energy.  The exact line sums run over blocks of energies, about
+`_BLOCK_ELEMENTS` (energies x lines) elements each, so working memory
+stays bounded whatever the number of lines and energies.  Energies where
+every line is closed are skipped, and that is exact: the lines are
+sorted, so when the available energy W0_eff - eps is at or below the
+lowest line, eps_n <= 0 for every line, theta(eps_n) closes it and the
+row sums to 0.  Each row still sums the same terms in the same order as
+one dense pass.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .fss import FinalStateSpectrum
+from .fss import FinalStateSpectrum, moment_form_spectrum_term
 from .physics import CONSTANTS, fermi_factor
 
 ArrayLike = Union[float, np.ndarray]
@@ -138,13 +140,12 @@ def spectral_sum(eps_beta: ArrayLike, params: SpectrumParams,
 
 def linearized_sum(eps_beta: ArrayLike, params: SpectrumParams,
                    fss: FinalStateSpectrum) -> ArrayLike:
-    """Linearized inner sum  sum_n P_n [eps_n^3 - (3/2) m2nu eps_n] theta(eps_n)."""
+    """Linearized inner sum  sum_n P_n [eps_n^3 - (3/2) m2nu eps_n] theta(eps_n)
+    in its moment form."""
     eps, shape, scalar = _as_grid(eps_beta)
-    s = np.zeros_like(eps)
-    for rows, en, _, _ in _line_blocks(eps, params, fss):
-        term = en**3 - 1.5 * params.m2nu_ev2 * en
-        s[rows] = (fss.probabilities * np.where(en > 0.0, term, 0.0)).sum(axis=1)
-    return _finalize(s, shape, scalar)
+    avail = _effective_endpoints(eps, params) - eps
+    return _finalize(moment_form_spectrum_term(fss, avail, params.m2nu_ev2),
+                     shape, scalar)
 
 
 def differential_spectrum(eps_beta: ArrayLike, params: SpectrumParams,

@@ -271,6 +271,8 @@ def load_dataset(path: str) -> PseudoDataset:
             truth = json.load(fh)
     except FileNotFoundError:
         truth, fallback = {}, "not found"
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{sidecar}: {exc}") from None
     else:
         if not isinstance(truth, dict):
             raise ValidationError(f"{sidecar}: expected a JSON object")

@@ -9,12 +9,12 @@ import pytest
 
 from tribeta.bias import ScanSpec, bias_scan, build_study_fss, fig2_study
 from tribeta.fit import FitConfig, minimize
-from tribeta.fss import (FssLine, direct_spectrum_term, from_lines,
-                         moment_form_spectrum_term)
+from test_kernel import dense_line_sums
+from tribeta.fss import from_lines
 from tribeta.franck_condon import (RecoilEngine, c_term_bound,
                                    operator_moments, pseudo_spectrum,
                                    rotational_shift_ev)
-from tribeta.kernel import SpectrumParams, effective_endpoint
+from tribeta.kernel import SpectrumParams, effective_endpoint, linearized_sum
 from tribeta.response import PseudoDataset, ResponseModel, expected_counts
 
 W0 = 18575.0
@@ -49,12 +49,10 @@ def test_criterion_03_mean_rotational_excitation(engine, q_endpoint):
     # asymptotically (pointwise residual <= 2.6e-4 for qR in [20, 32]), with
     # <R^n> taken over the initial vibrational state chi_0.
     spectrum = engine.overlaps(q_endpoint)
-    by_j = {}
-    for line in spectrum.lines:
-        if line.channel == 0:
-            by_j[line.rotation] = by_j.get(line.rotation, 0.0) + line.probability
-    j = np.array(sorted(by_j))
-    p = np.array([by_j[k] for k in j])
+    ground = spectrum.channels == 0
+    p = np.bincount(spectrum.rotations[ground],
+                    weights=spectrum.probabilities[ground])
+    j = np.arange(p.size)
     p /= p.sum()
     mean_j = float(np.sum(j * p))
     mean_jj = float(np.sum(j * (j + 1) * p))
@@ -91,8 +89,9 @@ def test_criterion_04_vibrational_hierarchy(model, q_endpoint):
 
 def test_criterion_05_operator_moment_consistency(engine, model, q_endpoint):
     spectrum = engine.overlaps(q_endpoint)
-    p = np.array([l.probability for l in spectrum.lines if l.channel == 0])
-    e = np.array([l.energy_ev for l in spectrum.lines if l.channel == 0])
+    ground = spectrum.channels == 0
+    p = spectrum.probabilities[ground]
+    e = spectrum.energies[ground]
     full_mean = float((p * e).sum() / p.sum())
     full_e2 = float((p * e * e).sum() / p.sum())
     op = operator_moments(model, q_endpoint, 1e6, v_max=120)
@@ -123,17 +122,19 @@ def test_criterion_07_linearization_trend():
 def test_criterion_08_moment_form_identity():
     rng = np.random.default_rng(20240901)
     worst = 0.0
-    for _ in range(1000):
+    for i in range(1000):
         n = int(rng.integers(1, 40))
         energies = np.sort(rng.uniform(0.0, 60.0, n))
         probs = rng.uniform(0.0, 1.0, n)
         probs *= rng.uniform(0.2, 1.0) / probs.sum()
-        fss = from_lines([FssLine(float(e), float(p))
-                          for e, p in zip(energies, probs)])
-        eps = float(rng.uniform(0.5, 120.0))
-        m2 = float(rng.uniform(-5.0, 5.0))
-        a = moment_form_spectrum_term(fss, eps, m2)
-        b = direct_spectrum_term(fss, eps, m2)
+        fss = from_lines([(energies, probs, 0, -1, -1)])
+        eps = W0 - float(rng.uniform(0.5, 120.0))
+        params = SpectrumParams(amplitude=1.0, endpoint_ev=W0,
+                                m2nu_ev2=float(rng.uniform(-5.0, 5.0)),
+                                endpoint_drift=i % 2 == 1)
+        # the kernel's moment form against the direct line sum
+        a = linearized_sum(eps, params, fss)
+        b = float(dense_line_sums(eps, params, fss)["linearized"][0])
         scale = max(abs(a), abs(b), 1e-6)
         worst = max(worst, abs(a - b) / scale)
     check(8, "moment-form identity over 1000 random spectra",
@@ -146,7 +147,7 @@ def test_criterion_09_sum_rule(engine, model):
     ok = True
     for q in (0.0, 5.0, 10.0, 18.6, 25.0):
         spectrum = engine.overlaps(q)
-        total = sum(l.probability for l in spectrum.lines if l.channel == 0)
+        total = float(spectrum.probabilities[spectrum.channels == 0].sum())
         captured[q] = total / w_c
         ok = ok and total / w_c >= 0.99
     check(9, "recoil overlap sum rule",

@@ -3,7 +3,7 @@
 import pytest
 
 from tribeta.bias import ScanSpec, bias_scan, fig2_study
-from tribeta.fss import FssLine, from_lines
+from tribeta.fss import from_lines
 
 W0 = 18575.0
 
@@ -11,16 +11,15 @@ W0 = 18575.0
 class TestStudyFss:
     def test_structure(self, study_fss):
         assert study_fss.total_probability == pytest.approx(1.0, abs=2e-3)
-        channels = {l.channel for l in study_fss.lines}
-        assert channels == {0, 1, 2}
+        assert set(study_fss.channels.tolist()) == {0, 1, 2}
         # ground pseudo-lines carry the rotational recoil shift
-        ground = [l for l in study_fss.lines if l.channel == 0]
-        assert min(l.energy_ev for l in ground) == pytest.approx(1.72, abs=0.05)
+        ground = study_fss.energies[study_fss.channels == 0]
+        assert ground.min() == pytest.approx(1.72, abs=0.05)
 
 
 class TestFig2:
     def test_single_line_closed_form(self):
-        fss = from_lines([FssLine(0.0, 1.0)])
+        fss = from_lines([(0.0, 1.0, 0, -1, -1)])
         result = fig2_study(fss, m_nu_ev=1.0)
         for row in result.rows:
             # depth as actually represented after eps = W0 - u round trip

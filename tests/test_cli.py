@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import tribeta.cli
+import tribeta.franck_condon.overlaps
 import tribeta.response as resp
 from tribeta.cli import main
 from tribeta.errors import ModelError
@@ -313,7 +314,14 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("q", ["nan", "inf", "-1"])
-    def test_fss_gen_bad_q(self, tmp_path, capsys, q):
+    def test_fss_gen_bad_q(self, tmp_path, capsys, monkeypatch, q):
+        # the check comes before the engine set-up and its radial solves
+        def unreachable(*args, **kwargs):
+            raise AssertionError("radial solve before the --q check")
+
+        for solver in ("solve_initial", "solve_radial"):
+            monkeypatch.setattr(tribeta.franck_condon.overlaps, solver,
+                                unreachable)
         out = tmp_path / "fss.dat"
         self.assert_input_error(
             ["fss", "gen", "--q", q, "--j-max", "2", "--v-max", "3",
@@ -334,6 +342,30 @@ class TestUsageErrors:
         argv[2] = str(data)
         self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
                                 capsys, f"{data}.json", fragment)
+
+    @pytest.mark.parametrize("kind", ["fit-config", "dataset-sidecar",
+                                      "spectrum-params", "fss-gen-model"])
+    def test_malformed_json_names_file(self, fit_inputs, small_fss_file,
+                                       tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        argv = list(fit_inputs[0]) + ["--out", str(tmp_path / "r.json")]
+        if kind == "fit-config":
+            argv[4] = str(bad)
+        elif kind == "dataset-sidecar":
+            data = tmp_path / "data.csv"
+            shutil.copyfile(argv[2], data)
+            argv[2] = str(data)
+            bad = Path(f"{data}.json")
+        elif kind == "spectrum-params":
+            argv = ["spectrum", "--params", str(bad), "--fss",
+                    str(small_fss_file), "--emin", str(W0 - 10.0), "--emax",
+                    str(W0), "--out", str(tmp_path / "s.csv")]
+        else:
+            argv = ["fss", "gen", "--q", "5.0", "--model", str(bad),
+                    "--out", str(tmp_path / "fss.dat")]
+        bad.write_text("{bad")
+        self.assert_input_error(argv, capsys, str(bad),
+                                "Expecting property name")
 
     def test_fit_sidecar_without_exposure_warns(self, fit_inputs, tmp_path,
                                                 capsys):

@@ -10,6 +10,9 @@ Every defaulted function parameter and dataclass field must be passed by
 some call in `src/` (by keyword, by position or through `**`), matched by
 the callee's name, unless it is listed below with its outside source: a
 setting that no caller varies is a constant, not an option.
+
+Both allowlists must stay current: an entry whose name no longer exists,
+or that now has a caller or is now passed, fails the test that reads it.
 """
 
 import ast
@@ -22,8 +25,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tribeta"
 ALLOWED_UNREFERENCED = {
     "chi_square": "public fit statistic, documented in README",
     "save_dataset": "public dataset writer, documented in README",
-    "moment_form_spectrum_term": "subject of acceptance criterion 8",
-    "direct_spectrum_term": "reference side of acceptance criterion 8",
     "operator_moments": "subject of acceptance criterion 5",
     "c_term_bound": "subject of acceptance criterion 6",
 }
@@ -49,16 +50,19 @@ def test_every_top_level_definition_has_a_caller():
     for tree in modules.values():
         for name, node in _references(tree):
             refs.setdefault(name, []).append(node)
-    unreferenced = []
+    unreferenced, flagged = [], []
     for path, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(id(r) not in own for r in refs.get(node.name, [])) \
-                    and node.name not in ALLOWED_UNREFERENCED:
-                unreferenced.append(f"{path.relative_to(SRC)}:{node.name}")
-    assert unreferenced == []
+            if not any(id(r) not in own for r in refs.get(node.name, [])):
+                unreferenced.append(node.name)
+                if node.name not in ALLOWED_UNREFERENCED:
+                    flagged.append(f"{path.relative_to(SRC)}:{node.name}")
+    assert flagged == []
+    # a stale entry: the name is gone or now has a caller
+    assert sorted(set(ALLOWED_UNREFERENCED) - set(unreferenced)) == []
 
 
 def test_no_unused_module_imports():
@@ -89,8 +93,6 @@ ALLOWED_UNPASSED = {
     "ResponseModel.step_fraction": "read from the fit.json response",
     "SpectrumParams.z_daughter": "read from the spectrum params.json",
     "operator_moments.v_max": "set by acceptance criterion 5",
-    "moment_form_spectrum_term.m2nu_ev2": "set by acceptance criterion 8",
-    "direct_spectrum_term.m2nu_ev2": "set by acceptance criterion 8",
     "solve_initial.n_states": "the Morse oracle test reads excited levels",
     "main.argv": "argument list of the console entry point, for callers",
 }
@@ -161,12 +163,16 @@ def test_every_setting_is_passed_by_a_caller():
     """A default that no call in src/ overrides is a constant, not an option."""
     modules = _modules()
     calls = _calls(modules.values())
-    unpassed = []
+    unpassed, allowed_used = [], set()
     for path, tree in modules.items():
         for owner, name, pos in _settings(tree):
-            passed = any(name in kw or star or n_pos > pos
-                         for kw, n_pos, star in calls.get(owner, []))
-            if not passed and owner not in ALLOWED_UNPASSED \
-                    and f"{owner}.{name}" not in ALLOWED_UNPASSED:
+            if any(name in kw or star or n_pos > pos
+                   for kw, n_pos, star in calls.get(owner, [])):
+                continue
+            allowed = {owner, f"{owner}.{name}"} & set(ALLOWED_UNPASSED)
+            allowed_used |= allowed
+            if not allowed:
                 unpassed.append(f"{path.relative_to(SRC)}:{owner}.{name}")
     assert unpassed == []
+    # a stale entry: the setting is gone or now passed
+    assert sorted(set(ALLOWED_UNPASSED) - allowed_used) == []

@@ -55,7 +55,9 @@ class TestChiSquare:
         response = ResponseModel(sigma_ev=2.0)
         truth = SpectrumParams(amplitude=1e-11, endpoint_ev=W0, background=6.0)
         centers = np.arange(W0 - 24.0, W0 + 1e-9, 2.0)
-        fss = from_lines(list(study_fss.lines)[:5])
+        fss = from_lines([(study_fss.energies[:5], study_fss.probabilities[:5],
+                           study_fss.channels[:5], study_fss.rotations[:5],
+                           study_fss.vibrations[:5])])
         dataset = generate_pseudodata(truth, fss, response, centers, 1.0,
                                       seed=20260809)
         cfg = FitConfig(window_ev=(centers[0], centers[-1]), initial=truth,
@@ -76,10 +78,10 @@ class TestChiSquare:
                 x = 2 * mp.pi * eta
                 fermi = x / (1 - mp.e**(-x))
                 s = mp.mpf(0)
-                for line in fss.lines:
-                    en = mp.mpf(W0) - e - mp.mpf(line.energy_ev)
+                for energy, prob in zip(fss.energies, fss.probabilities):
+                    en = mp.mpf(W0) - e - mp.mpf(energy)
                     if en > 0:
-                        s += mp.mpf(line.probability) * en**3
+                        s += mp.mpf(prob) * en**3
                 mu += mp.mpf(w) * (mp.mpf("1e-11") / 3) * fermi * (e + me) * pc * s
             mu += 6
             chi2 += (int(n) - mu) ** 2 / mp.mpf(max(float(mu), 1.0))

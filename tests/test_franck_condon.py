@@ -32,29 +32,28 @@ class TestRecoilOverlaps:
     def test_q_zero_only_j0(self, small_model):
         engine = RecoilEngine(small_model, j_max=6, v_max=20)
         fss = engine.overlaps(0.0)
-        rotations = {l.rotation for l in fss.lines if l.channel == 0}
-        assert rotations == {0}
+        assert set(fss.rotations[fss.channels == 0].tolist()) == {0}
 
     def test_q_zero_matches_plain_franck_condon(self, small_model):
         engine = RecoilEngine(small_model, j_max=2, v_max=20)
         fss = engine.overlaps(0.0)
         ps = pseudo_spectrum(small_model, 0.0, v_max=20)
-        probs = [l.probability for l in sorted(
-            (l for l in fss.lines if l.channel == 0),
-            key=lambda l: l.vibration)]
+        ground = fss.channels == 0
+        order = np.argsort(fss.vibrations[ground], kind="stable")
+        probs = fss.probabilities[ground][order]
         assert np.allclose(probs, ps.probabilities, rtol=1e-10)
 
     def test_identical_potentials_orthonormality(self):
         engine = RecoilEngine(identical_curves_model(), j_max=2, v_max=10)
         fss = engine.overlaps(0.0)
-        lines = {(l.vibration, l.rotation): l.probability for l in fss.lines}
-        assert lines[(0, 0)] == pytest.approx(0.8, abs=1e-9)
-        others = [p for (v, j), p in lines.items() if (v, j) != (0, 0)]
-        assert max(others, default=0.0) < 1e-12
+        ground = (fss.vibrations == 0) & (fss.rotations == 0)
+        assert fss.probabilities[ground].tolist() == pytest.approx([0.8],
+                                                                   abs=1e-9)
+        assert np.all(fss.probabilities[~ground] < 1e-12)
 
     def test_sum_rule_moderate_q(self, small_engine, small_model):
         fss = small_engine.overlaps(5.0)
-        total = sum(l.probability for l in fss.lines if l.channel == 0)
+        total = fss.probabilities[fss.channels == 0].sum()
         w_c = small_model.channels[0].weight
         assert total / w_c > 0.995
 
@@ -62,9 +61,9 @@ class TestRecoilOverlaps:
         # closure over (v, J) from a J = 0 state: <J(J+1)> = (2/3) q^2 <R^2>
         q = 5.0
         fss = small_engine.overlaps(q)
-        lines = [l for l in fss.lines if l.channel == 0]
-        p = np.array([l.probability for l in lines])
-        j = np.array([l.rotation for l in lines])
+        ground = fss.channels == 0
+        p = fss.probabilities[ground]
+        j = fss.rotations[ground]
         mean_jj = float(np.sum(j * (j + 1) * p) / p.sum())
         density = small_engine.chi0**2 * small_engine.step
         mean_r2 = float(np.sum(density * small_engine.radii**2))
@@ -72,20 +71,20 @@ class TestRecoilOverlaps:
 
     def test_line_channels_pass_through(self, small_engine):
         fss = small_engine.overlaps(5.0)
-        lumped = [l for l in fss.lines if l.channel == 1]
-        assert len(lumped) == 1
-        assert lumped[0].energy_ev == pytest.approx(27.0)
-        assert lumped[0].probability == pytest.approx(0.330)
+        lumped = fss.channels == 1
+        assert lumped.sum() == 1
+        assert fss.energies[lumped][0] == pytest.approx(27.0)
+        assert fss.probabilities[lumped][0] == pytest.approx(0.330)
+        assert fss.rotations[lumped][0] == fss.vibrations[lumped][0] == -1
 
     def test_continuity_in_q(self, small_engine):
         q = 10.0
         delta = 1e-4
         a = small_engine.overlaps(q)
         b = small_engine.overlaps(q + delta)
-        pa = {(l.rotation, l.vibration): l.probability
-              for l in a.lines if l.channel == 0}
-        pb = {(l.rotation, l.vibration): l.probability
-              for l in b.lines if l.channel == 0}
+        pa, pb = ({(j, v): p for c, j, v, p in zip(
+            s.channels.tolist(), s.rotations.tolist(), s.vibrations.tolist(),
+            s.probabilities.tolist()) if c == 0} for s in (a, b))
         # channel sums and a populated line both move smoothly
         assert abs(sum(pa.values()) - sum(pb.values())) < 1e-6
         key = max(pa, key=pa.get)
@@ -111,7 +110,7 @@ class TestRecoilOverlaps:
 class TestPseudoSpectrum:
     def test_hierarchy_and_calibration(self, model, q_endpoint):
         ps = pseudo_spectrum(model, q_endpoint)
-        assert [l.vibration for l in ps.lines] == list(range(len(ps)))
+        assert ps.vibrations.tolist() == list(range(len(ps)))
         shares = ps.probabilities / model.channels[0].weight
         assert shares[0] > shares[1] > shares[2] > shares[3]
         # v=0 share within a factor 2 of 52.2/57.4
@@ -171,9 +170,9 @@ class TestOperatorMoments:
                                        q_endpoint):
         # mean excitation from the recoil FSS vs the operator expression
         fss = small_engine.overlaps(q_endpoint)
-        ground = [l for l in fss.lines if l.channel == 0]
-        p = np.array([l.probability for l in ground])
-        e = np.array([l.energy_ev for l in ground])
+        ground = fss.channels == 0
+        p = fss.probabilities[ground]
+        e = fss.energies[ground]
         full_mean = float((p * e).sum() / p.sum())
         op_mean = operator_moments(small_model, q_endpoint, 1e6, v_max=40).mean_e
         assert abs(op_mean - full_mean) / full_mean < 0.01
@@ -182,8 +181,11 @@ class TestOperatorMoments:
     def test_second_moment_matches_full_fss(self, small_engine, small_model, q):
         # <E^2> of the full recoil FSS, channel 0: the pseudo-spectrum plus
         # the angular-averaged gradient term w_c (1/3) (q/M)^2 <-d^2/dR^2>
-        ground = [l for l in small_engine.overlaps(q).lines if l.channel == 0]
-        full = cumulative_moments(from_lines(ground), 1e6)
+        fss = small_engine.overlaps(q)
+        ground = fss.channels == 0
+        full = cumulative_moments(
+            from_lines([(fss.energies[ground], fss.probabilities[ground], 0,
+                         -1, -1)]), 1e6)
         op = operator_moments(small_model, q, 1e6)
         assert op.mean_e2 == pytest.approx(full.mean_e2, rel=1e-4)
 

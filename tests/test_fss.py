@@ -1,4 +1,4 @@
-"""FSS parsing, moments and the moment-form identity."""
+"""FSS columns, parsing, moments and the moment-form identity."""
 
 import io
 
@@ -7,10 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_kernel import (available_energy, dense_line_sums,
+                         linearized_allowance)
 from tribeta.errors import FssParseError, ValidationError
-from tribeta.fss import (FssLine, cumulative_moments, direct_spectrum_term,
-                         from_lines, load_fss, moment_form_spectrum_term,
-                         save_fss)
+from tribeta.fss import (FinalStateSpectrum, cumulative_moments, from_lines,
+                         load_fss, moment_form_spectrum_term, save_fss)
+from tribeta.kernel import SpectrumParams, linearized_sum
+
+W0 = 18575.0
 
 
 def random_fss(rng, n_lines=None):
@@ -18,8 +22,57 @@ def random_fss(rng, n_lines=None):
     energies = np.sort(rng.uniform(0.0, 60.0, n))
     probs = rng.uniform(0.0, 1.0, n)
     probs *= rng.uniform(0.2, 1.0) / probs.sum()
-    return from_lines([FssLine(float(e), float(p))
-                       for e, p in zip(energies, probs)])
+    return from_lines([(energies, probs, 0, -1, -1)])
+
+
+def one_line(energy, prob):
+    return from_lines([(energy, prob, 0, -1, -1)])
+
+
+def columns(**change):
+    """FinalStateSpectrum from two valid columns, with `change` applied."""
+    cols = {"energies": np.array([0.0, 1.0]),
+            "probabilities": np.array([0.5, 0.5]),
+            "channels": np.array([0, 1]), "rotations": np.array([3, -1]),
+            "vibrations": np.array([2, -1])}
+    cols.update(change)
+    return FinalStateSpectrum(**cols, q_ref=None, provenance={})
+
+
+class TestFinalStateSpectrum:
+    @pytest.mark.parametrize("change,fragment", [
+        ({name: np.empty(0, dtype) for name, dtype in (
+            ("energies", float), ("probabilities", float),
+            ("channels", int), ("rotations", int), ("vibrations", int))},
+         "must contain lines"),
+        ({"energies": np.array([0.0, np.nan])}, "must be finite"),
+        ({"probabilities": np.array([0.5, np.inf])}, "must be finite"),
+        ({"probabilities": np.array([0.5, -0.1])}, "negative probability"),
+        ({"channels": np.array([0, -1])}, "channel index must be >= 0"),
+        ({"energies": np.array([1.0, 0.0])}, "sorted ascending"),
+        ({"probabilities": np.array([0.9, 0.9])}, "total probability"),
+        ({"probabilities": np.array([0.0, 0.0])}, "total probability"),
+    ], ids=["empty", "nan-energy", "inf-probability", "negative-probability",
+            "negative-channel", "unsorted", "total-above-1", "total-zero"])
+    def test_rejects_bad_columns(self, change, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            columns(**change)
+
+    def test_columns_read_only(self):
+        fss = columns()
+        for column in (fss.energies, fss.probabilities, fss.channels,
+                       fss.rotations, fss.vibrations):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_from_lines_sorts_blocks_stably(self):
+        fss = from_lines([(np.array([2.0, 0.5]), 0.25, 0, np.array([4, 5]), 1),
+                          (2.0, 0.25, 1, -1, -1), (0.5, 0.25, 2, -1, -1)])
+        assert fss.energies.tolist() == [0.5, 0.5, 2.0, 2.0]
+        assert fss.channels.tolist() == [0, 2, 0, 1]
+        assert fss.rotations.tolist() == [5, -1, 4, -1]
+        assert fss.vibrations.tolist() == [1, -1, 1, -1]
+        assert fss.rotations.dtype == np.int64
 
 
 class TestIO:
@@ -43,7 +96,7 @@ class TestIO:
                                              (1.0, float("nan"))])
     def test_non_finite_line_rejected(self, energy, prob):
         with pytest.raises(ValidationError, match="must be finite"):
-            FssLine(energy, prob)
+            one_line(energy, prob)
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(FssParseError, match="line 3"):
@@ -60,9 +113,9 @@ class TestIO:
 
     def test_comments_and_quantum_labels(self):
         fss = load_fss(io.StringIO("# c\n1.0 0.25 0 12 3\n2.0 0.25 1 - -\n"))
-        assert fss.lines[0].rotation == 12
-        assert fss.lines[0].vibration == 3
-        assert fss.lines[1].rotation is None
+        assert fss.channels.tolist() == [0, 1]
+        assert fss.rotations.tolist() == [12, -1]
+        assert fss.vibrations.tolist() == [3, -1]
 
     @pytest.mark.parametrize("row,fragment", [
         ("1.0 0.5 0 -3 2", "J must be >= 0"),
@@ -83,24 +136,39 @@ class TestIO:
         with pytest.raises(FssParseError, match="line 2"):
             load_fss(io.StringIO("1.0 0.25 0 12 3\n2.0 0.25 - - -\n"))
 
-    def test_round_trip_bit_identical(self, tmp_path, rng):
-        fss = random_fss(np.random.default_rng(7), 25)
+    def test_round_trip_bit_identical(self, tmp_path):
+        gen = np.random.default_rng(7)
+        probs = gen.uniform(0.0, 1.0, 25)
+        fss = from_lines([(gen.uniform(0.0, 60.0, 25),
+                           0.9 * probs / probs.sum(), gen.integers(0, 3, 25),
+                           gen.integers(-1, 4, 25), gen.integers(-1, 4, 25))],
+                         q_ref=18.6)
+        assert np.any(fss.rotations == -1) and np.any(fss.vibrations == -1)
         path = tmp_path / "t.fss"
         save_fss(fss, str(path))
         back = load_fss(str(path))
-        assert np.array_equal(back.energies, fss.energies)
-        assert np.array_equal(back.probabilities, fss.probabilities)
-        # file ends with a newline
-        assert path.read_text().endswith("\n")
+        for name in ("energies", "probabilities", "channels", "rotations",
+                     "vibrations"):
+            got, want = getattr(back, name), getattr(fss, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert back.q_ref == fss.q_ref
+        # -1 labels are written as `-`, and the file ends with a newline
+        text = path.read_text()
+        labels = [token for row in text.splitlines() if not row.startswith("#")
+                  for token in row.split()[3:]]
+        assert labels.count("-") == np.sum(fss.rotations == -1) \
+            + np.sum(fss.vibrations == -1)
+        assert "-1" not in labels
+        assert text.endswith("\n")
 
     def test_total_probability_bound(self):
         with pytest.raises(ValidationError):
-            from_lines([FssLine(0.0, 0.9), FssLine(1.0, 0.9)])
+            from_lines([(np.array([0.0, 1.0]), 0.9, 0, -1, -1)])
 
 
 class TestCumulativeMoments:
     def test_single_line_open(self):
-        fss = from_lines([FssLine(2.0, 0.6)])
+        fss = one_line(2.0, 0.6)
         m = cumulative_moments(fss, 5.0)
         assert m.p_open == pytest.approx(0.6)
         assert m.mean_e == pytest.approx(2.0)
@@ -108,14 +176,14 @@ class TestCumulativeMoments:
         assert m.mean_e3 == pytest.approx(8.0)
 
     def test_single_line_closed(self):
-        fss = from_lines([FssLine(2.0, 0.6)])
+        fss = one_line(2.0, 0.6)
         m = cumulative_moments(fss, 1.0)
         assert not m.open
         assert m.p_open == 0.0
         assert m.mean_e is None and m.mean_e2 is None and m.mean_e3 is None
 
     def test_threshold_is_strict(self):
-        fss = from_lines([FssLine(2.0, 0.6)])
+        fss = one_line(2.0, 0.6)
         assert not cumulative_moments(fss, 2.0).open
         assert cumulative_moments(fss, 2.0 + 1e-12).open
 
@@ -135,48 +203,33 @@ class TestCumulativeMoments:
 
 class TestMomentFormIdentity:
     def test_single_line_binomial(self):
-        fss = from_lines([FssLine(3.0, 0.7)])
+        fss = one_line(3.0, 0.7)
         eps = 10.0
-        assert moment_form_spectrum_term(fss, eps) == pytest.approx(
-            0.7 * (eps - 3.0) ** 3, rel=1e-12)
+        term = float(moment_form_spectrum_term(fss, eps, 0.0))
+        assert term == pytest.approx(0.7 * (eps - 3.0) ** 3, rel=1e-12)
 
     def test_closed_returns_zero(self):
-        fss = from_lines([FssLine(3.0, 0.7)])
+        fss = one_line(3.0, 0.7)
         assert moment_form_spectrum_term(fss, 1.0, 2.5) == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.floats(min_value=-5.0, max_value=5.0))
-    @example(seed=23915, m2nu=0.0)
-    def test_identity_random(self, seed, m2nu):
+           st.floats(min_value=-5.0, max_value=5.0), st.booleans())
+    @example(seed=23915, m2nu=0.0, drift=False)
+    def test_identity_random(self, seed, m2nu, drift):
         rng = np.random.default_rng(seed)
         fss = random_fss(rng)
-        eps = float(rng.uniform(0.5, 120.0))
-        a = moment_form_spectrum_term(fss, eps, m2nu)
-        b = direct_spectrum_term(fss, eps, m2nu)
-        # Forward-error bound (Higham's gamma_k = k u / (1 - k u)) over the
-        # n open lines.  S, the sum of the term magnitudes, bounds both
-        # forms: |eps_n|^3 <= (eps + |E_n|)^3 expands to its first terms.
-        # Moment form: a P_eps eps^3 term takes n - 1 roundings from the sum
-        # P_eps, 2 from pow (under 1 ulp), 4 from the bracket's additions
-        # and 1 from the product by P_eps; a moment term takes at most
-        # 3 + (n - 1) + 1 for p e^k, its sum and the division (P_eps then
-        # cancels), 1 + 2 + 1 for the coefficient, eps^2 and product, and
-        # the same 4 + 1: at most n + 10.  Direct form: eps_n takes 1,
-        # its cube 3 + 2, the m2nu part 2, the difference and the product
-        # by P_n 2, the sum n - 1: at most n + 6.  So
-        # |a - b| <= (gamma_{n+10} + gamma_{n+6}) S <= 2 gamma_{n+10} S.
-        open_mask = fss.energies < eps
-        e = np.abs(fss.energies[open_mask])
-        s = float((fss.probabilities[open_mask]
-                   * (eps**3 + 3.0 * e * eps**2 + 3.0 * e**2 * eps
-                      + 1.5 * abs(m2nu) * (eps + e) + e**3)).sum())
-        ku = (int(open_mask.sum()) + 10) * 2.0**-53
-        allowance = 2.0 * ku / (1.0 - ku) * s
+        eps_beta = W0 - float(rng.uniform(0.5, 120.0))
+        params = SpectrumParams(amplitude=1.0, endpoint_ev=W0, m2nu_ev2=m2nu,
+                                endpoint_drift=drift)
+        a = linearized_sum(eps_beta, params, fss)
+        b = float(dense_line_sums(eps_beta, params, fss)["linearized"][0])
+        allowance = linearized_allowance(available_energy(eps_beta, params),
+                                         m2nu, fss)[0]
         assert abs(a - b) <= max(1e-10 * max(abs(a), abs(b)), allowance)
 
     def test_m2_zero_monotone_in_eps(self):
         fss = random_fss(np.random.default_rng(17))
         eps = np.linspace(0.0, 100.0, 500)
-        vals = [moment_form_spectrum_term(fss, e, 0.0) for e in eps]
+        vals = moment_form_spectrum_term(fss, eps, 0.0)
         assert np.all(np.diff(vals) >= -1e-9 * max(vals))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tribeta.errors import ValidationError
-from tribeta.fss import FssLine, from_lines, moment_form_spectrum_term
+from tribeta.fss import from_lines
 import tribeta.kernel
 from tribeta.kernel import (SpectrumParams, differential_spectrum,
                             effective_endpoint, integral_spectrum,
@@ -22,7 +22,7 @@ W0 = 18575.0
 
 
 def single_line_fss(energy=0.0, prob=1.0):
-    return from_lines([FssLine(energy, prob)])
+    return from_lines([(energy, prob, 0, -1, -1)])
 
 
 def params(**kw):
@@ -51,7 +51,7 @@ class TestClosedForms:
         assert differential_spectrum(eps, p, fss) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_above_threshold(self):
-        fss = from_lines([FssLine(5.0, 1.0)])
+        fss = single_line_fss(5.0)
         p = params()
         assert differential_spectrum(W0 - 4.0, p, fss) == 0.0
         assert integral_spectrum(W0 + 10.0, p, fss) == 0.0
@@ -107,10 +107,10 @@ class TestHighPrecisionOracle:
         m2 = mp.mpf("1.5")
         mnu = mp.sqrt(m2)
         total = mp.mpf(0)
-        for line in study_fss.lines:
-            en = mp.mpf(W0) - eps_mp - mp.mpf(line.energy_ev)
+        for energy, prob in zip(study_fss.energies, study_fss.probabilities):
+            en = mp.mpf(W0) - eps_mp - mp.mpf(energy)
             if en > mnu:
-                total += mp.mpf(line.probability) * (en**2 - m2) ** mp.mpf("1.5")
+                total += mp.mpf(prob) * (en**2 - m2) ** mp.mpf("1.5")
         oracle = float(mp.mpf("2.5") / 3 * fermi * e_tot * pc * total)
         assert integral_spectrum(eps, p, study_fss) == pytest.approx(oracle, rel=1e-10)
 
@@ -123,12 +123,18 @@ class TestLinearizedForm:
         b = linearized_spectrum(eps, p, study_fss)
         assert np.allclose(a, b, rtol=1e-12)
 
-    def test_matches_moment_form(self, study_fss):
-        p = params(m2nu_ev2=1.0)
-        for depth in (3.0, 30.0, 150.0):
-            eps = W0 - depth
-            assert linearized_sum(eps, p, study_fss) == pytest.approx(
-                moment_form_spectrum_term(study_fss, depth, 1.0), rel=1e-10)
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("m2", [-0.5, 0.0, 0.5])
+    def test_matches_direct_line_sum(self, wide, study_fss, m2, drift):
+        p = params(m2nu_ev2=m2, endpoint_drift=drift)
+        # depths from beyond the endpoint to 1000 eV; 200 energies keep the
+        # dense reference on the 5000-line FSS near 8 MB per temporary
+        eps = np.linspace(W0 - 1000.0, W0 + 10.0, 200)
+        for fss in (wide, study_fss):
+            got = linearized_sum(eps, p, fss)
+            want = dense_line_sums(eps, p, fss)["linearized"]
+            allowance = linearized_allowance(available_energy(eps, p), m2, fss)
+            assert np.all(np.abs(got - want) <= allowance)
 
     def test_difference_shrinks_with_depth(self, study_fss):
         # |integral - linearized| decreases like m^4 / depth
@@ -142,10 +148,10 @@ class TestLinearizedForm:
 
 class TestStructureProperties:
     def test_channel_additivity(self, rng):
-        lines = [FssLine(float(e), 0.1) for e in sorted(rng.uniform(0, 40, 8))]
-        whole = from_lines(lines)
-        part_a = from_lines(lines[:4])
-        part_b = from_lines(lines[4:])
+        energies = np.sort(rng.uniform(0, 40, 8))
+        whole = from_lines([(energies, 0.1, 0, -1, -1)])
+        part_a = from_lines([(energies[:4], 0.1, 0, -1, -1)])
+        part_b = from_lines([(energies[4:], 0.1, 0, -1, -1)])
         p = params(m2nu_ev2=0.7)
         eps = np.linspace(W0 - 120.0, W0 - 1.0, 25)
         total = integral_spectrum(eps, p, whole)
@@ -206,8 +212,7 @@ def wide_fss(n_lines, lowest_ev=2.0):
     energies[0] = lowest_ev
     probs = gen.uniform(0.0, 1.0, n_lines)
     probs *= 0.9 / probs.sum()
-    return from_lines([FssLine(float(e), float(q))
-                       for e, q in zip(energies, probs)])
+    return from_lines([(energies, probs, 0, -1, -1)])
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +224,12 @@ def dense_line_sums(eps, p, fss):
     """Reference: every line sum as one (energies x lines) array, no blocks.
 
     Returns the spectral, linearized and differential sums and the three
-    `integral_spectrum_derivatives` outputs, each with its prefactor.
+    `integral_spectrum_derivatives` outputs, each with its prefactor.  The
+    linearized sum is the direct line sum that the kernel's moment form is
+    checked against.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if p.endpoint_drift:
-        w0eff = effective_endpoint(eps, p.endpoint_ev)
-    else:
-        w0eff = np.full_like(eps, p.endpoint_ev)
-    en = w0eff[:, None] - eps[:, None] - fss.energies[None, :]
+    en = available_energy(eps, p)[:, None] - fss.energies[None, :]
     m2 = p.m2nu_ev2
     if m2 >= 0.0:
         gate = en > np.sqrt(m2)
@@ -253,10 +256,44 @@ def dense_line_sums(eps, p, fss):
             "d_m2": scale * ds_dm2}
 
 
+def available_energy(eps, p):
+    """W0_eff - eps, as the kernel computes it."""
+    eps = np.asarray(eps, dtype=float)
+    w0eff = effective_endpoint(eps, p.endpoint_ev) if p.endpoint_drift \
+        else np.full_like(eps, p.endpoint_ev)
+    return w0eff - eps
+
+
+def linearized_allowance(avail, m2, fss):
+    """Forward-error bound on |moment form - direct line sum| at each
+    available energy, for an FSS whose lowest line E_0 is >= 0.
+
+    Higham's gamma_k = k u / (1 - k u) over the n open lines.  S, the sum of
+    the term magnitudes, bounds both forms: |eps_n|^3 <= (eps + |E_n|)^3
+    expands to its first terms.  Moment form, with energies counted from
+    E_0 (so y + E_n - E_0 <= eps + E_n, y = eps - E_0): a sum of
+    P (E - E_0)^k takes 1 rounding for E - E_0, up to 3 for the products
+    and n - 1 for the prefix sum; its term takes 1 for y, at most 2 for the
+    power (pow is under 1 ulp), 1 for the coefficient and 1 for the
+    product, or 1 for s0 y, 1 for the difference, 1 for 1.5 m2nu and 1 for
+    the product, and 4 for the bracket's additions: at most n + 9.  Direct
+    form: eps_n takes 1, its cube 2, the m2nu part 2, the difference and the
+    product by P_n 2, the sum n - 1: at most n + 6.  So
+    |moment - direct| <= (gamma_{n+9} + gamma_{n+6}) S <= 2 gamma_{n+10} S.
+    """
+    assert fss.energies[0] >= 0.0
+    eps = np.atleast_1d(avail)[:, None]
+    e = fss.energies[None, :]
+    open_mask = e < eps
+    s = (fss.probabilities * np.where(
+        open_mask, (eps + e)**3 + 1.5 * abs(m2) * (eps + e), 0.0)).sum(axis=1)
+    ku = (open_mask.sum(axis=1) + 10) * 2.0**-53
+    return 2.0 * ku / (1.0 - ku) * s
+
+
 def blocked_line_sums(eps, p, fss):
     value, d_w0, d_m2 = integral_spectrum_derivatives(eps, p, fss)
     return {"spectral": spectral_sum(eps, p, fss),
-            "linearized": linearized_sum(eps, p, fss),
             "differential": differential_spectrum(eps, p, fss),
             "value": value, "d_w0": d_w0, "d_m2": d_m2}
 
@@ -268,9 +305,9 @@ class TestBlockedLineSums:
     def assert_bytes_equal(eps, p, fss):
         got = blocked_line_sums(eps, p, fss)
         want = dense_line_sums(eps, p, fss)
-        for name, ref in want.items():
-            value = np.asarray(got[name], dtype=float).ravel()
-            assert value.tobytes() == ref.tobytes(), name
+        for name, value in got.items():
+            value = np.asarray(value, dtype=float).ravel()
+            assert value.tobytes() == want[name].tobytes(), name
 
     @staticmethod
     def unsorted_grid(n, lo, hi):

@@ -1,5 +1,6 @@
 """Radial solver against the Morse closed form; grid and model contracts."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -171,7 +172,7 @@ class TestModelValidation:
                 channels=(Channel(kind="line", weight=0.5, offset_ev=20.0),))
 
     def test_json_round_trip(self, model):
-        back = MoleculeModel.from_json(model.to_json())
+        back = MoleculeModel.from_dict(json.loads(model.to_json()))
         assert back == model
         assert back.parameter_hash() == model.parameter_hash()
 

@@ -8,13 +8,14 @@ from .overlaps import (RecoilEngine, c_term_bound, check_recoil_momentum,
                        laplacian_expectation, operator_moments,
                        pseudo_spectrum, rotational_shift_ev)
 from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, kinetic_matrix,
-                     solve_initial, solve_radial)
+                     rotational_bases, solve_initial, solve_radial)
 
 __all__ = [
     "Channel", "GridSpec", "MoleculeModel", "MorseParams", "RadialEigenbasis",
     "RecoilEngine", "c_term_bound", "check_recoil_momentum", "default_model",
     "kinetic_matrix", "laplacian_expectation", "operator_moments",
-    "pseudo_spectrum", "rotational_shift_ev", "solve_initial",
+    "pseudo_spectrum", "rotational_bases", "rotational_shift_ev",
+    "solve_initial",
     "solve_radial", "spherical_jn_table", "CONVERGENCE_TOL_EV",
     "GROUND_CHANNEL_WEIGHT", "IONIC_GROUND", "T2_INITIAL",
 ]

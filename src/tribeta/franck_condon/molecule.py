@@ -99,9 +99,10 @@ class MoleculeModel:
             raise ValidationError("reduced masses must be positive")
         if not self.channels:
             raise ValidationError("at least one final channel is required")
-        if self.channels[0].kind != "morse":
+        if self.channels[0].kind != "morse" or self.channels[0].weight == 0.0:
             raise ConfigurationError(
-                "channel 0 must be a Morse well (it sets the energy reference)")
+                "channel 0 must be a Morse well with weight > 0 (its v = 0, "
+                "J = 0 level sets the energy reference)")
         total = sum(c.weight for c in self.channels)
         if total > 1.0 + 1e-9:
             raise ValidationError(f"channel weights sum to {total} > 1")

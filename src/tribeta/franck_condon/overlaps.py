@@ -23,7 +23,8 @@ from ..fss import FinalStateSpectrum, MomentSet, cumulative_moments, from_lines
 from ..physics import CONSTANTS
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
-from .radial import RadialEigenbasis, kinetic_matrix, solve_initial, solve_radial
+from .radial import (RadialEigenbasis, kinetic_matrix, rotational_bases,
+                     solve_initial, solve_radial)
 
 #: generated spectra warn when a channel captures less than this fraction
 TRUNCATION_WARN_FRACTION = 0.99
@@ -39,10 +40,12 @@ def check_recoil_momentum(q_au: float) -> None:
 class RecoilEngine:
     """Caches radial eigenbases so overlaps at many q are cheap.
 
-    Eigenbases are q-independent; a generation run is deterministic given
-    the model and grid.  convergence_check runs the N-doubling gate at J = 0
-    only: above it, boxed continuum pseudo-states move on doubling however
-    good the grid is (measurements in README).
+    Each non-line channel's J = 0 ... j_max bases come from one dense J = 0
+    solve (`rotational_bases`).  Eigenbases are q-independent; a generation
+    run is deterministic given the model and grid.  convergence_check runs
+    the N-doubling gate on that J = 0 solve only: above it, boxed continuum
+    pseudo-states move on doubling however good the grid is (measurements
+    in README).
     """
 
     def __init__(self, model: MoleculeModel, j_max: int = 60, v_max: int = 80,
@@ -56,15 +59,12 @@ class RecoilEngine:
         self.radii = init.radii
         self.step = init.step
         self.chi0 = init.wavefunctions[:, 0]
-        self.bases: dict[tuple[int, int], RadialEigenbasis] = {}
-        for ic, ch in enumerate(model.channels):
-            if ch.kind == "line" or ch.weight == 0.0:
-                continue
-            for j in range(j_max + 1):
-                self.bases[(ic, j)] = solve_radial(
-                    model, channel=ic, rotation=j, n_states=v_max + 1,
-                    convergence_check=(convergence_check and j == 0))
-        self.reference_ev = self.bases[(0, 0)].energies_ev[0]
+        self.bases: dict[int, list[RadialEigenbasis]] = {
+            ic: rotational_bases(model, ic, j_max, v_max,
+                                 convergence_check=convergence_check)
+            for ic, ch in enumerate(model.channels)
+            if ch.kind != "line" and ch.weight > 0.0}
+        self.reference_ev = self.bases[0][0].energies_ev[0]
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units)."""
@@ -81,8 +81,7 @@ class RecoilEngine:
                 deficits[ch.label or f"channel{ic}"] = 0.0
                 continue
             total = 0.0
-            for j in range(self.j_max + 1):
-                basis = self.bases[(ic, j)]
+            for j, basis in enumerate(self.bases[ic]):
                 radial = jtab[j] * self.chi0
                 integrals = basis.wavefunctions.T @ radial * self.step
                 probs = ch.weight * (2 * j + 1) * integrals**2
@@ -119,7 +118,7 @@ def pseudo_spectrum(model: MoleculeModel, q_au: float,
     """Ground-channel vibrational pseudo-spectrum: lines w_c |<v|T2>|^2 of
     the J = 0 basis at E_v - E_0 + q^2/2M, labelled by v (P > 0 only)."""
     init = solve_initial(model)
-    basis = solve_radial(model, channel=0, rotation=0, n_states=v_max + 1)
+    basis = solve_radial(model, channel=0, n_states=v_max + 1)
     integrals = basis.wavefunctions.T @ init.wavefunctions[:, 0] * init.step
     probs = model.channels[0].weight * integrals**2
     energies = (basis.energies_ev - basis.energies_ev[0]) \

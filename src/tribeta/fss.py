@@ -83,6 +83,13 @@ class FinalStateSpectrum:
         for column in (e, p, self.channels, self.rotations, self.vibrations):
             column.setflags(write=False)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which checks and freezes the
+        # columns again (bias_scan worker processes receive spectra by pickle)
+        return (type(self), (self.energies, self.probabilities, self.channels,
+                             self.rotations, self.vibrations, self.q_ref,
+                             self.provenance))
+
     @property
     def total_probability(self) -> float:
         return float(self.probabilities.sum())

@@ -319,7 +319,7 @@ class TestUsageErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("radial solve before the --q check")
 
-        for solver in ("solve_initial", "solve_radial"):
+        for solver in ("solve_initial", "rotational_bases"):
             monkeypatch.setattr(tribeta.franck_condon.overlaps, solver,
                                 unreachable)
         out = tmp_path / "fss.dat"
@@ -327,6 +327,25 @@ class TestUsageErrors:
             ["fss", "gen", "--q", q, "--j-max", "2", "--v-max", "3",
              "--no-grid-check", "--out", str(out)], capsys,
             "recoil momentum must be finite and >= 0")
+        assert not out.exists()
+
+    def test_fss_gen_zero_weight_ground_channel(self, tmp_path, capsys,
+                                                monkeypatch):
+        # channel 0's (v = 0, J = 0) level is the energy reference
+        def unreachable(*args, **kwargs):
+            raise AssertionError("radial solve for an invalid model")
+
+        for solver in ("solve_initial", "rotational_bases"):
+            monkeypatch.setattr(tribeta.franck_condon.overlaps, solver,
+                                unreachable)
+        doc = default_model().to_dict()
+        doc["channels"][0]["weight"] = 0.0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "fss.dat"
+        self.assert_input_error(
+            ["fss", "gen", "--q", "5", "--model", str(model), "--out",
+             str(out)], capsys, "channel 0", "weight > 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("sidecar,fragment", [

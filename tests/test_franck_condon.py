@@ -11,6 +11,7 @@ from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
                                    laplacian_expectation, operator_moments,
                                    pseudo_spectrum, rotational_shift_ev,
                                    solve_initial)
+from tribeta.franck_condon import radial
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.fss import cumulative_moments, from_lines
 from tribeta.physics import CONSTANTS
@@ -89,6 +90,21 @@ class TestRecoilOverlaps:
         assert abs(sum(pa.values()) - sum(pb.values())) < 1e-6
         key = max(pa, key=pa.get)
         assert abs(pa[key] - pb[key]) < 1e-3
+
+    def test_one_dense_solve_per_channel(self, model, monkeypatch):
+        # every J of a channel comes from one J = 0 solve (plus its gate)
+        sizes = {}
+        solve_grid = radial._solve_grid
+
+        def counted(potential, radii, mass_au, n_states):
+            sizes.setdefault(mass_au, []).append(radii.size)
+            return solve_grid(potential, radii, mass_au, n_states)
+
+        monkeypatch.setattr(radial, "_solve_grid", counted)
+        RecoilEngine(model, j_max=60, v_max=80, convergence_check=True)
+        n = model.grid.points
+        assert sizes == {model.initial_mass_au: [n],
+                         model.final_mass_au: [n, 2 * n]}
 
     def test_provenance_records_truncation(self, small_engine):
         fss = small_engine.overlaps(5.0)

@@ -1,6 +1,8 @@
 """FSS columns, parsing, moments and the moment-form identity."""
 
 import io
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +64,18 @@ class TestFinalStateSpectrum:
         fss = columns()
         for column in (fss.energies, fss.probabilities, fss.channels,
                        fss.rotations, fss.vibrations):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_pickle_round_trip_keeps_columns_read_only(self):
+        # bias_scan sends the spectrum to its worker processes by pickle
+        fss = replace(columns(), q_ref=18.64, provenance={"v_max": 24})
+        back = pickle.loads(pickle.dumps(fss))
+        assert back.q_ref == fss.q_ref and back.provenance == fss.provenance
+        for name in ("energies", "probabilities", "channels", "rotations",
+                     "vibrations"):
+            column = getattr(back, name)
+            assert np.array_equal(column, getattr(fss, name))
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1
 

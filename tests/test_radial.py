@@ -7,10 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh
+
 from tribeta.errors import AccuracyError, ConfigurationError, ValidationError
-from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
-                                   MorseParams, default_model, kinetic_matrix,
-                                   solve_initial, solve_radial)
+from tribeta.franck_condon import (CONVERGENCE_TOL_EV, Channel, GridSpec,
+                                   MoleculeModel, MorseParams, default_model,
+                                   kinetic_matrix, rotational_bases,
+                                   solve_initial, solve_radial,
+                                   spherical_jn_table)
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.physics import CONSTANTS
 
@@ -52,7 +56,7 @@ class TestGridOperators:
 
 class TestMorseOracle:
     def test_closed_form_eigenvalues(self, model):
-        basis = solve_radial(model, channel=0, rotation=0, n_states=8)
+        basis = solve_radial(model, channel=0, n_states=8)
         exact = morse_levels(2.04, 1.30, model.final_mass_au, 6)
         # grid eigenvalues are measured from the potential minimum
         numeric = basis.energies_ev[:6] - 2.04
@@ -84,12 +88,16 @@ class TestMorseOracle:
 
 class TestBasisContracts:
     def test_orthonormality(self, model):
-        basis = solve_radial(model, channel=0, rotation=7, n_states=12)
-        gram = basis.wavefunctions.T @ basis.wavefunctions * basis.step
-        assert np.abs(gram - np.eye(12)).max() < 1e-10
+        # J = 60 maps 81 of the 200 projected J = 0 vectors back to the grid
+        bases = rotational_bases(model, 0, j_max=60, v_max=80,
+                                 convergence_check=False)
+        for j in (7, 60):
+            basis = bases[j]
+            gram = basis.wavefunctions.T @ basis.wavefunctions * basis.step
+            assert np.abs(gram - np.eye(81)).max() < 1e-10
 
     def test_eigenvalues_strictly_increasing(self, model):
-        basis = solve_radial(model, channel=0, rotation=0, n_states=25)
+        basis = solve_radial(model, channel=0, n_states=25)
         assert np.all(np.diff(basis.energies_ev) > 0.0)
 
     def test_variational_monotone_with_grid(self):
@@ -102,7 +110,7 @@ class TestBasisContracts:
         assert np.all(levels[1] >= levels[2] - 1e-10)
 
     def test_bound_state_count_flags(self, model):
-        basis = solve_radial(model, channel=0, rotation=0, n_states=31)
+        basis = solve_radial(model, channel=0, n_states=31)
         assert 0 < basis.n_bound < 31
         assert np.all(basis.energies_ev[: basis.n_bound] < 2.04)
         assert np.all(basis.energies_ev[basis.n_bound:] > 2.04)
@@ -116,14 +124,16 @@ class TestBasisContracts:
         assert alt - estimate == pytest.approx(0.25 / two_m_r2 * HART, rel=1e-12)
         # solver shift agrees in order: at J=25 the ~1.9 eV centrifugal term
         # reshapes the 2 eV well, so the rigid-rotor value is an upper bound
-        e0 = solve_radial(model, rotation=0, n_states=1).energies_ev[0]
-        e25 = solve_radial(model, rotation=25, n_states=1).energies_ev[0]
+        bases = rotational_bases(model, 0, j_max=25, v_max=0,
+                                 convergence_check=False)
+        e0, e25 = bases[0].energies_ev[0], bases[25].energies_ev[0]
         assert 0.5 * estimate < (e25 - e0) < 1.05 * estimate
 
     def test_centrifugal_shift_small_j(self, model):
         # negligible well distortion at J=2: rigid-rotor estimate good to %
-        e0 = solve_radial(model, rotation=0, n_states=1).energies_ev[0]
-        e2 = solve_radial(model, rotation=2, n_states=1).energies_ev[0]
+        bases = rotational_bases(model, 0, j_max=2, v_max=0,
+                                 convergence_check=False)
+        e0, e2 = bases[0].energies_ev[0], bases[2].energies_ev[0]
         r_eq = model.channels[0].morse.r_eq_bohr
         estimate = 2 * 3 / (2.0 * model.final_mass_au * r_eq**2) * HART
         assert (e2 - e0) == pytest.approx(estimate, rel=0.05)
@@ -140,6 +150,56 @@ class TestBasisContracts:
             grid=GridSpec(0.3, 12.0, 256))
         with pytest.raises(AccuracyError):
             solve_radial(stiff, n_states=10, convergence_check=True)
+
+
+def coulomb_model():
+    ground = default_model().channels[0]
+    return replace(default_model(), channels=(
+        ground, Channel(kind="coulomb", weight=0.2, z_eff=2.0)))
+
+
+class TestRotationalBases:
+    """Bases projected from one J = 0 solve against a dense solve per J."""
+
+    @staticmethod
+    def dense_levels(model, channel, j, n_states):
+        radii = model.grid.radii()
+        step = radii[1] - radii[0]
+        h = kinetic_matrix(radii.size, step, model.final_mass_au)
+        h[np.diag_indices(radii.size)] += model.potential(channel) + j * (
+            j + 1) / (2.0 * model.final_mass_au * radii**2)
+        w, v = eigh(h, subset_by_index=[0, n_states - 1])
+        return w * HART, v / np.sqrt(step)
+
+    # v_max 12 / j_max 12 at q = 4: K = 2 (v_max + 1) alone misses by 5e-4 eV
+    @pytest.mark.parametrize("build,channel,j_max,v_max,q", [
+        (default_model, 0, 60, 80, None),
+        (default_model, 0, 60, 120, None),
+        (default_model, 0, 12, 12, 4.0),
+        (coulomb_model, 1, 60, 80, None),
+    ], ids=["v80", "v120", "v12-j12", "coulomb"])
+    def test_matches_dense_solve_at_j_max(self, q_endpoint, build, channel,
+                                          j_max, v_max, q):
+        model = build()
+        basis = rotational_bases(model, channel, j_max, v_max,
+                                 convergence_check=False)[j_max]
+        energies, vectors = self.dense_levels(model, channel, j_max, v_max + 1)
+        assert np.abs(basis.energies_ev - energies).max() \
+            <= CONVERGENCE_TOL_EV / 10
+        init = solve_initial(model)
+        radial = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)[
+            j_max] * init.wavefunctions[:, 0] * init.step
+        probs = (basis.wavefunctions.T @ radial) ** 2
+        assert np.abs(probs - (vectors.T @ radial) ** 2).max() <= 1e-12
+
+    @pytest.mark.parametrize("j_max,dense_states", [(0, 81), (3, 200)])
+    def test_j0_is_the_dense_solve(self, model, j_max, dense_states):
+        # with j_max = 0 nothing is projected: only v_max + 1 states are solved
+        dense = solve_radial(model, n_states=dense_states)
+        basis = rotational_bases(model, 0, j_max, 80,
+                                 convergence_check=False)[0]
+        assert np.array_equal(basis.energies_ev, dense.energies_ev[:81])
+        assert np.array_equal(basis.wavefunctions, dense.wavefunctions[:, :81])
 
 
 class TestModelValidation:
@@ -170,6 +230,11 @@ class TestModelValidation:
             MoleculeModel(
                 initial=MorseParams(4.747, 1.0298, 1.4011),
                 channels=(Channel(kind="line", weight=0.5, offset_ev=20.0),))
+
+    def test_reference_channel_needs_weight(self, model):
+        ground = replace(model.channels[0], weight=0.0)
+        with pytest.raises(ConfigurationError, match="weight > 0"):
+            replace(model, channels=(ground,) + model.channels[1:])
 
     def test_json_round_trip(self, model):
         back = MoleculeModel.from_dict(json.loads(model.to_json()))

@@ -8,7 +8,3 @@ drives the fitted neutrino-mass-squared parameter negative.
 """
 
 __version__ = "0.1.0"
-
-from .physics import CONSTANTS, Constants, Kinematics  # noqa: F401
-from .fss import FinalStateSpectrum, MomentSet  # noqa: F401
-from .kernel import SpectrumParams  # noqa: F401

@@ -25,17 +25,23 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, ModelError, ValidationError
-from .fit import PARAM_NAMES, FitConfig, minimize
-from .franck_condon import (MoleculeModel, RecoilEngine, check_recoil_momentum,
-                            default_model)
-from .fss import cumulative_moments, load_fss, save_fss
-from .kernel import (SpectrumParams, differential_spectrum, integral_spectrum,
-                     linearized_spectrum)
-from .physics import CONSTANTS, CONSTANTS_ENV_VAR
-from .response import ResponseModel, convolve, load_dataset
-from .bias import (ScanSpec, bias_scan, build_study_fss, fig2_study,
-                   save_bias_csv, save_bias_json, save_fig2_csv)
+from .errors import (AccuracyError, ConfigurationError, ModelError,
+                     ValidationError)
+
+try:
+    from .fit import PARAM_NAMES, FitConfig, minimize
+    from .franck_condon import (MoleculeModel, RecoilEngine,
+                                check_recoil_momentum, default_model)
+    from .fss import cumulative_moments, load_fss, save_fss
+    from .kernel import (SpectrumParams, differential_spectrum,
+                         integral_spectrum, linearized_spectrum)
+    from .physics import CONSTANTS, CONSTANTS_ENV_VAR
+    from .response import ResponseModel, convolve, load_dataset
+    from .bias import (ScanSpec, bias_scan, build_study_fss, fig2_study,
+                       save_bias_csv, save_bias_json, save_fig2_csv)
+except ConfigurationError as exc:
+    # physics reads the TRIBETA_CONSTANTS file at import, before main runs
+    sys.exit(f"error: {exc}")
 
 
 def _sha256(path: str) -> str:

@@ -7,12 +7,14 @@ from .molecule import (Channel, GridSpec, MoleculeModel, MorseParams,
 from .overlaps import (RecoilEngine, c_term_bound, check_recoil_momentum,
                        laplacian_expectation, operator_moments,
                        pseudo_spectrum, rotational_shift_ev)
-from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, kinetic_matrix,
-                     rotational_bases, solve_initial, solve_radial)
+from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, RotationalBases,
+                     kinetic_matrix, rotational_bases, solve_initial,
+                     solve_radial)
 
 __all__ = [
     "Channel", "GridSpec", "MoleculeModel", "MorseParams", "RadialEigenbasis",
-    "RecoilEngine", "c_term_bound", "check_recoil_momentum", "default_model",
+    "RecoilEngine", "RotationalBases", "c_term_bound", "check_recoil_momentum",
+    "default_model",
     "kinetic_matrix", "laplacian_expectation", "operator_moments",
     "pseudo_spectrum", "rotational_bases", "rotational_shift_ev",
     "solve_initial",

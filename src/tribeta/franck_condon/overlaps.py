@@ -23,7 +23,7 @@ from ..fss import FinalStateSpectrum, MomentSet, cumulative_moments, from_lines
 from ..physics import CONSTANTS
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
-from .radial import (RadialEigenbasis, kinetic_matrix, rotational_bases,
+from .radial import (RotationalBases, kinetic_matrix, rotational_bases,
                      solve_initial, solve_radial)
 
 #: generated spectra warn when a channel captures less than this fraction
@@ -41,11 +41,13 @@ class RecoilEngine:
     """Caches radial eigenbases so overlaps at many q are cheap.
 
     Each non-line channel's J = 0 ... j_max bases come from one dense J = 0
-    solve (`rotational_bases`).  Eigenbases are q-independent; a generation
-    run is deterministic given the model and grid.  convergence_check runs
-    the N-doubling gate on that J = 0 solve only: above it, boxed continuum
-    pseudo-states move on doubling however good the grid is (measurements
-    in README).
+    solve (`rotational_bases`) and are kept as coefficients C_J in that
+    solve's K states chi_K.  `overlaps` projects onto chi_K once for all J,
+    B = chi_K^T (j_J(qR) chi_0)^T dR, and reads integrals_J = C_J^T B[:, J].
+    Eigenbases are q-independent; a generation run is deterministic given
+    the model and grid.  convergence_check runs the N-doubling gate on that
+    J = 0 solve only: above it, boxed continuum pseudo-states move on
+    doubling however good the grid is (measurements in README).
     """
 
     def __init__(self, model: MoleculeModel, j_max: int = 60, v_max: int = 80,
@@ -59,17 +61,18 @@ class RecoilEngine:
         self.radii = init.radii
         self.step = init.step
         self.chi0 = init.wavefunctions[:, 0]
-        self.bases: dict[int, list[RadialEigenbasis]] = {
+        self.bases: dict[int, RotationalBases] = {
             ic: rotational_bases(model, ic, j_max, v_max,
                                  convergence_check=convergence_check)
             for ic, ch in enumerate(model.channels)
             if ch.kind != "line" and ch.weight > 0.0}
-        self.reference_ev = self.bases[0][0].energies_ev[0]
+        self.reference_ev = self.bases[0].energies_ev[0, 0]
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units)."""
         check_recoil_momentum(q_au)
-        jtab = spherical_jn_table(self.j_max, q_au * self.radii)
+        # (j_max + 1) x N: row J is j_J(qR) chi_0
+        radial = spherical_jn_table(self.j_max, q_au * self.radii) * self.chi0
         blocks = []
         deficits: dict[str, float] = {}
         warned = False
@@ -80,12 +83,15 @@ class RecoilEngine:
                 blocks.append((ch.offset_ev, ch.weight, ic, -1, -1))
                 deficits[ch.label or f"channel{ic}"] = 0.0
                 continue
+            bases = self.bases[ic]
+            projected = bases.chi.T @ radial.T * self.step
+            # integrals[J] = C_J^T projected[:, J]
+            integrals = np.matmul(projected.T[:, None, :],
+                                  bases.coefficients)[:, 0, :]
             total = 0.0
-            for j, basis in enumerate(self.bases[ic]):
-                radial = jtab[j] * self.chi0
-                integrals = basis.wavefunctions.T @ radial * self.step
-                probs = ch.weight * (2 * j + 1) * integrals**2
-                energies = ch.offset_ev + basis.energies_ev - self.reference_ev
+            for j in range(self.j_max + 1):
+                probs = ch.weight * (2 * j + 1) * integrals[j]**2
+                energies = ch.offset_ev + bases.energies_ev[j] - self.reference_ev
                 total += float(probs.sum())
                 keep = probs > 0.0
                 blocks.append((energies[keep], probs[keep], ic, j,

@@ -4,11 +4,14 @@ The kinetic operator is the standard uniform-grid sinc DVR matrix, which
 converges exponentially for smooth potentials; eigenvalues approach the
 exact ones from above as the grid is refined.  States above the channel
 dissociation threshold are box-discretized continuum pseudo-states and
-are flagged as resonant rather than dropped.
+are kept rather than dropped.
 
 Every J of a channel comes from one dense J = 0 solve (`rotational_bases`):
 sequential diagonalization and truncation, Bacic & Light, Annu. Rev. Phys.
-Chem. 40 (1989) 469.
+Chem. 40 (1989) 469.  Each J is kept as coefficients in the J = 0 basis,
+never mapped back to the grid.  The N-doubling gate needs only the lowest
+eigenvalues of the doubled grid and gets them by shift-invert Lanczos
+(Ericsson & Ruhe, Math. Comp. 35 (1980) 1251), not a dense solve.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
+from scipy.linalg import eigh, lu_factor, lu_solve, toeplitz
 
 from ..errors import AccuracyError
 from ..physics import CONSTANTS
@@ -41,11 +44,23 @@ class RadialEigenbasis:
     radii: np.ndarray
     energies_ev: np.ndarray
     wavefunctions: np.ndarray
-    n_bound: int
 
     @property
     def step(self) -> float:
         return float(self.radii[1] - self.radii[0])
+
+
+@dataclass(frozen=True)
+class RotationalBases:
+    """J = 0 ... j_max eigenpairs of one channel in its J = 0 basis.
+
+    The grid wavefunctions of J are chi @ coefficients[J] (N x (v_max + 1));
+    energies_ev[J] are measured from the channel potential minimum.
+    """
+
+    chi: np.ndarray             # N x K, J = 0 eigenvectors, grid-normalized
+    energies_ev: np.ndarray     # (j_max + 1) x (v_max + 1)
+    coefficients: np.ndarray    # (j_max + 1) x K x (v_max + 1)
 
 
 def kinetic_matrix(n: int, step: float, mass_au: float) -> np.ndarray:
@@ -55,27 +70,51 @@ def kinetic_matrix(n: int, step: float, mass_au: float) -> np.ndarray:
     return toeplitz(column) / (2.0 * mass_au * step * step)
 
 
+def _hamiltonian(potential: np.ndarray, radii: np.ndarray,
+                 mass_au: float) -> np.ndarray:
+    """Dense grid Hamiltonian (hartree), exactly symmetric."""
+    h = kinetic_matrix(radii.size, radii[1] - radii[0], mass_au)
+    h[np.diag_indices(radii.size)] += potential
+    return h
+
+
 def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,
                 n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    n = radii.size
-    step = radii[1] - radii[0]
-    h = kinetic_matrix(n, step, mass_au)
-    h[np.diag_indices(n)] += potential
-    n_states = min(n_states, n)
+    h = _hamiltonian(potential, radii, mass_au)
+    n_states = min(n_states, radii.size)
     w, v = eigh(h, subset_by_index=[0, n_states - 1])
     # unit norm with the grid measure
-    return w, v / np.sqrt(step)
+    return w, v / np.sqrt(radii[1] - radii[0])
 
 
-def _channel_basis(model: MoleculeModel, channel: int, energies_ev: np.ndarray,
-                   wavefunctions: np.ndarray) -> RadialEigenbasis:
-    ch = model.channels[channel]
-    # repulsive: everything is a boxed pseudo-state
-    dissociation = ch.morse.depth_ev if ch.kind == "morse" else 0.0
-    return RadialEigenbasis(
-        radii=model.grid.radii(), energies_ev=energies_ev,
-        wavefunctions=wavefunctions,
-        n_bound=int(np.searchsorted(energies_ev, dissociation)))
+def _lowest_levels(potential: np.ndarray, radii: np.ndarray, mass_au: float,
+                   k: int) -> np.ndarray:
+    """Lowest k eigenvalues (hartree) by shift-invert Lanczos about
+    sigma = min V, a strict lower bound of the spectrum because the sinc-DVR
+    kinetic matrix is positive definite.  Non-convergence is AccuracyError.
+    """
+    # imported here: at module level it adds about 0.03 s to every command
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    n = radii.size
+    h = _hamiltonian(potential, radii, mass_au)
+    sigma = potential.min()
+    h[np.diag_indices(n)] -= sigma
+    # h is exactly symmetric, so its F-ordered view h.T is the same matrix
+    # and LAPACK factors it in place; a C-ordered h would be copied (19 MB)
+    lu = lu_factor(h.T, overwrite_a=True)
+    # lu_factor checked h for non-finite entries; ARPACK supplies the x
+    inverse = LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda x: lu_solve(lu, x, check_finite=False))
+    try:
+        # in shift-invert mode eigsh reads only the shape and dtype of A
+        w = eigsh(inverse, k, sigma=sigma, OPinv=inverse, v0=np.ones(n),
+                  return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise AccuracyError(
+            f"grid check failed: shift-invert Lanczos on the doubled grid "
+            f"did not converge ({exc})") from None
+    return np.sort(w)
 
 
 def solve_radial(model: MoleculeModel, channel: int = 0, n_states: int = 31,
@@ -83,39 +122,39 @@ def solve_radial(model: MoleculeModel, channel: int = 0, n_states: int = 31,
     """Lowest eigenpairs of the J = 0 channel Hamiltonian on the grid.
 
     With convergence_check=True the grid is doubled and the lowest 10
-    eigenvalues must agree within CONVERGENCE_TOL_EV, else AccuracyError.
+    eigenvalues must agree within CONVERGENCE_TOL_EV, else AccuracyError;
+    the doubled grid is solved for those eigenvalues only (`_lowest_levels`).
     """
-    def eigenpairs(grid_model: MoleculeModel, k: int):
-        return _solve_grid(grid_model.potential(channel), grid_model.grid.radii(),
-                           grid_model.final_mass_au, k)
-
-    w, v = eigenpairs(model, n_states)
+    radii = model.grid.radii()
+    w, v = _solve_grid(model.potential(channel), radii, model.final_mass_au,
+                       n_states)
 
     if convergence_check:
         fine = replace(model, grid=GridSpec(
             model.grid.r_min_bohr, model.grid.r_max_bohr, 2 * model.grid.points))
         k = min(10, n_states)
-        wf, _ = eigenpairs(fine, k)
-        drift = np.abs(w[:k] - wf[:k]).max() * CONSTANTS.hartree_ev
+        wf = _lowest_levels(fine.potential(channel), fine.grid.radii(),
+                            fine.final_mass_au, k)
+        drift = np.abs(w[:k] - wf).max() * CONSTANTS.hartree_ev
         if drift > CONVERGENCE_TOL_EV:
             raise AccuracyError(
                 f"grid too coarse: eigenvalues moved {drift:.3e} eV on doubling "
                 f"(tolerance {CONVERGENCE_TOL_EV:.1e} eV)")
-    return _channel_basis(model, channel, w * CONSTANTS.hartree_ev, v)
+    return RadialEigenbasis(radii=radii, energies_ev=w * CONSTANTS.hartree_ev,
+                            wavefunctions=v)
 
 
 def rotational_bases(model: MoleculeModel, channel: int, j_max: int,
-                     v_max: int, convergence_check: bool
-                     ) -> list[RadialEigenbasis]:
+                     v_max: int, convergence_check: bool) -> RotationalBases:
     """Lowest v_max + 1 eigenpairs of channel potential + J(J+1)/(2 M R^2)
-    for J = 0 ... j_max, indexed by J.
+    for J = 0 ... j_max, as coefficients in the J = 0 basis.
 
     One dense J = 0 solve (with the N-doubling gate when convergence_check)
     gives the K = min(N, max(PROJECTION_STATES, 2 (v_max + 1))) lowest pairs
     (E_K, chi_K); with j_max = 0 it solves for v_max + 1 pairs only.  The
     centrifugal term is projected once, U_K = chi_K^T diag(1/(2 M R^2)) chi_K
     dR, and each J >= 1 takes the lowest pairs of the K x K problem
-    diag(E_K) + J(J+1) U_K, mapped back to the grid with chi_K.
+    diag(E_K) + J(J+1) U_K.  J = 0 has identity columns.
     """
     n_states = v_max + 1
     k = n_states if j_max == 0 else min(model.grid.points, max(
@@ -123,18 +162,21 @@ def rotational_bases(model: MoleculeModel, channel: int, j_max: int,
     base = solve_radial(model, channel=channel, n_states=k,
                         convergence_check=convergence_check)
     chi = base.wavefunctions
+    n_states = min(n_states, chi.shape[1])
     centrifugal = CONSTANTS.hartree_ev / (2.0 * model.final_mass_au
                                           * base.radii**2)
     projected = chi.T @ (centrifugal[:, None] * chi) * base.step
-    bases = [_channel_basis(model, channel, base.energies_ev[:n_states],
-                            chi[:, :n_states])]
+    energies = np.empty((j_max + 1, n_states))
+    coefficients = np.empty((j_max + 1, chi.shape[1], n_states))
+    energies[0] = base.energies_ev[:n_states]
+    coefficients[0] = np.eye(chi.shape[1], n_states)
     for j in range(1, j_max + 1):
         # all K pairs by divide and conquer: faster here than a subset solve
         w, c = eigh(np.diag(base.energies_ev) + j * (j + 1) * projected,
                     driver="evd")
-        bases.append(_channel_basis(model, channel, w[:n_states],
-                                    chi @ c[:, :n_states]))
-    return bases
+        energies[j] = w[:n_states]
+        coefficients[j] = c[:, :n_states]
+    return RotationalBases(chi, energies, coefficients)
 
 
 def solve_initial(model: MoleculeModel,
@@ -144,6 +186,4 @@ def solve_initial(model: MoleculeModel,
     radii = model.grid.radii()
     pot = model.initial.potential(radii)
     w, v = _solve_grid(pot, radii, model.initial_mass_au, n_states)
-    n_bound = int(np.searchsorted(w, model.initial.depth_ev / hart))
-    return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v,
-                            n_bound=n_bound)
+    return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v)

@@ -39,7 +39,6 @@ class MomentSet:
     absent (None), a distinguished state rather than 0 or NaN.
     """
 
-    energy_ev: float
     p_open: float
     mean_e: Optional[float]
     mean_e2: Optional[float]
@@ -234,8 +233,8 @@ def cumulative_moments(fss: FinalStateSpectrum, eps_ev: float) -> MomentSet:
         raise ValidationError("eps must be finite")
     p_open, s1, s2, s3 = (float(s) for s in _open_sums(fss, eps_ev, 0.0))
     if p_open == 0.0:
-        return MomentSet(eps_ev, 0.0, None, None, None)
-    return MomentSet(eps_ev, p_open, s1 / p_open, s2 / p_open, s3 / p_open)
+        return MomentSet(0.0, None, None, None)
+    return MomentSet(p_open, s1 / p_open, s2 / p_open, s3 / p_open)
 
 
 def moment_form_spectrum_term(fss: FinalStateSpectrum, x,

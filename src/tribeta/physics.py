@@ -8,8 +8,10 @@ lookups so that results are reproducible independent of the installed
 scipy version.  Every computation reads the one module-level `CONSTANTS`;
 no function takes a constants argument.  The one way to change the values
 is the TRIBETA_CONSTANTS environment variable, naming a JSON file with
-`Constants` field names (read by `load_constants` at import).  It is
-process-wide, and process-pool workers inherit it.
+`Constants` field names (read by `load_constants` at import; a bad file
+is a ConfigurationError naming it, which `tribeta.cli` turns into exit 1
+and one `error:` line).  It is process-wide, and process-pool workers
+inherit it.
 """
 
 from __future__ import annotations
@@ -85,15 +87,27 @@ class Constants:
 
 
 def load_constants(path: str) -> Constants:
-    """Load a constants override file (JSON with the Constants field names)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Load a constants override file (JSON with the Constants field names).
+
+    A missing, malformed or invalid file is a ConfigurationError naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"constants file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"constants file {path}: not a JSON object")
     raw.pop("derived", None)
     known = {f for f in Constants.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigurationError(f"unknown constants fields: {sorted(unknown)}")
-    return replace(Constants(), **raw)
+        raise ConfigurationError(
+            f"constants file {path}: unknown fields {sorted(unknown)}")
+    try:
+        return replace(Constants(), **raw)
+    except (TypeError, ValidationError) as exc:
+        raise ConfigurationError(f"constants file {path}: {exc}") from None
 
 
 def _default_constants() -> Constants:

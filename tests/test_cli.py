@@ -86,6 +86,24 @@ class TestConstantsDump:
         digest = hashlib.sha256(override.read_bytes()).hexdigest()
         assert manifest["inputs"] == {str(override): digest}
 
+    @pytest.mark.parametrize("content", [
+        "{bad", None, '{"no_such_field": 1.0}', '{"electron_mass_ev": 3.0}'],
+        ids=["malformed", "missing", "unknown-field", "bad-value"])
+    def test_bad_override_is_one_error_line(self, tmp_path, content):
+        # the file is read at import, before main runs
+        override = tmp_path / "override.json"
+        if content is not None:
+            override.write_text(content)
+        env = dict(os.environ, TRIBETA_CONSTANTS=str(override))
+        result = subprocess.run(
+            [sys.executable, "-m", "tribeta.cli", "constants", "dump"],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: constants file {override}: ")
+
 
 class TestFssCommands:
     def test_gen_outputs(self, small_fss_file):

@@ -11,6 +11,10 @@ some call in `src/` (by keyword, by position or through `**`), matched by
 the callee's name, unless it is listed below with its outside source: a
 setting that no caller varies is a constant, not an option.
 
+Every dataclass field must be read somewhere in `src/`: through an
+attribute, or by a method of its class that passes `self` to `asdict`,
+`astuple` or `fields` (as `Constants.as_dict` does for `constants dump`).
+
 Both allowlists must stay current: an entry whose name no longer exists,
 or that now has a caller or is now passed, fails the test that reads it.
 """
@@ -176,3 +180,31 @@ def test_every_setting_is_passed_by_a_caller():
     assert unpassed == []
     # a stale entry: the setting is gone or now passed
     assert sorted(set(ALLOWED_UNPASSED) - allowed_used) == []
+
+
+def _reads_whole(cls):
+    """A method of cls passes self to asdict, astuple or fields."""
+    return any(isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+               in {"asdict", "astuple", "fields"}
+               and node.args and getattr(node.args[0], "id", None) == "self"
+               for node in ast.walk(cls))
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing in src/ reads is state no output depends on."""
+    modules = _modules()
+    reads = {node.attr for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
+                    or _reads_whole(cls):
+                continue
+            unread += [f"{path.relative_to(SRC)}:{cls.name}.{stmt.target.id}"
+                       for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                       and stmt.target.id not in reads]
+    assert unread == []

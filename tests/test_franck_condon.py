@@ -10,7 +10,7 @@ from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
                                    default_model, kinetic_matrix,
                                    laplacian_expectation, operator_moments,
                                    pseudo_spectrum, rotational_shift_ev,
-                                   solve_initial)
+                                   solve_initial, spherical_jn_table)
 from tribeta.franck_condon import radial
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.fss import cumulative_moments, from_lines
@@ -92,19 +92,51 @@ class TestRecoilOverlaps:
         assert abs(pa[key] - pb[key]) < 1e-3
 
     def test_one_dense_solve_per_channel(self, model, monkeypatch):
-        # every J of a channel comes from one J = 0 solve (plus its gate)
-        sizes = {}
-        solve_grid = radial._solve_grid
+        # every J of a channel comes from one J = 0 solve; its gate solves
+        # the doubled grid without a dense 2N-point eigh
+        sizes, dense = {}, []
+        solve_grid, eigh = radial._solve_grid, radial.eigh
 
         def counted(potential, radii, mass_au, n_states):
             sizes.setdefault(mass_au, []).append(radii.size)
             return solve_grid(potential, radii, mass_au, n_states)
 
+        def counted_eigh(a, *args, **kwargs):
+            dense.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(radial, "_solve_grid", counted)
+        monkeypatch.setattr(radial, "eigh", counted_eigh)
         RecoilEngine(model, j_max=60, v_max=80, convergence_check=True)
         n = model.grid.points
         assert sizes == {model.initial_mass_au: [n],
-                         model.final_mass_au: [n, 2 * n]}
+                         model.final_mass_au: [n]}
+        assert max(dense) == n
+
+    def test_overlaps_match_grid_space_product(self, model, q_endpoint):
+        # P_vJ from the J = 0 coefficient space against the grid-space
+        # integral of (chi_K C_J)^T (j_J chi_0) dR; J = 60 holds P > 1e-6
+        # only at q = 35, J = 0 only at q(W0)
+        engine = RecoilEngine(model, j_max=60, v_max=80)
+        bases = engine.bases[0]
+        weight = model.channels[0].weight
+        compared = set()
+        for q in (q_endpoint, 35.0):
+            fss = engine.overlaps(q)
+            jtab = spherical_jn_table(60, q * engine.radii)
+            for j in (0, 7, 60):
+                integrals = (bases.chi @ bases.coefficients[j]).T \
+                    @ (jtab[j] * engine.chi0) * engine.step
+                expected = weight * (2 * j + 1) * integrals**2
+                lines = (fss.channels == 0) & (fss.rotations == j)
+                got = np.zeros_like(expected)
+                got[fss.vibrations[lines]] = fss.probabilities[lines]
+                big = expected > 1e-6
+                if big.any():
+                    compared.add(j)
+                    assert np.abs(got[big] / expected[big] - 1.0).max() \
+                        <= 1e-13
+        assert compared == {0, 7, 60}
 
     def test_provenance_records_truncation(self, small_engine):
         fss = small_engine.overlaps(5.0)

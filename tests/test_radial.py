@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scipy.linalg import eigh
+import scipy.sparse.linalg
+from scipy.linalg import eigh, eigvalsh
 
 from tribeta.errors import AccuracyError, ConfigurationError, ValidationError
 from tribeta.franck_condon import (CONVERGENCE_TOL_EV, Channel, GridSpec,
@@ -15,6 +16,7 @@ from tribeta.franck_condon import (CONVERGENCE_TOL_EV, Channel, GridSpec,
                                    kinetic_matrix, rotational_bases,
                                    solve_initial, solve_radial,
                                    spherical_jn_table)
+from tribeta.franck_condon import radial
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.physics import CONSTANTS
 
@@ -86,14 +88,20 @@ class TestMorseOracle:
         assert spacing == pytest.approx(omega - anharm, rel=1e-6)
 
 
+def grid_wavefunctions(bases, j):
+    """Grid wavefunctions of J, chi_K C_J (N x (v_max + 1))."""
+    return bases.chi @ bases.coefficients[j]
+
+
 class TestBasisContracts:
     def test_orthonormality(self, model):
-        # J = 60 maps 81 of the 200 projected J = 0 vectors back to the grid
+        # J = 60 is 81 combinations of the 200 projected J = 0 vectors
         bases = rotational_bases(model, 0, j_max=60, v_max=80,
                                  convergence_check=False)
+        step = model.grid.radii()[1] - model.grid.radii()[0]
         for j in (7, 60):
-            basis = bases[j]
-            gram = basis.wavefunctions.T @ basis.wavefunctions * basis.step
+            chi = grid_wavefunctions(bases, j)
+            gram = chi.T @ chi * step
             assert np.abs(gram - np.eye(81)).max() < 1e-10
 
     def test_eigenvalues_strictly_increasing(self, model):
@@ -110,10 +118,16 @@ class TestBasisContracts:
         assert np.all(levels[1] >= levels[2] - 1e-10)
 
     def test_bound_state_count_flags(self, model):
-        basis = solve_radial(model, channel=0, n_states=31)
-        assert 0 < basis.n_bound < 31
-        assert np.all(basis.energies_ev[: basis.n_bound] < 2.04)
-        assert np.all(basis.energies_ev[basis.n_bound:] > 2.04)
+        # the lowest 31 levels hold bound states below the dissociation limit
+        # D_e = 2.04 eV and boxed continuum pseudo-states above it; the box
+        # only raises levels, so there are at most the Morse well's
+        # floor(sqrt(2 M D_e) / a - 1/2) + 1 bound states
+        energies = solve_radial(model, channel=0, n_states=31).energies_ev
+        n_bound = int(np.searchsorted(energies, 2.04))
+        morse = math.floor(math.sqrt(2.0 * model.final_mass_au * 2.04 / HART)
+                           / 1.30 - 0.5) + 1
+        assert 0 < n_bound <= morse < 31
+        assert energies[n_bound] > 2.04
 
     def test_centrifugal_shift_j25(self, model):
         r_eq = model.channels[0].morse.r_eq_bohr
@@ -126,20 +140,44 @@ class TestBasisContracts:
         # reshapes the 2 eV well, so the rigid-rotor value is an upper bound
         bases = rotational_bases(model, 0, j_max=25, v_max=0,
                                  convergence_check=False)
-        e0, e25 = bases[0].energies_ev[0], bases[25].energies_ev[0]
+        e0, e25 = bases.energies_ev[0, 0], bases.energies_ev[25, 0]
         assert 0.5 * estimate < (e25 - e0) < 1.05 * estimate
 
     def test_centrifugal_shift_small_j(self, model):
         # negligible well distortion at J=2: rigid-rotor estimate good to %
         bases = rotational_bases(model, 0, j_max=2, v_max=0,
                                  convergence_check=False)
-        e0, e2 = bases[0].energies_ev[0], bases[2].energies_ev[0]
+        e0, e2 = bases.energies_ev[0, 0], bases.energies_ev[2, 0]
         r_eq = model.channels[0].morse.r_eq_bohr
         estimate = 2 * 3 / (2.0 * model.final_mass_au * r_eq**2) * HART
         assert (e2 - e0) == pytest.approx(estimate, rel=0.05)
 
     def test_convergence_gate_passes_on_default_grid(self, model):
         solve_radial(model, n_states=10, convergence_check=True)
+
+    @pytest.mark.parametrize("points", [768, 1024])
+    def test_gate_levels_match_dense_solve(self, model, monkeypatch, points):
+        # the gate's doubled-grid levels against a dense eigvalsh of the
+        # doubled Hamiltonian built here
+        seen = []
+        lowest_levels = radial._lowest_levels
+
+        def recorded(potential, radii, mass_au, k):
+            seen.append(lowest_levels(potential, radii, mass_au, k))
+            return seen[-1]
+
+        monkeypatch.setattr(radial, "_lowest_levels", recorded)
+        coarse = replace(model, grid=GridSpec(0.3, 12.0, points))
+        fine = replace(model, grid=GridSpec(0.3, 12.0, 2 * points))
+        radii = fine.grid.radii()
+        h = kinetic_matrix(radii.size, radii[1] - radii[0], fine.final_mass_au)
+        h[np.diag_indices(radii.size)] += fine.potential(0)
+        dense = eigvalsh(h, subset_by_index=[0, 9]) * HART
+        for n_states in (1, 3, 31):
+            solve_radial(coarse, n_states=n_states, convergence_check=True)
+            k = min(10, n_states)
+            assert seen[-1].size == k
+            assert np.abs(seen[-1] * HART - dense[:k]).max() <= 1e-11
 
     def test_convergence_gate_rejects_coarse_grid(self):
         # a very stiff well is unresolved at the minimum point count
@@ -150,6 +188,16 @@ class TestBasisContracts:
             grid=GridSpec(0.3, 12.0, 256))
         with pytest.raises(AccuracyError):
             solve_radial(stiff, n_states=10, convergence_check=True)
+
+    def test_convergence_gate_fails_closed(self, model, monkeypatch):
+        # a Lanczos run that does not converge fails the gate
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0), np.empty(0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(AccuracyError, match="did not converge"):
+            solve_radial(model, n_states=10, convergence_check=True)
 
 
 def coulomb_model():
@@ -181,25 +229,26 @@ class TestRotationalBases:
     def test_matches_dense_solve_at_j_max(self, q_endpoint, build, channel,
                                           j_max, v_max, q):
         model = build()
-        basis = rotational_bases(model, channel, j_max, v_max,
-                                 convergence_check=False)[j_max]
+        bases = rotational_bases(model, channel, j_max, v_max,
+                                 convergence_check=False)
         energies, vectors = self.dense_levels(model, channel, j_max, v_max + 1)
-        assert np.abs(basis.energies_ev - energies).max() \
+        assert np.abs(bases.energies_ev[j_max] - energies).max() \
             <= CONVERGENCE_TOL_EV / 10
         init = solve_initial(model)
-        radial = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)[
+        integrand = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)[
             j_max] * init.wavefunctions[:, 0] * init.step
-        probs = (basis.wavefunctions.T @ radial) ** 2
-        assert np.abs(probs - (vectors.T @ radial) ** 2).max() <= 1e-12
+        probs = (grid_wavefunctions(bases, j_max).T @ integrand) ** 2
+        assert np.abs(probs - (vectors.T @ integrand) ** 2).max() <= 1e-12
 
     @pytest.mark.parametrize("j_max,dense_states", [(0, 81), (3, 200)])
     def test_j0_is_the_dense_solve(self, model, j_max, dense_states):
         # with j_max = 0 nothing is projected: only v_max + 1 states are solved
         dense = solve_radial(model, n_states=dense_states)
-        basis = rotational_bases(model, 0, j_max, 80,
-                                 convergence_check=False)[0]
-        assert np.array_equal(basis.energies_ev, dense.energies_ev[:81])
-        assert np.array_equal(basis.wavefunctions, dense.wavefunctions[:, :81])
+        bases = rotational_bases(model, 0, j_max, 80, convergence_check=False)
+        assert np.array_equal(bases.chi, dense.wavefunctions)
+        assert np.array_equal(bases.energies_ev[0], dense.energies_ev[:81])
+        assert np.array_equal(bases.coefficients[0],
+                              np.eye(dense_states, 81))
 
 
 class TestModelValidation:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fit import FitConfig, minimize
-from .franck_condon import default_model, pseudo_spectrum
+from .franck_condon import RecoilEngine, default_model
 from .fss import FinalStateSpectrum, from_lines
 from .kernel import SpectrumParams, integral_spectrum, linearized_sum, spectral_sum
 from .physics import momentum_from_kinetic
@@ -49,7 +49,7 @@ def build_study_fss() -> FinalStateSpectrum:
     """
     model, v_max = default_model(), 24
     q_au = momentum_from_kinetic(DEFAULT_ENDPOINT_EV).recoil_q_au
-    ground = pseudo_spectrum(model, q_au, v_max=v_max)
+    ground = RecoilEngine(model, j_max=0, v_max=v_max).pseudo_spectrum(q_au)
     blocks = [(ground.energies, ground.probabilities, ground.channels,
                ground.rotations, ground.vibrations)]
     blocks += [(ch.offset_ev, ch.weight, ic, -1, -1)

@@ -260,9 +260,12 @@ def _cmd_fit(args) -> int:
     params = _from_doc(SpectrumParams, doc.get("initial"), f"{args.config} initial")
     response = _from_doc(ResponseModel, doc.get("response", {"sigma_ev": 2.5}),
                          f"{args.config} response")
-    config = FitConfig(
-        window_ev=tuple(window), initial=params, response=response,
-        fss=spectrum_fss, free=tuple(free), max_iterations=max_iterations)
+    try:
+        config = FitConfig(
+            window_ev=tuple(window), initial=params, response=response,
+            fss=spectrum_fss, free=tuple(free), max_iterations=max_iterations)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from None
     result = minimize(dataset, config)
     out = {
         "values": {

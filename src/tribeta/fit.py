@@ -69,6 +69,12 @@ class FitConfig:
         unknown = set(self.free) - set(PARAM_NAMES)
         if unknown:
             raise ValidationError(f"unknown free parameters {sorted(unknown)}")
+        if len(set(self.free)) < len(self.free):
+            raise ValidationError(
+                f"free repeats a parameter name: {list(self.free)}")
+        if self.max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,16 @@ from .bessel import spherical_jn_table
 from .molecule import (Channel, GridSpec, MoleculeModel, MorseParams,
                        default_model, GROUND_CHANNEL_WEIGHT, IONIC_GROUND,
                        T2_INITIAL)
-from .overlaps import (RecoilEngine, c_term_bound, check_recoil_momentum,
-                       laplacian_expectation, operator_moments,
-                       pseudo_spectrum, rotational_shift_ev)
+from .overlaps import RecoilEngine, check_recoil_momentum, rotational_shift_ev
 from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, RotationalBases,
                      kinetic_matrix, rotational_bases, solve_initial,
                      solve_radial)
 
 __all__ = [
     "Channel", "GridSpec", "MoleculeModel", "MorseParams", "RadialEigenbasis",
-    "RecoilEngine", "RotationalBases", "c_term_bound", "check_recoil_momentum",
-    "default_model",
-    "kinetic_matrix", "laplacian_expectation", "operator_moments",
-    "pseudo_spectrum", "rotational_bases", "rotational_shift_ev",
-    "solve_initial",
-    "solve_radial", "spherical_jn_table", "CONVERGENCE_TOL_EV",
-    "GROUND_CHANNEL_WEIGHT", "IONIC_GROUND", "T2_INITIAL",
+    "RecoilEngine", "RotationalBases", "check_recoil_momentum",
+    "default_model", "kinetic_matrix", "rotational_bases",
+    "rotational_shift_ev", "solve_initial", "solve_radial",
+    "spherical_jn_table", "CONVERGENCE_TOL_EV", "GROUND_CHANNEL_WEIGHT",
+    "IONIC_GROUND", "T2_INITIAL",
 ]

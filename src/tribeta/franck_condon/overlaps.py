@@ -23,8 +23,8 @@ from ..fss import FinalStateSpectrum, MomentSet, cumulative_moments, from_lines
 from ..physics import CONSTANTS
 from .bessel import spherical_jn_table
 from .molecule import MoleculeModel
-from .radial import (RotationalBases, kinetic_matrix, rotational_bases,
-                     solve_initial, solve_radial)
+from .radial import (RotationalBases, _hamiltonian, rotational_bases,
+                     solve_initial)
 
 #: generated spectra warn when a channel captures less than this fraction
 TRUNCATION_WARN_FRACTION = 0.99
@@ -48,6 +48,10 @@ class RecoilEngine:
     the model and grid.  convergence_check runs the N-doubling gate on that
     J = 0 solve only: above it, boxed continuum pseudo-states move on
     doubling however good the grid is (measurements in README).
+
+    The engine's T2 ground state chi_0 and channel-0 J = 0 basis are the
+    only ones: `pseudo_spectrum`, `operator_moments` and `c_term_bound` read
+    them and solve nothing.
     """
 
     def __init__(self, model: MoleculeModel, j_max: int = 60, v_max: int = 80,
@@ -113,53 +117,67 @@ class RecoilEngine:
             provenance["truncation_warning"] = True
         return from_lines(blocks, q_ref=q_au, provenance=provenance)
 
+    def pseudo_spectrum(self, q_au: float) -> FinalStateSpectrum:
+        """Ground-channel vibrational pseudo-spectrum: lines w_c |<v|T2>|^2 of
+        the J = 0 basis at E_v - E_0 + q^2/2M, labelled by v (P > 0 only).
+
+        These are the channel-0 lines of overlaps(0), where j_J(0) = delta_J0
+        leaves J = 0 only.
+        """
+        check_recoil_momentum(q_au)
+        at_rest = self.overlaps(0.0)
+        ground = at_rest.channels == 0
+        return from_lines([(at_rest.energies[ground]
+                            + rotational_shift_ev(self.model, q_au),
+                            at_rest.probabilities[ground], 0, -1,
+                            at_rest.vibrations[ground])], q_ref=q_au)
+
+    def operator_moments(self, q_au: float, eps_ev: float) -> MomentSet:
+        """Cumulative ground-channel moments from the operator expressions.
+
+        P_eps, <E> and <E^3> are the cumulative moments of the
+        pseudo-spectrum; <E^2> adds the gradient term
+        w_c (1/3) (q/M)^2 <T2| -d^2/dR^2 |T2> / P_eps, the angular average of
+        the rotational broadening that the pseudo-spectrum lacks (positive:
+        <T2| -d^2/dR^2 |T2> = |d chi_0/dR|^2 for a bound state).
+        """
+        moments = cumulative_moments(self.pseudo_spectrum(q_au), eps_ev)
+        if not moments.open:
+            return moments
+        grad = _derivative_matrix(self.radii.size, self.step) @ self.chi0
+        grad_term = (q_au / self.model.final_mass_au) ** 2 / 3.0 * float(
+            np.sum(grad * grad) * self.step) * CONSTANTS.hartree_ev ** 2
+        weight = self.model.channels[0].weight
+        return replace(moments, mean_e2=moments.mean_e2
+                       + weight * grad_term / moments.p_open)
+
+    def c_term_bound(self, q_au: float) -> float:
+        """|<T2| C |T2>| in eV^3 for the ground final channel, where
+
+            C = -1/3 (q/M)^2 ( [[H, d/dR], d/dR] - (d/dR)[H, d/dR] ).
+
+        H is the final ground-channel Hamiltonian; all operators act on the
+        grid (dense sinc-DVR Hamiltonian, finite-difference derivative).
+        """
+        check_recoil_momentum(q_au)
+        mass = self.model.final_mass_au
+        hmat = _hamiltonian(self.model.potential(0), self.radii, mass)
+        dmat = _derivative_matrix(self.radii.size, self.step)
+
+        def commutator(vec: np.ndarray) -> np.ndarray:
+            return hmat @ (dmat @ vec) - dmat @ (hmat @ vec)
+
+        # ([[H,D],D] - D[H,D]) chi = comm(D chi) - 2 D comm(chi)
+        vec = commutator(dmat @ self.chi0) \
+            - 2.0 * (dmat @ commutator(self.chi0))
+        expectation = float(np.sum(self.chi0 * vec) * self.step)
+        return (q_au / mass) ** 2 / 3.0 * abs(expectation) \
+            * CONSTANTS.hartree_ev ** 3
+
 
 def rotational_shift_ev(model: MoleculeModel, q_au: float) -> float:
     """Uniform rotational recoil shift q^2 / 2M in eV."""
     return q_au * q_au / (2.0 * model.final_mass_au) * CONSTANTS.hartree_ev
-
-
-def pseudo_spectrum(model: MoleculeModel, q_au: float,
-                    v_max: int = 30) -> FinalStateSpectrum:
-    """Ground-channel vibrational pseudo-spectrum: lines w_c |<v|T2>|^2 of
-    the J = 0 basis at E_v - E_0 + q^2/2M, labelled by v (P > 0 only)."""
-    init = solve_initial(model)
-    basis = solve_radial(model, channel=0, n_states=v_max + 1)
-    integrals = basis.wavefunctions.T @ init.wavefunctions[:, 0] * init.step
-    probs = model.channels[0].weight * integrals**2
-    energies = (basis.energies_ev - basis.energies_ev[0]) \
-        + rotational_shift_ev(model, q_au)
-    keep = probs > 0.0
-    return from_lines([(energies[keep], probs[keep], 0, -1,
-                        np.flatnonzero(keep))], q_ref=q_au)
-
-
-def laplacian_expectation(model: MoleculeModel) -> float:
-    """<T2| d^2/dR^2 |T2> in bohr^-2 (negative for a normalized bound state)."""
-    init = solve_initial(model)
-    chi0 = init.wavefunctions[:, 0]
-    grad = _derivative_matrix(init.radii.size, init.step) @ chi0
-    return -float(np.sum(grad * grad) * init.step)
-
-
-def operator_moments(model: MoleculeModel, q_au: float, eps_ev: float,
-                     v_max: int = 30) -> MomentSet:
-    """Cumulative ground-channel moments from the operator expressions.
-
-    P_eps, <E> and <E^3> are the cumulative moments of the pseudo-spectrum;
-    <E^2> adds the gradient term w_c (1/3) (q/M)^2 <T2| -d^2/dR^2 |T2> / P_eps,
-    the angular average of the rotational broadening that the pseudo-spectrum
-    lacks (positive, since the Laplacian expectation of a bound state is
-    negative).
-    """
-    moments = cumulative_moments(
-        pseudo_spectrum(model, q_au, v_max=v_max), eps_ev)
-    if not moments.open:
-        return moments
-    grad_term = -(q_au / model.final_mass_au) ** 2 / 3.0 * laplacian_expectation(
-        model) * CONSTANTS.hartree_ev ** 2
-    return replace(moments, mean_e2=moments.mean_e2
-                   + model.channels[0].weight * grad_term / moments.p_open)
 
 
 def _derivative_matrix(n: int, step: float) -> np.ndarray:
@@ -168,32 +186,3 @@ def _derivative_matrix(n: int, step: float) -> np.ndarray:
     row[1:3] = 8.0, -1.0
     # 0.0 - row, not -row: the zeros stay +0.0
     return toeplitz(0.0 - row, row) / (12.0 * step)
-
-
-def c_term_bound(model: MoleculeModel, q_au: float) -> float:
-    """|<T2| C |T2>| in eV^3 for the ground final channel, where
-
-        C = -1/3 (q/M)^2 ( [[H, d/dR], d/dR] - (d/dR)[H, d/dR] ).
-
-    H is the final ground-channel Hamiltonian; all operators act on the
-    grid (dense kinetic matrix, finite-difference derivative).
-    """
-    init = solve_initial(model)
-    chi0 = init.wavefunctions[:, 0]
-    radii, step = init.radii, init.step
-    n = radii.size
-    tmat = kinetic_matrix(n, step, model.final_mass_au)
-    pot = model.potential(0)
-    dmat = _derivative_matrix(n, step)
-
-    def apply_h(vec: np.ndarray) -> np.ndarray:
-        return tmat @ vec + pot * vec
-
-    def commutator(vec: np.ndarray) -> np.ndarray:
-        return apply_h(dmat @ vec) - dmat @ apply_h(vec)
-
-    # ([[H,D],D] - D[H,D]) chi = comm(D chi) - 2 D comm(chi)
-    vec = commutator(dmat @ chi0) - 2.0 * (dmat @ commutator(chi0))
-    expectation = float(np.sum(chi0 * vec) * step)
-    c_hartree3 = -(q_au / model.final_mass_au) ** 2 / 3.0 * expectation
-    return abs(c_hartree3) * CONSTANTS.hartree_ev ** 3

@@ -179,11 +179,10 @@ def rotational_bases(model: MoleculeModel, channel: int, j_max: int,
     return RotationalBases(chi, energies, coefficients)
 
 
-def solve_initial(model: MoleculeModel,
-                  n_states: int = 1) -> RadialEigenbasis:
-    """Eigenbasis of the initial (T2 ground) curve at J = 0."""
-    hart = CONSTANTS.hartree_ev
+def solve_initial(model: MoleculeModel) -> RadialEigenbasis:
+    """The initial (T2) ground state at J = 0, as a one-state eigenbasis."""
     radii = model.grid.radii()
-    pot = model.initial.potential(radii)
-    w, v = _solve_grid(pot, radii, model.initial_mass_au, n_states)
-    return RadialEigenbasis(radii=radii, energies_ev=w * hart, wavefunctions=v)
+    w, v = _solve_grid(model.initial.potential(radii), radii,
+                       model.initial_mass_au, 1)
+    return RadialEigenbasis(radii=radii, energies_ev=w * CONSTANTS.hartree_ev,
+                            wavefunctions=v)

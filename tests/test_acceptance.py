@@ -11,9 +11,7 @@ from tribeta.bias import ScanSpec, bias_scan, build_study_fss, fig2_study
 from tribeta.fit import FitConfig, minimize
 from test_kernel import dense_line_sums
 from tribeta.fss import from_lines
-from tribeta.franck_condon import (RecoilEngine, c_term_bound,
-                                   operator_moments, pseudo_spectrum,
-                                   rotational_shift_ev)
+from tribeta.franck_condon import RecoilEngine, rotational_shift_ev
 from tribeta.kernel import SpectrumParams, effective_endpoint, linearized_sum
 from tribeta.response import PseudoDataset, ResponseModel, expected_counts
 
@@ -75,8 +73,8 @@ def test_criterion_03_mean_rotational_excitation(engine, q_endpoint):
           f"peak J = {peak_j} in [22, 25], median J = {median_j}")
 
 
-def test_criterion_04_vibrational_hierarchy(model, q_endpoint):
-    ps = pseudo_spectrum(model, q_endpoint)
+def test_criterion_04_vibrational_hierarchy(engine, model, q_endpoint):
+    ps = engine.pseudo_spectrum(q_endpoint)
     shares = ps.probabilities / model.channels[0].weight
     decreasing = bool(shares[0] > shares[1] > shares[2] > shares[3])
     share_ok = 0.522 / 0.574 / 2.0 <= shares[0] <= min(1.0, 0.522 / 0.574 * 2.0)
@@ -87,14 +85,14 @@ def test_criterion_04_vibrational_hierarchy(model, q_endpoint):
           f"shares v=0..3 = {np.round(shares[:4], 5)}, v0/v1 = {ratio:.2f}")
 
 
-def test_criterion_05_operator_moment_consistency(engine, model, q_endpoint):
+def test_criterion_05_operator_moment_consistency(engine, q_endpoint):
     spectrum = engine.overlaps(q_endpoint)
     ground = spectrum.channels == 0
     p = spectrum.probabilities[ground]
     e = spectrum.energies[ground]
     full_mean = float((p * e).sum() / p.sum())
     full_e2 = float((p * e * e).sum() / p.sum())
-    op = operator_moments(model, q_endpoint, 1e6, v_max=120)
+    op = engine.operator_moments(q_endpoint, 1e6)
     rel = abs(op.mean_e - full_mean) / full_mean
     rel2 = abs(op.mean_e2 - full_e2) / full_e2
     check(5, "operator vs full-FSS first moment",
@@ -104,8 +102,8 @@ def test_criterion_05_operator_moment_consistency(engine, model, q_endpoint):
           f"({rel2:.2e} rel <= 1e-4)")
 
 
-def test_criterion_06_commutator_bound(model, q_endpoint):
-    c = c_term_bound(model, q_endpoint)
+def test_criterion_06_commutator_bound(engine, q_endpoint):
+    c = engine.c_term_bound(q_endpoint)
     check(6, "commutator term spectral power",
           c <= 0.1, f"|<C>| = {c:.4f} eV^3 <= 0.1 eV^3")
 

@@ -487,8 +487,12 @@ class TestUsageErrors:
         ({"window_ev": [18500]}, ("window_ev", "[18500]")),
         ({"free": 5}, ("free", "5")),
         ({"max_iterations": "x"}, ("max_iterations", "'x'")),
+        ({"max_iterations": 0}, ("max_iterations", "0")),
+        ({"max_iterations": -3}, ("max_iterations", "-3")),
+        ({"free": ["m2nu", "m2nu", "endpoint"]}, ("free", "'m2nu'")),
     ], ids=["list", "window-number", "window-one-edge", "free-number",
-            "iterations-string"])
+            "iterations-string", "iterations-zero", "iterations-negative",
+            "free-repeated"])
     def test_fit_config_bad_shape(self, fit_inputs, tmp_path, capsys, config,
                                   fragments):
         argv, _ = fit_inputs
@@ -503,3 +507,13 @@ class TestUsageErrors:
         argv[4] = str(path)
         self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
                                 capsys, str(path), *fragments)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the N-doubling gate imports scipy.sparse.linalg when it runs; loaded
+    # at import it would add about 0.03 s to every command
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, tribeta.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"],
+        capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -29,8 +29,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tribeta"
 ALLOWED_UNREFERENCED = {
     "chi_square": "public fit statistic, documented in README",
     "save_dataset": "public dataset writer, documented in README",
-    "operator_moments": "subject of acceptance criterion 5",
-    "c_term_bound": "subject of acceptance criterion 6",
 }
 
 
@@ -96,8 +94,6 @@ ALLOWED_UNPASSED = {
     "ResponseModel.half_width_sigmas": "read from the fit.json response",
     "ResponseModel.step_fraction": "read from the fit.json response",
     "SpectrumParams.z_daughter": "read from the spectrum params.json",
-    "operator_moments.v_max": "set by acceptance criterion 5",
-    "solve_initial.n_states": "the Morse oracle test reads excited levels",
     "main.argv": "argument list of the console entry point, for callers",
 }
 

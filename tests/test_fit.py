@@ -192,6 +192,17 @@ class TestMinimize:
             FitConfig(window_ev=(W0 - 10.0, W0), initial=truth,
                       response=response, fss=fss, free=())
 
+    @pytest.mark.parametrize("setting,fragment", [
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": -3}, "max_iterations"),
+        ({"free": ("m2nu", "m2nu", "endpoint")}, "free"),
+    ], ids=["iterations-zero", "iterations-negative", "free-repeated"])
+    def test_config_rejects_bad_setting(self, setup, setting, fragment):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        with pytest.raises(ValidationError, match=fragment):
+            FitConfig(window_ev=(W0 - 10.0, W0), initial=truth,
+                      response=response, fss=fss, **setting)
+
 
 def central_difference(residuals, x, steps):
     cols = []

@@ -5,18 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scipy.linalg
+
+from tribeta.errors import ValidationError
 from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
-                                   MorseParams, RecoilEngine, c_term_bound,
-                                   default_model, kinetic_matrix,
-                                   laplacian_expectation, operator_moments,
-                                   pseudo_spectrum, rotational_shift_ev,
-                                   solve_initial, spherical_jn_table)
-from tribeta.franck_condon import radial
+                                   MorseParams, RecoilEngine, default_model,
+                                   kinetic_matrix, rotational_shift_ev,
+                                   solve_radial, spherical_jn_table)
+from tribeta.franck_condon import overlaps, radial
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.fss import cumulative_moments, from_lines
 from tribeta.physics import CONSTANTS
 
 HART = CONSTANTS.hartree_ev
+
+
+@pytest.fixture(scope="module")
+def ground_engine(model):
+    """J = 0 only: the pseudo-spectrum and operator moments need no more."""
+    return RecoilEngine(model, j_max=0, v_max=40)
 
 
 def identical_curves_model():
@@ -36,13 +43,16 @@ class TestRecoilOverlaps:
         assert set(fss.rotations[fss.channels == 0].tolist()) == {0}
 
     def test_q_zero_matches_plain_franck_condon(self, small_model):
+        # w_c |<v|T2>|^2 from a separate dense J = 0 solve of 21 states
         engine = RecoilEngine(small_model, j_max=2, v_max=20)
         fss = engine.overlaps(0.0)
-        ps = pseudo_spectrum(small_model, 0.0, v_max=20)
+        basis = solve_radial(small_model, n_states=21)
+        plain = small_model.channels[0].weight * (
+            basis.wavefunctions.T @ engine.chi0 * engine.step) ** 2
         ground = fss.channels == 0
         order = np.argsort(fss.vibrations[ground], kind="stable")
         probs = fss.probabilities[ground][order]
-        assert np.allclose(probs, ps.probabilities, rtol=1e-10)
+        assert np.allclose(probs, plain, rtol=1e-10)
 
     def test_identical_potentials_orthonormality(self):
         engine = RecoilEngine(identical_curves_model(), j_max=2, v_max=10)
@@ -156,8 +166,8 @@ class TestRecoilOverlaps:
 
 
 class TestPseudoSpectrum:
-    def test_hierarchy_and_calibration(self, model, q_endpoint):
-        ps = pseudo_spectrum(model, q_endpoint)
+    def test_hierarchy_and_calibration(self, ground_engine, model, q_endpoint):
+        ps = ground_engine.pseudo_spectrum(q_endpoint)
         assert ps.vibrations.tolist() == list(range(len(ps)))
         shares = ps.probabilities / model.channels[0].weight
         assert shares[0] > shares[1] > shares[2] > shares[3]
@@ -167,15 +177,16 @@ class TestPseudoSpectrum:
         ratio = shares[0] / shares[1]
         assert 52.2 / 4.62 / 2.0 <= ratio <= 52.2 / 4.62 * 2.0
 
-    def test_completeness(self, model, q_endpoint):
-        ps = pseudo_spectrum(model, q_endpoint, v_max=40)
+    def test_completeness(self, ground_engine, model, q_endpoint):
+        ps = ground_engine.pseudo_spectrum(q_endpoint)
         assert ps.q_ref == q_endpoint
         assert ps.total_probability == pytest.approx(model.channels[0].weight,
                                                      abs=1e-3)
 
-    def test_lines_carry_the_rotational_shift(self, model, q_endpoint):
-        at_rest = pseudo_spectrum(model, 0.0)
-        recoiled = pseudo_spectrum(model, q_endpoint)
+    def test_lines_carry_the_rotational_shift(self, ground_engine, model,
+                                              q_endpoint):
+        at_rest = ground_engine.pseudo_spectrum(0.0)
+        recoiled = ground_engine.pseudo_spectrum(q_endpoint)
         assert at_rest.energies[0] == 0.0
         assert np.array_equal(recoiled.probabilities, at_rest.probabilities)
         assert np.allclose(recoiled.energies - at_rest.energies,
@@ -187,46 +198,43 @@ class TestPseudoSpectrum:
 
 
 class TestOperatorMoments:
-    def test_high_energy_mean(self, model, q_endpoint):
-        m = operator_moments(model, q_endpoint, 1e6)
+    def test_high_energy_mean(self, ground_engine, model, q_endpoint):
+        m = ground_engine.operator_moments(q_endpoint, 1e6)
         assert m.open
         assert m.p_open == pytest.approx(model.channels[0].weight, abs=1e-3)
         assert m.mean_e == pytest.approx(1.75, abs=0.05)
 
-    def test_q_zero_reduces_to_vibrational(self, model):
-        m = operator_moments(model, 0.0, 1e6)
-        ps = pseudo_spectrum(model, 0.0)
+    def test_q_zero_reduces_to_vibrational(self, ground_engine):
+        m = ground_engine.operator_moments(0.0, 1e6)
+        ps = ground_engine.pseudo_spectrum(0.0)
         vib_mean = float((ps.probabilities * ps.energies).sum()
                          / ps.total_probability)
         assert m.mean_e == pytest.approx(vib_mean, abs=1e-9)
 
-    def test_closed_below_first_line(self, model, q_endpoint):
-        m = operator_moments(model, q_endpoint, 0.5)
+    def test_closed_below_first_line(self, ground_engine, q_endpoint):
+        m = ground_engine.operator_moments(q_endpoint, 0.5)
         assert not m.open
 
-    def test_gradient_correction_positive(self, model, q_endpoint):
+    def test_gradient_correction_positive(self, ground_engine, q_endpoint):
         # <Lap> < 0, so the Eq-style correction adds to <E^2>
-        lap = laplacian_expectation(model)
-        assert lap < 0.0
-        ps = pseudo_spectrum(model, q_endpoint)
+        ps = ground_engine.pseudo_spectrum(q_endpoint)
         plain = float((ps.probabilities * ps.energies ** 2).sum()
                       / ps.total_probability)
-        m = operator_moments(model, q_endpoint, 1e6)
+        m = ground_engine.operator_moments(q_endpoint, 1e6)
         assert m.mean_e2 > plain
 
-    def test_consistency_with_full_fss(self, small_engine, small_model,
-                                       q_endpoint):
+    def test_consistency_with_full_fss(self, small_engine, q_endpoint):
         # mean excitation from the recoil FSS vs the operator expression
         fss = small_engine.overlaps(q_endpoint)
         ground = fss.channels == 0
         p = fss.probabilities[ground]
         e = fss.energies[ground]
         full_mean = float((p * e).sum() / p.sum())
-        op_mean = operator_moments(small_model, q_endpoint, 1e6, v_max=40).mean_e
+        op_mean = small_engine.operator_moments(q_endpoint, 1e6).mean_e
         assert abs(op_mean - full_mean) / full_mean < 0.01
 
     @pytest.mark.parametrize("q", [5.0, 10.0])
-    def test_second_moment_matches_full_fss(self, small_engine, small_model, q):
+    def test_second_moment_matches_full_fss(self, small_engine, q):
         # <E^2> of the full recoil FSS, channel 0: the pseudo-spectrum plus
         # the angular-averaged gradient term w_c (1/3) (q/M)^2 <-d^2/dR^2>
         fss = small_engine.overlaps(q)
@@ -234,39 +242,38 @@ class TestOperatorMoments:
         full = cumulative_moments(
             from_lines([(fss.energies[ground], fss.probabilities[ground], 0,
                          -1, -1)]), 1e6)
-        op = operator_moments(small_model, q, 1e6)
+        op = small_engine.operator_moments(q, 1e6)
         assert op.mean_e2 == pytest.approx(full.mean_e2, rel=1e-4)
 
 
 class TestCommutatorTerm:
-    def test_zero_at_q_zero(self, model):
-        assert c_term_bound(model, 0.0) == 0.0
+    def test_zero_at_q_zero(self, ground_engine):
+        assert ground_engine.c_term_bound(0.0) == 0.0
 
-    def test_bounded_at_physical_q(self, model, q_endpoint):
-        assert c_term_bound(model, q_endpoint) <= 0.1
+    def test_bounded_at_physical_q(self, ground_engine, q_endpoint):
+        assert ground_engine.c_term_bound(q_endpoint) <= 0.1
 
-    def test_scales_as_q_squared(self, model):
-        c1 = c_term_bound(model, 5.0)
-        c2 = c_term_bound(model, 10.0)
+    def test_scales_as_q_squared(self, ground_engine):
+        c1 = ground_engine.c_term_bound(5.0)
+        c2 = ground_engine.c_term_bound(10.0)
         assert c2 == pytest.approx(4.0 * c1, rel=1e-9)
 
-    def test_analytic_cross_check(self, model, q_endpoint):
+    def test_analytic_cross_check(self, ground_engine, model, q_endpoint):
         # <C> = -1/2 (q/M)^2 <V''> for a real bound state (integration by
         # parts); finite differences of V give an independent estimate
-        init = solve_initial(model)
-        chi0 = init.wavefunctions[:, 0]
-        r, h = init.radii, init.step
+        chi0 = ground_engine.chi0
+        r, h = ground_engine.radii, ground_engine.step
         v = model.potential(0)
         vpp = np.gradient(np.gradient(v, r), r)
         expected = 0.5 * (q_endpoint / model.final_mass_au) ** 2 \
             * float((chi0**2 * vpp).sum() * h) * HART**3
-        assert c_term_bound(model, q_endpoint) == pytest.approx(expected, rel=0.05)
+        assert ground_engine.c_term_bound(q_endpoint) == pytest.approx(
+            expected, rel=0.05)
 
-    def test_commutator_order_consistency(self, small_model):
+    def test_commutator_order_consistency(self, small_engine, small_model):
         # [H, D] chi via matrix-free application vs explicit matrix product
-        init = solve_initial(small_model)
-        chi0 = init.wavefunctions[:, 0]
-        n, h = init.radii.size, init.step
+        chi0 = small_engine.chi0
+        n, h = small_engine.radii.size, small_engine.step
         tmat = kinetic_matrix(n, h, small_model.final_mass_au)
         hmat = tmat + np.diag(small_model.potential(0))
         dmat = _derivative_matrix(n, h)
@@ -274,3 +281,36 @@ class TestCommutatorTerm:
         via_vectors = hmat @ (dmat @ chi0) - dmat @ (hmat @ chi0)
         scale = np.abs(via_products).max()
         assert np.abs(via_products - via_vectors).max() < 1e-8 * scale
+
+
+MOMENT_METHODS = ("pseudo_spectrum", "operator_moments", "c_term_bound")
+
+
+def call_moment_method(engine, name, q):
+    if name == "operator_moments":
+        return engine.operator_moments(q, 1e6)
+    return getattr(engine, name)(q)
+
+
+class TestEngineMomentMethods:
+    @pytest.mark.parametrize("name", MOMENT_METHODS)
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), -1.0])
+    def test_bad_q_rejected(self, small_engine, name, q):
+        with pytest.raises(ValidationError,
+                           match="recoil momentum must be finite and >= 0"):
+            call_moment_method(small_engine, name, q)
+
+    def test_no_eigensolve(self, small_engine, q_endpoint, monkeypatch):
+        # chi_0 and the channel-0 J = 0 basis are the engine's: the moment
+        # methods read them and solve nothing
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigensolve after the engine set-up")
+
+        for module, names in ((overlaps, ("solve_initial", "rotational_bases")),
+                              (radial, ("solve_initial", "rotational_bases",
+                                        "solve_radial", "eigh")),
+                              (scipy.linalg, ("eigh",))):
+            for name in names:
+                monkeypatch.setattr(module, name, unreachable)
+        for name in MOMENT_METHODS:
+            call_moment_method(small_engine, name, q_endpoint)

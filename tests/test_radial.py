@@ -66,12 +66,21 @@ class TestMorseOracle:
         assert rel.max() < 1e-6
 
     def test_initial_curve_levels(self, model):
-        basis = solve_initial(model, n_states=6)
+        # the T2 curve as the one final channel, at the T2 reduced mass
+        t2 = replace(model, channels=(
+            Channel(kind="morse", weight=1.0, morse=model.initial),),
+            final_mass_au=model.initial_mass_au)
+        basis = solve_radial(t2, n_states=6)
         exact = morse_levels(model.initial.depth_ev,
                              model.initial.steepness_inv_bohr,
                              model.initial_mass_au, 4)
         rel = np.abs((basis.energies_ev[:4] - model.initial.depth_ev - exact) / exact)
         assert rel.max() < 1e-6
+        # solve_initial returns that curve's ground state
+        ground = solve_initial(model)
+        assert ground.wavefunctions.shape == (model.grid.points, 1)
+        assert ground.energies_ev[0] == pytest.approx(basis.energies_ev[0],
+                                                      rel=1e-12)
 
     def test_harmonic_limit(self):
         # deep well: level spacing omega (1 - anharmonic correction)

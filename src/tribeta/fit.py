@@ -2,11 +2,12 @@
 
 The statistic is Pearson chi^2 with a unit floor on the denominator,
 Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from the forward model that
-also generates the pseudo-data (`response.Lattice.counts`, behind
-`response.expected_counts`).  Minimization is damped least squares
-(Levenberg-style trust parameter) on a closed-form Jacobian: mu is linear
-in A and b, and the W0 and m2nu columns come from
-`kernel.integral_spectrum_derivatives` in the same kernel pass as mu.  The
+also generates the pseudo-data (`response.expected_counts`).  Minimization
+is damped least squares (Levenberg-style trust parameter) on a closed-form
+Jacobian: mu is linear in A and b, and the W0 and m2nu columns come from
+`kernel.integral_spectrum_derivatives` in the same kernel pass as mu
+(`response.Lattice.counts_with_derivatives`), so each trial point costs
+one pass for its residuals and Jacobian together.  The
 (eps_n^2 - m2nu)^{3/2} term is C^1 at threshold for m2nu >= 0; for
 m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and the Jacobian is the
 derivative away from that jump.
@@ -118,12 +119,13 @@ def chi_square(params: SpectrumParams, dataset: PseudoDataset,
 
 class _Residuals:
     """Pearson residuals (n - mu) / sqrt(max(mu, 1)) of a fit's window bins
-    as a function of the free-parameter vector, with their Jacobian.
+    as a function of the free-parameter vector, with their Jacobian, both
+    from one kernel pass.
 
     The window's `Lattice` is built once.  mu is linear in A and b, so it is
     built from the unit-amplitude, zero-background shape, and trial steps
     with A <= 0 or b < 0 are still evaluated; a trial W0 or m2nu outside the
-    sane region gives infinite residuals, a rejected step.
+    sane region gives infinite residuals and no Jacobian, a rejected step.
     """
 
     def __init__(self, dataset: PseudoDataset, config: FitConfig):
@@ -142,7 +144,8 @@ class _Residuals:
         self.exposure = dataset.exposure
         self.config = config
 
-    def _split(self, vec: np.ndarray):
+    def __call__(self, vec: np.ndarray):
+        """(residuals, Jacobian) at vec; (inf residuals, None) if insane."""
         p = dict(self.fixed)
         p.update(zip(self.free, vec))
         try:
@@ -150,20 +153,7 @@ class _Residuals:
                 amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
                 background=0.0)
         except ValidationError:
-            shape = None
-        return p, shape
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        p, shape = self._split(vec)
-        if shape is None:
-            return np.full(self.n_bins, np.inf)
-        mu = p["amplitude"] * self.lattice.counts(
-            shape, self.config.fss, self.exposure) + p["background"]
-        return (self.counts - mu) / np.sqrt(np.maximum(mu, 1.0))
-
-    def with_jacobian(self, vec: np.ndarray):
-        """(residuals, Jacobian) at a sane point, from one kernel pass."""
-        p, shape = self._split(vec)
+            return np.full(self.n_bins, np.inf), None
         unit, d_w0, d_m2 = self.lattice.counts_with_derivatives(
             shape, self.config.fss, self.exposure)
         amplitude = p["amplitude"]
@@ -188,8 +178,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
     x = residuals.x0
     scales = _param_scales(x, free)
 
-    r, jac = residuals.with_jacobian(x)
-    jac_x = x
+    r, jac = residuals(x)
     chi2 = float(r @ r)
     if not np.isfinite(chi2):
         raise ModelError("initial chi^2 is not finite")
@@ -214,7 +203,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_try = residuals(x + delta)
+            r_try, jac_try = residuals(x + delta)
             chi2_try = float(r_try @ r_try)
             if np.isfinite(chi2_try) and chi2_try < chi2:
                 accepted = True
@@ -228,7 +217,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
             break
         change = chi2 - chi2_try
         x = x + delta
-        r = r_try
+        r, jac = r_try, jac_try
         chi2 = chi2_try
         lam = max(lam / 3.0, 1e-14)
         small_step = np.max(np.abs(delta) / scales) < STEP_TOL
@@ -237,13 +226,9 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
             converged = True
             message = "step and chi^2 change below tolerance"
             break
-        _, jac = residuals.with_jacobian(x)
-        jac_x = x
 
-    # covariance: inverse of half the Hessian approximation 2 J^T J; x is
-    # rebound only by accepted steps, so jac is current unless one came last
-    if jac_x is not x:
-        _, jac = residuals.with_jacobian(x)
+    # covariance: inverse of half the Hessian approximation 2 J^T J, with J
+    # the Jacobian of the last accepted point
     hess = jac.T @ jac
     covariance = None
     errors = None

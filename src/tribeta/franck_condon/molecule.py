@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -29,8 +30,10 @@ class MorseParams:
     r_eq_bohr: float
 
     def __post_init__(self):
-        if self.depth_ev <= 0 or self.steepness_inv_bohr <= 0 or self.r_eq_bohr <= 0:
-            raise ValidationError("Morse parameters must be positive")
+        # `not 0 < x < inf` so that NaN fails too
+        if not all(0.0 < x < math.inf for x in (
+                self.depth_ev, self.steepness_inv_bohr, self.r_eq_bohr)):
+            raise ValidationError("Morse parameters must be finite and positive")
 
     def potential(self, radii: np.ndarray) -> np.ndarray:
         """V(R) on the given radii, in hartree."""
@@ -49,8 +52,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 256:
             raise ValidationError("grid must have at least 256 points")
-        if self.r_max_bohr <= self.r_min_bohr:
-            raise ValidationError("r_max must exceed r_min")
+        if not -math.inf < self.r_min_bohr < self.r_max_bohr < math.inf:
+            raise ValidationError("grid radii must be finite, with r_max > r_min")
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min_bohr, self.r_max_bohr, self.points)
@@ -74,6 +77,8 @@ class Channel:
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
             raise ValidationError("channel weight must lie in [0, 1]")
+        if not (abs(self.offset_ev) < math.inf and abs(self.z_eff) < math.inf):
+            raise ValidationError("channel offset_ev and z_eff must be finite")
         if self.kind == "morse":
             if self.morse is None:
                 raise ConfigurationError("morse channel needs MorseParams")
@@ -95,8 +100,9 @@ class MoleculeModel:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        if self.initial_mass_au <= 0 or self.final_mass_au <= 0:
-            raise ValidationError("reduced masses must be positive")
+        if not (0.0 < self.initial_mass_au < math.inf
+                and 0.0 < self.final_mass_au < math.inf):
+            raise ValidationError("reduced masses must be finite and positive")
         if not self.channels:
             raise ValidationError("at least one final channel is required")
         if self.channels[0].kind != "morse" or self.channels[0].weight == 0.0:

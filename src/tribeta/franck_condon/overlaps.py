@@ -75,8 +75,10 @@ class RecoilEngine:
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units)."""
         check_recoil_momentum(q_au)
-        # (j_max + 1) x N: row J is j_J(qR) chi_0
-        radial = spherical_jn_table(self.j_max, q_au * self.radii) * self.chi0
+        # j_J(0) = delta_J0: at rest every J >= 1 line has P = 0
+        j_top = self.j_max if q_au > 0.0 else 0
+        # (j_top + 1) x N: row J is j_J(qR) chi_0
+        radial = spherical_jn_table(j_top, q_au * self.radii) * self.chi0
         blocks = []
         deficits: dict[str, float] = {}
         warned = False
@@ -91,9 +93,9 @@ class RecoilEngine:
             projected = bases.chi.T @ radial.T * self.step
             # integrals[J] = C_J^T projected[:, J]
             integrals = np.matmul(projected.T[:, None, :],
-                                  bases.coefficients)[:, 0, :]
+                                  bases.coefficients[:j_top + 1])[:, 0, :]
             total = 0.0
-            for j in range(self.j_max + 1):
+            for j in range(j_top + 1):
                 probs = ch.weight * (2 * j + 1) * integrals[j]**2
                 energies = ch.offset_ev + bases.energies_ev[j] - self.reference_ev
                 total += float(probs.sum())

@@ -21,6 +21,7 @@ one dense pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -52,17 +53,18 @@ class SpectrumParams:
     endpoint_drift: bool = False
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ValidationError("amplitude must be positive")
+        # `not lo <= x < hi` so that NaN fails too
+        if not 0.0 < self.amplitude < math.inf:
+            raise ValidationError("amplitude must be finite and positive")
         if not (18000.0 <= self.endpoint_ev <= 19000.0):
             raise ValidationError(
                 f"endpoint {self.endpoint_ev} eV outside the physical "
                 "configuration range [18000, 19000]")
-        if abs(self.m2nu_ev2) >= M2NU_SANITY_EV2:
+        if not abs(self.m2nu_ev2) < M2NU_SANITY_EV2:
             raise ValidationError(
                 f"|m2nu| = {abs(self.m2nu_ev2)} exceeds sanity bound {M2NU_SANITY_EV2}")
-        if self.background < 0.0:
-            raise ValidationError("background must be >= 0")
+        if not 0.0 <= self.background < math.inf:
+            raise ValidationError("background must be finite and >= 0")
 
     def with_values(self, **kwargs) -> "SpectrumParams":
         return replace(self, **kwargs)

@@ -41,11 +41,13 @@ class ResponseModel:
     step_fraction: float = 0.1   # grid step in units of sigma
 
     def __post_init__(self):
-        if self.sigma_ev <= 0.0:
-            raise ConfigurationError("sigma must be positive")
-        if self.half_width_sigmas < 6.0:
-            raise ConfigurationError("convolution support must span >= 6 sigma")
-        if self.step_fraction > 0.1 + 1e-12 or self.step_fraction <= 0.0:
+        # `not lo <= x < hi` so that NaN fails too
+        if not 0.0 < self.sigma_ev < math.inf:
+            raise ConfigurationError("sigma must be finite and positive")
+        if not 6.0 <= self.half_width_sigmas < math.inf:
+            raise ConfigurationError(
+                "convolution support must be finite and span >= 6 sigma")
+        if not 0.0 < self.step_fraction <= 0.1 + 1e-12:
             raise ConfigurationError("grid step must satisfy 0 < step <= sigma/10")
 
     def offsets(self) -> np.ndarray:
@@ -90,15 +92,10 @@ class Lattice:
         """Convolve values given at `energies`; one result per bin."""
         return np.asarray(values, dtype=float)[self.inverse] @ self.weights
 
-    def counts(self, params: SpectrumParams, fss: FinalStateSpectrum,
-               exposure: float) -> np.ndarray:
-        """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-        values = integral_spectrum(self.energies, params, fss)
-        return exposure * self.smear(values) + params.background
-
     def counts_with_derivatives(self, params: SpectrumParams,
                                 fss: FinalStateSpectrum, exposure: float):
-        """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is `counts`."""
+        """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is bit-identical
+        to `expected_counts`."""
         values, d_w0, d_m2 = integral_spectrum_derivatives(
             self.energies, params, fss)
         return (exposure * self.smear(values) + params.background,
@@ -201,7 +198,9 @@ def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
                     response: ResponseModel, bin_centers: np.ndarray,
                     exposure: float) -> np.ndarray:
     """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-    return Lattice.build(response, bin_centers).counts(params, fss, exposure)
+    lattice = Lattice.build(response, bin_centers)
+    values = integral_spectrum(lattice.energies, params, fss)
+    return exposure * lattice.smear(values) + params.background
 
 
 def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,

@@ -464,6 +464,85 @@ class TestUsageErrors:
              "--emin", str(W0 - 10.0), "--emax", str(W0), "--out",
              str(tmp_path / "s.csv")], capsys, str(params), "'mass_ev'")
 
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("amplitude", float("nan"), "amplitude"),
+        ("m2nu_ev2", float("nan"), "m2nu"),
+        ("background", float("inf"), "background"),
+    ], ids=["amplitude-nan", "m2nu-nan", "background-inf"])
+    def test_spectrum_non_finite_params(self, small_fss_file, tmp_path,
+                                        capsys, key, value, fragment):
+        params = tmp_path / "params.json"
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0,
+                                      key: value}))
+        out = tmp_path / "s.csv"
+        self.assert_input_error(
+            ["spectrum", "--params", str(params), "--fss", str(small_fss_file),
+             "--emin", str(W0 - 10.0), "--emax", str(W0), "--out", str(out)],
+            capsys, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_convolve_non_finite_sigma(self, tmp_path, capsys, sigma):
+        rates = tmp_path / "rates.csv"
+        rates.write_text("epsilon_beta_eV,rate\n1.0,2.0\n2.0,3.0\n")
+        out = tmp_path / "out.csv"
+        self.assert_input_error(
+            ["convolve", "--rates", str(rates), "--sigma", sigma,
+             "--out", str(out)], capsys, "sigma must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value,fragment", [
+        ("response", "half_width_sigmas", float("inf"), "6 sigma"),
+        ("response", "sigma_ev", float("nan"), "sigma must be finite"),
+        ("initial", "m2nu_ev2", float("nan"), "m2nu"),
+    ], ids=["half-width-inf", "sigma-nan", "m2nu-nan"])
+    def test_fit_config_non_finite(self, fit_inputs, tmp_path, capsys,
+                                   section, key, value, fragment):
+        argv = list(fit_inputs[0])
+        config = json.loads(Path(argv[4]).read_text())
+        config[section][key] = value
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(config))
+        argv[4] = str(path)
+        out = tmp_path / "r.json"
+        self.assert_input_error(argv + ["--out", str(out)], capsys, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path,value,fragment", [
+        (("initial", "depth_ev"), float("nan"), "Morse parameters"),
+        (("channels", 0, "morse", "steepness_inv_bohr"), float("inf"),
+         "Morse parameters"),
+        (("final_mass_au",), float("nan"), "reduced masses"),
+        (("initial_mass_au",), float("inf"), "reduced masses"),
+        (("channels", 1, "offset_ev"), float("nan"), "offset_ev"),
+        (("channels", 2, "z_eff"), float("inf"), "z_eff"),
+        (("grid", "r_max_bohr"), float("nan"), "grid radii"),
+        (("grid", "r_min_bohr"), float("-inf"), "grid radii"),
+    ], ids=["depth-nan", "steepness-inf", "final-mass-nan",
+            "initial-mass-inf", "offset-nan", "z-eff-inf", "r-max-nan",
+            "r-min-inf"])
+    def test_fss_gen_non_finite_model(self, tmp_path, capsys, monkeypatch,
+                                      path, value, fragment):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("radial solve for an invalid model")
+
+        for solver in ("solve_initial", "rotational_bases"):
+            monkeypatch.setattr(tribeta.franck_condon.overlaps, solver,
+                                unreachable)
+        doc = default_model().to_dict()
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "fss.dat"
+        self.assert_input_error(
+            ["fss", "gen", "--q", "5", "--model", str(model), "--out",
+             str(out)], capsys, fragment)
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,doc,unknown", [
         ("initial", {"amplitude": 1e-12, "endpoint_ev": W0, "m2nu": 0.1},
          "m2nu"),

@@ -6,6 +6,12 @@ not count), unless it is public API listed below.  No module-level import
 may go unused; package `__init__` modules are exempt, since their imports
 are the re-exported interface.
 
+Every method of a class in `src/tribeta`, other than `__dunder__` ones,
+must be called (`obj.name(...)`) somewhere in `src/` outside its own body,
+and every property read there, unless it is listed below.  A call is asked
+for, not a mention: a method name can also name a data attribute
+(`Lattice.counts` beside `PseudoDataset.counts`).
+
 Every defaulted function parameter and dataclass field must be passed by
 some call in `src/` (by keyword, by position or through `**`), matched by
 the callee's name, unless it is listed below with its outside source: a
@@ -15,7 +21,7 @@ Every dataclass field must be read somewhere in `src/`: through an
 attribute, or by a method of its class that passes `self` to `asdict`,
 `astuple` or `fields` (as `Constants.as_dict` does for `constants dump`).
 
-Both allowlists must stay current: an entry whose name no longer exists,
+Every allowlist must stay current: an entry whose name no longer exists,
 or that now has a caller or is now passed, fails the test that reads it.
 """
 
@@ -65,6 +71,48 @@ def test_every_top_level_definition_has_a_caller():
     assert flagged == []
     # a stale entry: the name is gone or now has a caller
     assert sorted(set(ALLOWED_UNREFERENCED) - set(unreferenced)) == []
+
+
+#: methods with no call in src/, one reason each
+ALLOWED_UNCALLED_METHODS = {
+    "_Parser.error": "argparse hook, called by ArgumentParser itself",
+    "MoleculeModel.to_json": "public model writer, documented in README",
+    "RecoilEngine.operator_moments":
+        "acceptance criteria 5-6; ROADMAP directions 2 and 4",
+    "RecoilEngine.c_term_bound":
+        "acceptance criteria 5-6; ROADMAP directions 2 and 4",
+}
+
+
+def test_every_method_has_a_caller():
+    modules = _modules()
+    called, read = {}, {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, []).append(node)
+            if isinstance(node, ast.Call) and isinstance(node.func,
+                                                         ast.Attribute):
+                called.setdefault(node.func.attr, []).append(node.func)
+    uncalled, flagged = [], []
+    for path, tree in modules.items():
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                prop = any(getattr(d, "id", "") == "property"
+                           for d in fn.decorator_list)
+                uses = (read if prop else called).get(fn.name, [])
+                own = {id(n) for n in ast.walk(fn)}
+                if any(id(u) not in own for u in uses):
+                    continue
+                uncalled.append(f"{cls.name}.{fn.name}")
+                if uncalled[-1] not in ALLOWED_UNCALLED_METHODS:
+                    flagged.append(f"{path.relative_to(SRC)}:{uncalled[-1]}")
+    assert flagged == []
+    # a stale entry: the method is gone or now has a caller
+    assert sorted(set(ALLOWED_UNCALLED_METHODS) - set(uncalled)) == []
 
 
 def test_no_unused_module_imports():

@@ -216,9 +216,10 @@ def central_difference(residuals, x, steps):
 
 def fd_gauss_newton(residuals, x, iterations=30):
     """Undamped Gauss-Newton on a central-difference Jacobian."""
+    values = lambda v: residuals(v)[0]
     for _ in range(iterations):
-        jac = central_difference(residuals, x, _param_scales(x, residuals.free))
-        delta = np.linalg.solve(jac.T @ jac, -jac.T @ residuals(x))
+        jac = central_difference(values, x, _param_scales(x, residuals.free))
+        delta = np.linalg.solve(jac.T @ jac, -jac.T @ values(x))
         x = x + delta
         if np.all(np.abs(delta) < 1e-6 * _param_scales(x, residuals.free)):
             break
@@ -240,9 +241,16 @@ class TestJacobian:
                         response=response, fss=fss, free=free)
         residuals = _Residuals(zero_noise, cfg)
         x = residuals.x0
-        r, jac = residuals.with_jacobian(x)
-        assert np.array_equal(r, residuals(x))
-        fd = central_difference(residuals, x, _param_scales(x, free))
+        r, jac = residuals(x)
+        # the generator's mu; the fitter scales by A after the smear, which
+        # moves mu by a few rounding errors eps * mu and so r by about
+        # eps * sqrt(mu) (3.3 eps sqrt(mu) at most over these cases)
+        mu = expected_counts(initial, fss, response, centers, exposure)
+        floor = np.sqrt(np.maximum(mu, 1.0))
+        assert np.all(np.abs(r - (zero_noise.counts - mu) / floor)
+                      <= 8.0 * np.finfo(float).eps * floor)
+        fd = central_difference(lambda v: residuals(v)[0], x,
+                                _param_scales(x, free))
         assert jac.shape == fd.shape == (len(centers), len(free))
         for col, fd_col in zip(jac.T, fd.T):
             assert np.max(np.abs(col - fd_col)) <= 1e-6 * np.max(np.abs(col))
@@ -263,19 +271,44 @@ class TestJacobian:
             assert abs(ours - theirs) <= 1e-3 * result.errors[name]
 
     def test_one_kernel_pass_per_evaluation(self, setup, monkeypatch):
-        # a finite-difference Jacobian would cost 2 passes per free parameter
+        # residuals and Jacobian of a trial point come from one pass; a
+        # finite-difference Jacobian would cost 2 passes per free parameter
         fss, response, truth, centers, exposure, zero_noise = setup
-        passes = []
+        passes, evaluations = [], []
         line_blocks = tribeta.kernel._line_blocks
+        evaluate = _Residuals.__call__
 
         def counting(*args):
             passes.append(1)
             return line_blocks(*args)
 
+        def counted(self, vec):
+            evaluations.append(1)
+            return evaluate(self, vec)
+
         monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
+        monkeypatch.setattr(_Residuals, "__call__", counted)
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
         result = minimize(zero_noise, make_config(fss, response, guess))
         assert result.converged
         assert result.n_iterations >= 2
+        assert len(passes) == len(evaluations)
         assert len(passes) <= 3 * result.n_iterations + 2
+
+    def test_covariance_is_inverse_gauss_newton_at_result(self, setup):
+        # the fit stops right after an accepted step: the covariance must
+        # come from the Jacobian at that step's point, not the one before
+        fss, response, truth, centers, exposure, zero_noise = setup
+        dataset = generate_pseudodata(truth, fss, response, centers, exposure,
+                                      seed=1)
+        cfg = make_config(fss, response,
+                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
+        result = minimize(dataset, cfg)
+        assert result.message == "step and chi^2 change below tolerance"
+        assert result.params.background > 0.0
+        x = np.array([result.params.amplitude, result.params.endpoint_ev,
+                      result.params.m2nu_ev2, result.params.background])
+        r, jac = _Residuals(dataset, cfg)(x)
+        assert float(r @ r) == result.chi2
+        assert np.array_equal(result.covariance, np.linalg.inv(jac.T @ jac))

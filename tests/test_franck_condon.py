@@ -192,6 +192,25 @@ class TestPseudoSpectrum:
         assert np.allclose(recoiled.energies - at_rest.energies,
                            rotational_shift_ev(model, q_endpoint), rtol=1e-12)
 
+    def test_at_rest_builds_only_j_zero(self, small_engine, small_model,
+                                        q_endpoint, monkeypatch):
+        # j_J(0) = delta_J0: every J >= 1 line of overlaps(0) has P = 0
+        asked = []
+        table = overlaps.spherical_jn_table
+
+        def recording(l_max, x):
+            asked.append(l_max)
+            return table(l_max, x)
+
+        monkeypatch.setattr(overlaps, "spherical_jn_table", recording)
+        ps = small_engine.pseudo_spectrum(q_endpoint)
+        assert asked == [0]
+        assert ps.vibrations.tolist() == list(range(len(ps)))
+        assert ps.total_probability == pytest.approx(
+            small_model.channels[0].weight, abs=1e-3)
+        small_engine.overlaps(q_endpoint)
+        assert asked == [0, small_engine.j_max]
+
     def test_rotational_shift_value(self, model):
         shift = rotational_shift_ev(model, 18.6)
         assert shift == pytest.approx(1.72, rel=0.02)

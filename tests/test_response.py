@@ -143,7 +143,6 @@ class TestConvolve:
             assert np.array_equal(
                 mu, exposure * (direct.reshape(grid.shape) @ r.weights())
                 + p.background)
-            assert np.array_equal(lattice.counts(p, study_fss, exposure), mu)
             mu_d, _, _ = lattice.counts_with_derivatives(p, study_fss,
                                                          exposure)
             assert np.array_equal(mu_d, mu)

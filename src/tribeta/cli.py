@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (AccuracyError, ConfigurationError, ModelError,
-                     ValidationError)
+                     ValidationError, naming, read_document)
 
 try:
     from .fit import PARAM_NAMES, FitConfig, minimize
@@ -75,31 +75,10 @@ def _ensure_outdir(path: str) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
-def _read_json(path: str):
-    """The JSON document in `path`; malformed JSON is an error naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-
-
 def _load_model(path: str | None) -> MoleculeModel:
     if path is None:
         return default_model()
-    return MoleculeModel.from_dict(_read_json(path))
-
-
-def _from_doc(cls, doc, source: str):
-    """cls(**doc), with a bad key or value type as a ValidationError."""
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
-
-
-def _load_params(path: str) -> SpectrumParams:
-    return _from_doc(SpectrumParams, _read_json(path), path)
+    return MoleculeModel.from_dict(read_document(path), path)
 
 
 def _load_rates(path: str) -> np.ndarray:
@@ -164,17 +143,9 @@ def _cmd_fss_gen(args) -> int:
     spectrum = engine.overlaps(args.q)
     _ensure_outdir(args.out)
     save_fss(spectrum, args.out)
-    sidecar = {
-        "q_au": args.q,
-        "j_max": args.j_max,
-        "v_max": args.v_max,
-        "line_count": len(spectrum),
-        "total_probability": spectrum.total_probability,
-        "truncation_deficit": spectrum.provenance.get("truncation_deficit"),
-        "truncation_warning": spectrum.provenance.get("truncation_warning", False),
-        "grid": spectrum.provenance.get("grid"),
-        "model_hash": model.parameter_hash(),
-    }
+    sidecar = {"truncation_warning": False, **spectrum.provenance,
+               "line_count": len(spectrum),
+               "total_probability": spectrum.total_probability}
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -212,7 +183,9 @@ def _cmd_fss_moments(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spectrum_fss = load_fss(args.fss)
-    params = _load_params(args.params)
+    doc = read_document(args.params)
+    with naming(args.params):
+        params = SpectrumParams(**doc)
     grid = _energy_grid(args)
     form = {"integral": integral_spectrum,
             "differential": differential_spectrum,
@@ -242,9 +215,7 @@ def _cmd_fit(args) -> int:
         dataset = load_dataset(args.dataset)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    doc = _read_json(args.config)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{args.config}: expected a JSON object")
+    doc = read_document(args.config)
     window = doc.get("window_ev")
     free = doc.get("free", list(PARAM_NAMES))
     max_iterations = doc.get("max_iterations", 100)
@@ -257,15 +228,14 @@ def _cmd_fit(args) -> int:
             raise ValidationError(
                 f"{args.config} {key}: expected {expected}, got {doc.get(key)!r}")
     spectrum_fss = load_fss(args.fss)
-    params = _from_doc(SpectrumParams, doc.get("initial"), f"{args.config} initial")
-    response = _from_doc(ResponseModel, doc.get("response", {"sigma_ev": 2.5}),
-                         f"{args.config} response")
-    try:
-        config = FitConfig(
-            window_ev=tuple(window), initial=params, response=response,
-            fss=spectrum_fss, free=tuple(free), max_iterations=max_iterations)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.config}: {exc}") from None
+    with naming(f"{args.config} initial"):
+        params = SpectrumParams(**doc.get("initial"))
+    with naming(f"{args.config} response"):
+        response = ResponseModel(**doc.get("response", {"sigma_ev": 2.5}))
+    with naming(args.config):
+        config = FitConfig(**{**doc, "window_ev": tuple(window),
+                              "initial": params, "response": response,
+                              "fss": spectrum_fss, "free": tuple(free)})
     result = minimize(dataset, config)
     out = {
         "values": {

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
-from .response import Lattice, PseudoDataset, ResponseModel, expected_counts
+from .response import Lattice, PseudoDataset, ResponseModel
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
@@ -103,18 +103,6 @@ def _window_mask(centers: np.ndarray, window: tuple[float, float]) -> np.ndarray
 def _params_vector(params: SpectrumParams) -> dict:
     return {"amplitude": params.amplitude, "endpoint": params.endpoint_ev,
             "m2nu": params.m2nu_ev2, "background": params.background}
-
-
-def chi_square(params: SpectrumParams, dataset: PseudoDataset,
-               config: FitConfig) -> float:
-    """Pearson chi^2 of the dataset's window bins under the given params."""
-    mask = _window_mask(dataset.bin_centers, config.window_ev)
-    if mask.sum() < 1:
-        raise ValidationError("window selects no bins")
-    mu = expected_counts(params, config.fss, config.response,
-                         dataset.bin_centers[mask], dataset.exposure)
-    n = dataset.counts[mask].astype(float)
-    return float((((n - mu) ** 2) / np.maximum(mu, 1.0)).sum())
 
 
 class _Residuals:

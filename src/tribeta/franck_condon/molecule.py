@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, ValidationError
+from ..errors import ConfigurationError, ValidationError, naming
 from ..physics import CONSTANTS
 
 
@@ -141,22 +141,24 @@ class MoleculeModel:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MoleculeModel":
-        try:
-            initial = MorseParams(**d["initial"])
-            channels = []
-            for c in d["channels"]:
-                c = dict(c)
-                morse = c.pop("morse", None)
-                channels.append(Channel(
-                    morse=MorseParams(**morse) if morse else None, **c))
+    def from_dict(cls, d: dict, source: str) -> "MoleculeModel":
+        """The model in a `to_dict` document; a bad key or value is a
+        ConfigurationError naming `source` and the section it is in."""
+        with naming(f"{source} initial"):
+            initial = MorseParams(**d.get("initial"))
+        with naming(f"{source} channels"):
+            entries = [{"morse": None, **c} for c in d.get("channels", ())]
+        channels = []
+        for i, c in enumerate(entries):
+            with naming(f"{source} channels[{i}] morse"):
+                morse = None if c["morse"] is None else MorseParams(**c["morse"])
+            with naming(f"{source} channels[{i}]"):
+                channels.append(Channel(**{**c, "morse": morse}))
+        with naming(f"{source} grid"):
             grid = GridSpec(**d.get("grid", {}))
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"bad molecule model document: {exc}") from exc
-        return cls(initial=initial, channels=tuple(channels),
-                   initial_mass_au=d.get("initial_mass_au", CONSTANTS.t2_reduced),
-                   final_mass_au=d.get("final_mass_au", CONSTANTS.reduced_t_he3),
-                   grid=grid)
+        with naming(source):
+            return cls(**{**d, "initial": initial, "channels": tuple(channels),
+                          "grid": grid})
 
 
 # T2 ground curve: D_e and R_e from the hydrogen BO surface, a matched to

@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, naming, read_document
 
 #: environment variable naming an alternative constants JSON file
 CONSTANTS_ENV_VAR = "TRIBETA_CONSTANTS"
@@ -92,22 +92,14 @@ def load_constants(path: str) -> Constants:
     A missing, malformed or invalid file is a ConfigurationError naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_document(path)
+    except OSError as exc:
         raise ConfigurationError(f"constants file {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"constants file {path}: not a JSON object")
+    except ConfigurationError as exc:  # its message starts with the path
+        raise ConfigurationError(f"constants file {exc}") from None
     raw.pop("derived", None)
-    known = {f for f in Constants.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigurationError(
-            f"constants file {path}: unknown fields {sorted(unknown)}")
-    try:
-        return replace(Constants(), **raw)
-    except (TypeError, ValidationError) as exc:
-        raise ConfigurationError(f"constants file {path}: {exc}") from None
+    with naming(f"constants file {path}"):
+        return Constants(**raw)
 
 
 def _default_constants() -> Constants:

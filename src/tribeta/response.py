@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError, ValidationError
+from .errors import (ConfigurationError, ModelError, ValidationError,
+                     read_document)
 from .fss import FinalStateSpectrum
 from .kernel import (SpectrumParams, integral_spectrum,
                      integral_spectrum_derivatives)
@@ -266,15 +267,10 @@ def load_dataset(path: str) -> PseudoDataset:
                     f"integer count, got {row!r}") from None
     sidecar = path + ".json"
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
+        truth = read_document(sidecar)
     except FileNotFoundError:
         truth, fallback = {}, "not found"
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{sidecar}: {exc}") from None
     else:
-        if not isinstance(truth, dict):
-            raise ValidationError(f"{sidecar}: expected a JSON object")
         fallback = None if "exposure" in truth else "has no exposure"
     if fallback:
         warnings.warn(f"dataset sidecar {sidecar} {fallback}; using "

@@ -468,7 +468,8 @@ class TestUsageErrors:
         ("amplitude", float("nan"), "amplitude"),
         ("m2nu_ev2", float("nan"), "m2nu"),
         ("background", float("inf"), "background"),
-    ], ids=["amplitude-nan", "m2nu-nan", "background-inf"])
+        ("endpoint_ev", 17000.0, "endpoint 17000.0 eV outside"),
+    ], ids=["amplitude-nan", "m2nu-nan", "background-inf", "endpoint-17000"])
     def test_spectrum_non_finite_params(self, small_fss_file, tmp_path,
                                         capsys, key, value, fragment):
         params = tmp_path / "params.json"
@@ -479,7 +480,7 @@ class TestUsageErrors:
         self.assert_input_error(
             ["spectrum", "--params", str(params), "--fss", str(small_fss_file),
              "--emin", str(W0 - 10.0), "--emax", str(W0), "--out", str(out)],
-            capsys, fragment)
+            capsys, f"error: {params}: ", fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -506,24 +507,28 @@ class TestUsageErrors:
         path.write_text(json.dumps(config))
         argv[4] = str(path)
         out = tmp_path / "r.json"
-        self.assert_input_error(argv + ["--out", str(out)], capsys, fragment)
+        self.assert_input_error(argv + ["--out", str(out)], capsys,
+                                f"error: {path} {section}: ", fragment)
         assert not out.exists()
 
-    @pytest.mark.parametrize("path,value,fragment", [
-        (("initial", "depth_ev"), float("nan"), "Morse parameters"),
+    @pytest.mark.parametrize("path,value,section,fragment", [
+        (("initial", "depth_ev"), float("nan"), " initial", "Morse parameters"),
         (("channels", 0, "morse", "steepness_inv_bohr"), float("inf"),
-         "Morse parameters"),
-        (("final_mass_au",), float("nan"), "reduced masses"),
-        (("initial_mass_au",), float("inf"), "reduced masses"),
-        (("channels", 1, "offset_ev"), float("nan"), "offset_ev"),
-        (("channels", 2, "z_eff"), float("inf"), "z_eff"),
-        (("grid", "r_max_bohr"), float("nan"), "grid radii"),
-        (("grid", "r_min_bohr"), float("-inf"), "grid radii"),
+         " channels[0] morse", "Morse parameters"),
+        (("final_mass_au",), float("nan"), "", "reduced masses"),
+        (("initial_mass_au",), float("inf"), "", "reduced masses"),
+        (("channels", 1, "offset_ev"), float("nan"), " channels[1]",
+         "offset_ev"),
+        (("channels", 2, "z_eff"), float("inf"), " channels[2]", "z_eff"),
+        (("grid", "r_max_bohr"), float("nan"), " grid", "grid radii"),
+        (("grid", "r_min_bohr"), float("-inf"), " grid", "grid radii"),
+        (("final_mass_au",), "x", "", "'<' not supported"),
+        (("gird",), {"points": 512}, "", "'gird'"),
     ], ids=["depth-nan", "steepness-inf", "final-mass-nan",
             "initial-mass-inf", "offset-nan", "z-eff-inf", "r-max-nan",
-            "r-min-inf"])
+            "r-min-inf", "final-mass-string", "unknown-key"])
     def test_fss_gen_non_finite_model(self, tmp_path, capsys, monkeypatch,
-                                      path, value, fragment):
+                                      path, value, section, fragment):
         def unreachable(*args, **kwargs):
             raise AssertionError("radial solve for an invalid model")
 
@@ -540,25 +545,33 @@ class TestUsageErrors:
         out = tmp_path / "fss.dat"
         self.assert_input_error(
             ["fss", "gen", "--q", "5", "--model", str(model), "--out",
-             str(out)], capsys, fragment)
+             str(out)], capsys, f"error: {model}{section}: ", fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize("section,doc,unknown", [
         ("initial", {"amplitude": 1e-12, "endpoint_ev": W0, "m2nu": 0.1},
          "m2nu"),
         ("response", {"sigma": 2.5}, "sigma"),
+        # a top-level misspelling of `free`, which would free all four
+        (None, {"fre": ["m2nu"], "max_iterations": 1}, "fre"),
     ])
     def test_fit_config_unknown_key(self, fit_inputs, tmp_path, capsys,
                                     section, doc, unknown):
         argv, _ = fit_inputs
         argv = list(argv)
         config = json.loads(Path(argv[4]).read_text())
-        config[section] = doc
+        if section:
+            config[section] = doc
+        else:
+            config.update(doc)
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(config))
         argv[4] = str(path)
-        self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
-                                capsys, f"{path} {section}", f"'{unknown}'")
+        out = tmp_path / "r.json"
+        where = f"{path} {section}" if section else f"{path}"
+        self.assert_input_error(argv + ["--out", str(out)], capsys,
+                                f"error: {where}: ", f"'{unknown}'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("config,fragments", [
         ([1], ("expected a JSON object",)),

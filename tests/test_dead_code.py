@@ -33,7 +33,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tribeta"
 
 #: public API with no caller in src/, one reason each
 ALLOWED_UNREFERENCED = {
-    "chi_square": "public fit statistic, documented in README",
     "save_dataset": "public dataset writer, documented in README",
 }
 
@@ -135,13 +134,9 @@ def test_no_unused_module_imports():
 #: defaulted parameters and dataclass fields that no call in src/ passes,
 #: one reason each; an owner without a setting name covers all its settings
 ALLOWED_UNPASSED = {
-    "Constants": "every field is read from the TRIBETA_CONSTANTS file",
     "MoleculeModel.initial_mass_au": "read from the --model JSON",
     "MoleculeModel.final_mass_au": "read from the --model JSON",
     "MoleculeModel.grid": "read from the --model JSON",
-    "ResponseModel.half_width_sigmas": "read from the fit.json response",
-    "ResponseModel.step_fraction": "read from the fit.json response",
-    "SpectrumParams.z_daughter": "read from the spectrum params.json",
     "main.argv": "argument list of the console entry point, for callers",
 }
 

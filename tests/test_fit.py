@@ -1,13 +1,14 @@
 """Chi-square fitting: exact recovery, oracle values, covariance contracts."""
 
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import tribeta.kernel
 from tribeta.errors import ValidationError
-from tribeta.fit import (FitConfig, _param_scales, _Residuals, chi_square,
-                         minimize)
+from tribeta.fit import FitConfig, _param_scales, _Residuals, minimize
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams
 from tribeta.response import (PseudoDataset, ResponseModel, expected_counts,
@@ -38,17 +39,24 @@ def make_config(study_fss, response, initial, window=(W0 - 200.0, W0 + 20.0)):
                      fss=study_fss)
 
 
+def chi2_at(params, dataset, cfg):
+    """r . r of the fitter's Pearson residuals at `params`."""
+    residuals = _Residuals(dataset, replace(cfg, initial=params))
+    r, _ = residuals(residuals.x0)
+    return float(r @ r)
+
+
 class TestChiSquare:
     def test_zero_at_truth(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth)
-        assert chi_square(truth, zero_noise, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert chi2_at(truth, zero_noise, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_after_perturbation(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth)
         bumped = truth.with_values(amplitude=truth.amplitude * 1.01)
-        assert chi_square(bumped, zero_noise, cfg) > 0.0
+        assert chi2_at(bumped, zero_noise, cfg) > 0.0
 
     def test_30_digit_oracle(self, study_fss):
         # small reference dataset, chi^2 recomputed in 30-digit arithmetic
@@ -62,7 +70,7 @@ class TestChiSquare:
                                       seed=20260809)
         cfg = FitConfig(window_ev=(centers[0], centers[-1]), initial=truth,
                         response=response, fss=fss)
-        ours = chi_square(truth, dataset, cfg)
+        ours = chi2_at(truth, dataset, cfg)
 
         me = mp.mpf("510998.95000")
         alpha = mp.mpf("7.2973525693e-3")
@@ -91,7 +99,7 @@ class TestChiSquare:
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth, window=(W0 + 30.0, W0 + 40.0))
         with pytest.raises(ValidationError):
-            chi_square(truth, zero_noise, cfg)
+            chi2_at(truth, zero_noise, cfg)
 
 
 class TestMinimize:
@@ -111,7 +119,7 @@ class TestMinimize:
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.2)
         cfg = make_config(fss, response, guess)
         result = minimize(zero_noise, cfg)
-        assert result.chi2 <= chi_square(truth, zero_noise, cfg) + 1e-9
+        assert result.chi2 <= chi2_at(truth, zero_noise, cfg) + 1e-9
 
     def test_covariance_contracts(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup

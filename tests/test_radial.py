@@ -295,7 +295,8 @@ class TestModelValidation:
             replace(model, channels=(ground,) + model.channels[1:])
 
     def test_json_round_trip(self, model):
-        back = MoleculeModel.from_dict(json.loads(model.to_json()))
+        back = MoleculeModel.from_dict(json.loads(model.to_json()),
+                                      "model.json")
         assert back == model
         assert back.parameter_hash() == model.parameter_hash()
 

@@ -11,15 +11,13 @@ choice only and does not affect runtimes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, write_table
 from .fit import FitConfig, minimize
 from .franck_condon import RecoilEngine, default_model
 from .fss import FinalStateSpectrum, from_lines
@@ -111,14 +109,10 @@ def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV
 
 
 def save_fig2_csv(result: Fig2Result, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth_eV", "exact_sum", "linear_sum",
-                         "abs_difference", "trend"])
-        for r in result.rows:
-            writer.writerow([f"{r.depth_ev:.12g}", f"{r.exact:.12g}",
-                             f"{r.linear:.12g}", f"{r.difference:.12g}",
-                             f"{r.trend:.12g}"])
+    write_table(path, ["depth_eV", "exact_sum", "linear_sum", "abs_difference",
+                       "trend"],
+                [(r.depth_ev, r.exact, r.linear, r.difference, r.trend)
+                 for r in result.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +270,11 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
 
 
 def save_bias_csv(result: BiasScanResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth_eV", "n_fits", "n_excluded", "mean_m2nu_eV2",
-                         "se_m2nu_eV2", "mean_W0_shift_eV", "se_W0_shift_eV",
-                         "control_mean_m2nu_eV2", "control_se_m2nu_eV2",
-                         "control_mean_W0_shift_eV"])
-        for w in result.windows:
-            writer.writerow([f"{w.depth_ev:.12g}", w.n_fits, w.n_excluded,
-                             f"{w.mean_m2nu:.12g}", f"{w.se_m2nu:.12g}",
-                             f"{w.mean_w0_shift:.12g}", f"{w.se_w0_shift:.12g}",
-                             f"{w.control_mean_m2nu:.12g}",
-                             f"{w.control_se_m2nu:.12g}",
-                             f"{w.control_mean_w0_shift:.12g}"])
-
-
-def save_bias_json(result: BiasScanResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(path, ["depth_eV", "n_fits", "n_excluded", "mean_m2nu_eV2",
+                       "se_m2nu_eV2", "mean_W0_shift_eV", "se_W0_shift_eV",
+                       "control_mean_m2nu_eV2", "control_se_m2nu_eV2",
+                       "control_mean_W0_shift_eV"],
+                [(w.depth_ev, w.n_fits, w.n_excluded, w.mean_m2nu, w.se_m2nu,
+                  w.mean_w0_shift, w.se_w0_shift, w.control_mean_m2nu,
+                  w.control_se_m2nu, w.control_mean_w0_shift)
+                 for w in result.windows])

@@ -4,11 +4,11 @@ Subcommands: `constants dump`, `fss gen`, `fss moments`, `spectrum`,
 `convolve`, `fit`, `bias-scan`, `fig2`.  Exit status: 0 success,
 1 validation/usage error, 2 numerical-convergence failure.
 
-Every run that writes outputs also writes `<output>.manifest.json`
-recording the command, input hashes (a TRIBETA_CONSTANTS override file
-among them), constants version and seeds; re-runs with identical inputs
-produce byte-identical primary outputs (manifests differ only in the
-timestamp field).
+A run with `--out` that returns (exit 0, or 2 for an unconverged fit or
+a flagged scan) also writes `<output>.manifest.json`: the command, the
+hashes of the input-flag files and a TRIBETA_CONSTANTS file, constants
+version and seed.  Re-runs with identical inputs produce byte-identical
+primary outputs (manifests differ only in the timestamp field).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
+import math
 import os
 import sys
 import time
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (AccuracyError, ConfigurationError, ModelError,
-                     ValidationError, naming, read_document)
+                     ValidationError, document_text, naming, read_document,
+                     write_document, write_table)
 
 try:
     from .fit import PARAM_NAMES, FitConfig, minimize
@@ -38,7 +39,7 @@ try:
     from .physics import CONSTANTS, CONSTANTS_ENV_VAR
     from .response import ResponseModel, convolve, load_dataset
     from .bias import (ScanSpec, bias_scan, build_study_fss, fig2_study,
-                       save_bias_csv, save_bias_json, save_fig2_csv)
+                       save_bias_csv, save_fig2_csv)
 except ConfigurationError as exc:
     # physics reads the TRIBETA_CONSTANTS file at import, before main runs
     sys.exit(f"error: {exc}")
@@ -52,9 +53,10 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(output_path: str, args: argparse.Namespace,
-                    inputs: list[str], seeds=None) -> None:
-    manifest = {
+def _write_manifest(args: argparse.Namespace) -> None:
+    inputs = [getattr(args, flag, None) for flag in
+              ("model", "fss", "params", "rates", "dataset", "config")]
+    write_document(args.out + ".manifest.json", {
         "tool": f"tribeta {__version__}",
         "command": args.command,
         "argv": sys.argv[1:],
@@ -62,17 +64,9 @@ def _write_manifest(output_path: str, args: argparse.Namespace,
         "inputs": {p: _sha256(p)
                    for p in inputs + [os.environ.get(CONSTANTS_ENV_VAR)]
                    if p and os.path.exists(p)},
-        "seeds": seeds,
+        "seeds": {"base_seed": args.seed} if "seed" in args else None,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    with open(output_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _ensure_outdir(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    })
 
 
 def _load_model(path: str | None) -> MoleculeModel:
@@ -82,20 +76,30 @@ def _load_model(path: str | None) -> MoleculeModel:
 
 
 def _load_rates(path: str) -> np.ndarray:
-    """(energy, rate) rows of a rate CSV, after its header row."""
+    """(energy, rate) rows of a rate CSV, after its header row: finite
+    values, energies strictly increasing."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    data = []
+    data, last = [], -math.inf
     for lineno, row in enumerate(rows, start=2):
         try:
-            energy, rate = row
-            data.append((float(energy), float(rate)))
+            energy, rate = map(float, row)
         except ValueError:
             raise ValidationError(f"{path} row {lineno}: expected two numbers "
                                   f"epsilon_beta_eV,rate, got {row!r}") from None
+        # `not a < b < inf` so that NaN fails too
+        if not (last < energy < math.inf and abs(rate) < math.inf):
+            raise ValidationError(
+                f"{path} row {lineno}: expected finite values, energies "
+                f"strictly increasing, got {row!r}")
+        data.append((energy, rate))
+        last = energy
     return np.array(data)
+
+
+_RATE_HEADER = ["epsilon_beta_eV", "rate"]
 
 
 def _energy_grid(args) -> np.ndarray:
@@ -112,26 +116,14 @@ def _energy_grid(args) -> np.ndarray:
     return np.linspace(args.emin, args.emax, args.points)
 
 
-def _write_rate_csv(path: str, energies, rates) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon_beta_eV", "rate"])
-        for e, r in zip(energies, rates):
-            writer.writerow([f"{e:.12g}", f"{r:.12g}"])
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_constants_dump(args) -> int:
-    text = CONSTANTS.dump_json()
     if args.out:
-        _ensure_outdir(args.out)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args.out, args, [])
+        write_document(args.out, CONSTANTS.as_dict())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(document_text(CONSTANTS.as_dict()))
     return 0
 
 
@@ -141,36 +133,23 @@ def _cmd_fss_gen(args) -> int:
     engine = RecoilEngine(model, j_max=args.j_max, v_max=args.v_max,
                           convergence_check=not args.no_grid_check)
     spectrum = engine.overlaps(args.q)
-    _ensure_outdir(args.out)
     save_fss(spectrum, args.out)
-    sidecar = {"truncation_warning": False, **spectrum.provenance,
-               "line_count": len(spectrum),
-               "total_probability": spectrum.total_probability}
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, args, [args.model] if args.model else [])
+    write_document(args.out + ".json", {
+        "truncation_warning": False, **spectrum.provenance,
+        "line_count": len(spectrum),
+        "total_probability": spectrum.total_probability})
     return 0
 
 
 def _cmd_fss_moments(args) -> int:
     spectrum = load_fss(args.fss)
-    rows = []
-    for eps in args.eps:
-        m = cumulative_moments(spectrum, eps)
-        rows.append((eps, m))
+    rows = [(eps, cumulative_moments(spectrum, eps)) for eps in args.eps]
     if args.out:
-        _ensure_outdir(args.out)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps_eV", "P_eps", "mean_E_eV", "mean_E2_eV2",
-                             "mean_E3_eV3"])
-            for eps, m in rows:
-                writer.writerow([f"{eps:.12g}", f"{m.p_open:.12g}"]
-                                + (["absent"] * 3 if not m.open else
-                                   [f"{m.mean_e:.12g}", f"{m.mean_e2:.12g}",
-                                    f"{m.mean_e3:.12g}"]))
-        _write_manifest(args.out, args, [args.fss])
+        write_table(args.out, ["eps_eV", "P_eps", "mean_E_eV", "mean_E2_eV2",
+                               "mean_E3_eV3"],
+                    [[eps, m.p_open] + ([m.mean_e, m.mean_e2, m.mean_e3]
+                                        if m.open else ["absent"] * 3)
+                     for eps, m in rows])
     else:
         for eps, m in rows:
             if m.open:
@@ -191,9 +170,7 @@ def _cmd_spectrum(args) -> int:
             "differential": differential_spectrum,
             "linearized": linearized_spectrum}[args.form]
     rates = form(grid, params, spectrum_fss)
-    _ensure_outdir(args.out)
-    _write_rate_csv(args.out, grid, np.atleast_1d(rates))
-    _write_manifest(args.out, args, [args.fss, args.params])
+    write_table(args.out, _RATE_HEADER, zip(grid, np.atleast_1d(rates)))
     return 0
 
 
@@ -202,10 +179,7 @@ def _cmd_convolve(args) -> int:
     response = ResponseModel(sigma_ev=args.sigma)
     smeared = convolve(
         lambda e: np.interp(e, data[:, 0], data[:, 1]), response)
-    rates = smeared(data[:, 0])
-    _ensure_outdir(args.out)
-    _write_rate_csv(args.out, data[:, 0], rates)
-    _write_manifest(args.out, args, [args.rates])
+    write_table(args.out, _RATE_HEADER, zip(data[:, 0], smeared(data[:, 0])))
     return 0
 
 
@@ -229,7 +203,7 @@ def _cmd_fit(args) -> int:
                 f"{args.config} {key}: expected {expected}, got {doc.get(key)!r}")
     spectrum_fss = load_fss(args.fss)
     with naming(f"{args.config} initial"):
-        params = SpectrumParams(**doc.get("initial"))
+        params = SpectrumParams(**doc["initial"])
     with naming(f"{args.config} response"):
         response = ResponseModel(**doc.get("response", {"sigma_ev": 2.5}))
     with naming(args.config):
@@ -237,7 +211,7 @@ def _cmd_fit(args) -> int:
                               "initial": params, "response": response,
                               "fss": spectrum_fss, "free": tuple(free)})
     result = minimize(dataset, config)
-    out = {
+    write_document(args.out, {
         "values": {
             "amplitude": result.params.amplitude,
             "endpoint_ev": result.params.endpoint_ev,
@@ -254,12 +228,7 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "window_ev": list(result.window_ev),
         "message": result.message,
-    }
-    _ensure_outdir(args.out)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, args, [args.dataset, args.config, args.fss])
+    })
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return 2
@@ -273,11 +242,8 @@ def _cmd_bias_scan(args) -> int:
                     replications=args.replications, base_seed=args.seed)
     fss = load_fss(args.fss) if args.fss else build_study_fss()
     result = bias_scan(spec, fss=fss, jobs=args.jobs)
-    _ensure_outdir(args.out)
     save_bias_csv(result, args.out)
-    save_bias_json(result, args.out + ".json")
-    _write_manifest(args.out, args, [args.fss] if args.fss else [],
-                    seeds={"base_seed": args.seed})
+    write_document(args.out + ".json", result.to_dict())
     if result.flagged:
         print("warning: more than 10% of fits excluded", file=sys.stderr)
         return 2
@@ -287,15 +253,10 @@ def _cmd_bias_scan(args) -> int:
 def _cmd_fig2(args) -> int:
     spectrum_fss = load_fss(args.fss) if args.fss else build_study_fss()
     result = fig2_study(spectrum_fss, endpoint_ev=args.w0, m_nu_ev=args.mnu)
-    _ensure_outdir(args.out)
     save_fig2_csv(result, args.out)
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"c_fit": result.c_fit, "m_nu_ev": result.m_nu_ev,
-                   "endpoint_ev": result.endpoint_ev,
-                   "bound_holds": result.bound_holds()}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, args, [args.fss] if args.fss else [])
+    write_document(args.out + ".json", {
+        "c_fit": result.c_fit, "m_nu_ev": result.m_nu_ev,
+        "endpoint_ev": result.endpoint_ev, "bound_holds": result.bound_holds()})
     return 0
 
 
@@ -397,7 +358,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        if args.out:
+            _write_manifest(args)
+        return code
     except (ValidationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

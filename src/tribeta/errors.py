@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one JSON reader.
+"""Exception types shared across the package, and the one reader and
+writer of its files.
 
 The CLI maps ValidationError (and subclasses) to exit status 1 and
 AccuracyError / ModelError / non-convergence to exit status 2.
@@ -6,13 +7,21 @@ AccuracyError / ModelError / non-convergence to exit status 2.
 Every JSON document (model.json, fit.json, spectrum params, dataset
 sidecars, the TRIBETA_CONSTANTS file) is read by `read_document` and
 turned into objects inside `naming` blocks, so a malformed document, a
-misspelt key or a bad value is a ConfigurationError whose message starts
-with the file and, where there is one, the section it came from
-(`fit.json response: sigma must be finite and positive`).
+misspelt key, a missing section or a bad value is a ConfigurationError
+whose message starts with the file and, where there is one, the section
+it came from (`fit.json response: sigma must be finite and positive`).
+
+Every output file is opened by `open_output`, which creates its parent
+directory: JSON documents as `document_text` (`write_document`), CSV
+tables with floats as `.12g` (`write_table`), and the FSS table.
 """
 
+import csv
 import json
+import os
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -58,8 +67,37 @@ def read_document(path: str) -> dict:
 def naming(source: str):
     """Re-raise a TypeError (a misspelt key, a value of the wrong type) or a
     ValidationError from the block as a ConfigurationError starting with
-    `source`, e.g. "fit.json response"."""
+    `source`, e.g. "fit.json response"; a KeyError (a required section read
+    as `doc["initial"]`) reads "<source>: missing"."""
     try:
         yield
+    except KeyError:
+        raise ConfigurationError(f"{source}: missing") from None
     except (TypeError, ValidationError) as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
+
+
+def open_output(path: str, newline=None):
+    """`path` opened for UTF-8 writing, its parent directory created."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def document_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_document(path: str, doc) -> None:
+    with open_output(path) as fh:
+        fh.write(document_text(doc))
+
+
+def write_table(path: str, header, rows) -> None:
+    """A CSV table: Python and numpy floats as `.12g` text, any other value
+    (an integer, "absent") as it is."""
+    with open_output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [f"{v:.12g}" if isinstance(v, (float, np.floating)) else v
+             for v in row] for row in rows)

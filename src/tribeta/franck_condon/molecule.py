@@ -145,7 +145,7 @@ class MoleculeModel:
         """The model in a `to_dict` document; a bad key or value is a
         ConfigurationError naming `source` and the section it is in."""
         with naming(f"{source} initial"):
-            initial = MorseParams(**d.get("initial"))
+            initial = MorseParams(**d["initial"])
         with naming(f"{source} channels"):
             entries = [{"morse": None, **c} for c in d.get("channels", ())]
         channels = []

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FssParseError, ValidationError
+from .errors import FssParseError, ValidationError, open_output
 
 #: upper bound on the summed line probabilities; the slack above 1 absorbs
 #: roundoff in generated spectra
@@ -117,7 +117,7 @@ def save_fss(fss: FinalStateSpectrum, path: str) -> None:
     Values carry 17 significant digits so that save -> load round-trips
     reproduce the spectrum bit-identically.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("# E_n_eV  P_n  channel  J  v\n")
         if fss.q_ref is not None:
             fh.write(f"# q_ref_au = {fss.q_ref:.17g}\n")

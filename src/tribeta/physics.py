@@ -16,7 +16,6 @@ inherit it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, asdict
@@ -81,9 +80,6 @@ class Constants:
             "momentum_au_ev": self.momentum_au_ev,
         }
         return d
-
-    def dump_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def load_constants(path: str) -> Constants:

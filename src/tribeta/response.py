@@ -13,7 +13,6 @@ rejection above.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -22,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConfigurationError, ModelError, ValidationError,
-                     read_document)
+                     read_document, write_document, write_table)
 from .fss import FinalStateSpectrum
 from .kernel import (SpectrumParams, integral_spectrum,
                      integral_spectrum_derivatives)
@@ -237,14 +236,9 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
 
 def save_dataset(dataset: PseudoDataset, path: str) -> None:
     """CSV `bin_center_eV, counts` plus the JSON truth sidecar `<path>.json`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center_eV", "counts"])
-        for c, n in zip(dataset.bin_centers, dataset.counts):
-            writer.writerow([f"{c:.12g}", int(n)])
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(dataset.truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(path, ["bin_center_eV", "counts"],
+                zip(dataset.bin_centers, dataset.counts))
+    write_document(path + ".json", dataset.truth)
 
 
 def load_dataset(path: str) -> PseudoDataset:

@@ -241,6 +241,88 @@ class TestStudies:
         assert args.jobs == 2
 
 
+class TestManifest:
+    """`main` writes `<out>.manifest.json` once, for every run that returns."""
+
+    @staticmethod
+    def manifest(out):
+        return json.loads(Path(f"{out}.manifest.json").read_text())
+
+    @staticmethod
+    def digests(paths):
+        return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                for p in paths}
+
+    @pytest.mark.parametrize("command", [
+        "constants dump", "fss gen", "fss moments", "spectrum", "convolve",
+        "fit", "bias-scan", "fig2"])
+    def test_inputs_and_seeds(self, small_fss_file, fit_inputs, tmp_path,
+                              monkeypatch, command):
+        monkeypatch.delenv(tribeta.cli.CONSTANTS_ENV_VAR, raising=False)
+        fss = str(small_fss_file)
+        model = tmp_path / "model.json"
+        model.write_text(
+            replace(default_model(), grid=GridSpec(points=512)).to_json())
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"amplitude": 1.0, "endpoint_ev": W0}))
+        rates = tmp_path / "rates.csv"
+        rates.write_text("epsilon_beta_eV,rate\n1.0,2.0\n2.0,3.0\n")
+        fit_argv = fit_inputs[0]
+        argv, given = {
+            "constants dump": (["constants", "dump"], []),
+            "fss gen": (["fss", "gen", "--model", str(model), "--q", "2.0",
+                         "--j-max", "2", "--v-max", "3", "--no-grid-check"],
+                        [model]),
+            "fss moments": (["fss", "moments", "--fss", fss, "--eps", "5"],
+                            [fss]),
+            "spectrum": (["spectrum", "--params", str(params), "--fss", fss,
+                          "--emin", str(W0 - 10.0), "--emax", str(W0),
+                          "--points", "5"], [params, fss]),
+            "convolve": (["convolve", "--rates", str(rates), "--sigma", "0.5"],
+                         [rates]),
+            "fit": (fit_argv, fit_argv[2::2]),
+            "bias-scan": (["bias-scan", "--depths", "100", "--replications",
+                           "1", "--seed", "11", "--fss", fss], [fss]),
+            "fig2": (["fig2", "--fss", fss], [fss]),
+        }[command]
+        out = tmp_path / "new-dir" / "result"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert out.exists()
+        manifest = self.manifest(out)
+        assert manifest["command"] == command
+        assert manifest["inputs"] == self.digests(given)
+        assert manifest["seeds"] == (
+            {"base_seed": 11} if command == "bias-scan" else None)
+
+    @pytest.mark.parametrize("command", ["fit", "convolve"])
+    def test_exit_1_writes_nothing(self, fit_inputs, tmp_path, command):
+        argv = list(fit_inputs[0])
+        if command == "fit":
+            config = json.loads(Path(argv[4]).read_text())
+            del config["initial"]
+            argv[4] = str(tmp_path / "fit.json")
+            Path(argv[4]).write_text(json.dumps(config))
+        else:
+            rates = tmp_path / "rates.csv"
+            rates.write_text("epsilon_beta_eV,rate\n2.0,2.0\n1.0,3.0\n")
+            argv = ["convolve", "--rates", str(rates), "--sigma", "0.5"]
+        out = tmp_path / "result"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert list(tmp_path.glob("result*")) == []
+
+    def test_unconverged_fit_writes_result_and_manifest(self, fit_inputs,
+                                                        tmp_path, capsys):
+        argv = list(fit_inputs[0])
+        config = json.loads(Path(argv[4]).read_text())
+        argv[4] = str(tmp_path / "fit.json")
+        Path(argv[4]).write_text(json.dumps({**config, "max_iterations": 1}))
+        out = tmp_path / "result.json"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "fit did not converge\n"
+        assert json.loads(out.read_text())["converged"] is False
+        assert self.manifest(out)["inputs"] == self.digests(argv[2::2])
+
+
 class TestUsageErrors:
     def test_empty_argv(self, capsys):
         assert run_cli([]) == 1
@@ -269,13 +351,23 @@ class TestUsageErrors:
         ("epsilon_beta_eV,rate\n", ("no data rows",)),
         ("epsilon_beta_eV,rate\n1.0,2.0\n2.0,3.0,4.0\n", ("row 3", "'4.0'")),
         ("epsilon_beta_eV,rate\n1.0,abc\n", ("row 2", "'abc'")),
+        # finite values, energies strictly increasing
+        ("epsilon_beta_eV,rate\n1.0,nan\n2.0,3.0\n", ("row 2", "'nan'")),
+        ("epsilon_beta_eV,rate\n1.0,2.0\n2.0,-inf\n", ("row 3", "'-inf'")),
+        ("epsilon_beta_eV,rate\nnan,2.0\n2.0,3.0\n", ("row 2", "'nan'")),
+        ("epsilon_beta_eV,rate\n1.0,2.0\ninf,3.0\n", ("row 3", "'inf'")),
+        ("epsilon_beta_eV,rate\n18520,1.0\n18500,1.0\n18510,1.0\n",
+         ("row 3", "'18500'")),
+        ("epsilon_beta_eV,rate\n1.0,2.0\n1.0,3.0\n", ("row 3", "increasing")),
     ])
     def test_convolve_bad_rates(self, tmp_path, capsys, content, fragments):
         rates = tmp_path / "rates.csv"
         rates.write_text(content)
+        out = tmp_path / "out.csv"
         self.assert_input_error(
             ["convolve", "--rates", str(rates), "--sigma", "1.0",
-             "--out", str(tmp_path / "out.csv")], capsys, str(rates), *fragments)
+             "--out", str(out)], capsys, str(rates), *fragments)
+        assert not out.exists()
 
     def test_fit_non_integer_count(self, fit_inputs, tmp_path, capsys):
         argv, _ = fit_inputs
@@ -497,12 +589,16 @@ class TestUsageErrors:
         ("response", "half_width_sigmas", float("inf"), "6 sigma"),
         ("response", "sigma_ev", float("nan"), "sigma must be finite"),
         ("initial", "m2nu_ev2", float("nan"), "m2nu"),
-    ], ids=["half-width-inf", "sigma-nan", "m2nu-nan"])
+        ("initial", None, None, "missing"),
+    ], ids=["half-width-inf", "sigma-nan", "m2nu-nan", "initial-missing"])
     def test_fit_config_non_finite(self, fit_inputs, tmp_path, capsys,
                                    section, key, value, fragment):
         argv = list(fit_inputs[0])
         config = json.loads(Path(argv[4]).read_text())
-        config[section][key] = value
+        if key is None:
+            del config[section]
+        else:
+            config[section][key] = value
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(config))
         argv[4] = str(path)
@@ -524,9 +620,10 @@ class TestUsageErrors:
         (("grid", "r_min_bohr"), float("-inf"), " grid", "grid radii"),
         (("final_mass_au",), "x", "", "'<' not supported"),
         (("gird",), {"points": 512}, "", "'gird'"),
+        (("initial",), None, " initial", "missing"),
     ], ids=["depth-nan", "steepness-inf", "final-mass-nan",
             "initial-mass-inf", "offset-nan", "z-eff-inf", "r-max-nan",
-            "r-min-inf", "final-mass-string", "unknown-key"])
+            "r-min-inf", "final-mass-string", "unknown-key", "initial-missing"])
     def test_fss_gen_non_finite_model(self, tmp_path, capsys, monkeypatch,
                                       path, value, section, fragment):
         def unreachable(*args, **kwargs):
@@ -539,7 +636,10 @@ class TestUsageErrors:
         target = doc
         for step in path[:-1]:
             target = target[step]
-        target[path[-1]] = value
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         out = tmp_path / "fss.dat"

@@ -21,6 +21,10 @@ Every dataclass field must be read somewhere in `src/`: through an
 attribute, or by a method of its class that passes `self` to `asdict`,
 `astuple` or `fields` (as `Constants.as_dict` does for `constants dump`).
 
+Files are read and written in one module: `json.dump`, `json.load`,
+`csv.writer` and `open` in a mode other than reading are called only in
+`errors.py`, so every output has one format and one way to be opened.
+
 Every allowlist must stay current: an entry whose name no longer exists,
 or that now has a caller or is now passed, fails the test that reads it.
 """
@@ -247,3 +251,33 @@ def test_every_dataclass_field_is_read():
                        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
                        and stmt.target.id not in reads]
     assert unread == []
+
+
+def _file_io(tree):
+    """(what, line) for each json.dump, json.load or csv.writer call, and
+    each open() whose mode is not a constant made of "r", "b" and "t"."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            what = f"{func.value.id}.{func.attr}"
+            if what in {"json.dump", "json.load", "csv.writer"}:
+                yield what, node.lineno
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                        and set(m.value) <= set("rbt")) for m in modes):
+                yield "open for writing", node.lineno
+
+
+def test_files_are_written_only_through_errors():
+    """One writer per format: the rest of src/ calls `write_document`,
+    `write_table` or `open_output` instead."""
+    found = {str(path.relative_to(SRC)): [f"{line}: {what}"
+                                          for what, line in _file_io(tree)]
+             for path, tree in _modules().items()}
+    assert {what.split(": ")[1] for what in found.pop("errors.py")} == {
+        "json.load", "csv.writer", "open for writing"}
+    assert {path: calls for path, calls in found.items() if calls} == {}

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribeta.errors import ConfigurationError, ValidationError
+from tribeta.errors import (ConfigurationError, ValidationError,
+                            document_text)
 from tribeta.franck_condon import default_model, rotational_shift_ev
 from tribeta.physics import (CONSTANTS, CONSTANTS_ENV_VAR, Constants,
                              fermi_factor, load_constants,
@@ -66,7 +67,7 @@ class TestConstants:
             load_constants(str(path))
 
     def test_dump_contains_derived(self):
-        doc = json.loads(CONSTANTS.dump_json())
+        doc = json.loads(document_text(CONSTANTS.as_dict()))
         assert doc["version"] == CONSTANTS.version
         assert doc["derived"]["reduced_t_he3"] == pytest.approx(2748.2, abs=0.1)
 

@@ -179,7 +179,17 @@ def _cmd_convolve(args) -> int:
     response = ResponseModel(sigma_ev=args.sigma)
     smeared = convolve(
         lambda e: np.interp(e, data[:, 0], data[:, 1]), response)
-    write_table(args.out, _RATE_HEADER, zip(data[:, 0], smeared(data[:, 0])))
+    energies = data[:, 0]
+    write_table(args.out, _RATE_HEADER, zip(energies, smeared(energies)))
+    # np.interp holds the table constant beyond its ends, and a row's smear
+    # reaches one response half-width either side of it: the end rows
+    # always reach past the table
+    reach = response.offsets()[-1]
+    clamped = np.count_nonzero((energies - reach < energies[0])
+                               | (energies + reach > energies[-1]))
+    print(f"warning: {clamped} of {energies.size} output rows lie within the "
+          f"response half-width ({reach:.6g} eV) of an end of {args.rates}, "
+          "where the rates are held constant", file=sys.stderr)
     return 0
 
 

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, ValidationError, naming
+from ..errors import (ConfigurationError, ValidationError, document_text,
+                      naming)
 from ..physics import CONSTANTS
 
 
@@ -138,7 +139,7 @@ class MoleculeModel:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return document_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict, source: str) -> "MoleculeModel":

@@ -18,7 +18,7 @@ sums over the sorted lines.
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,16 +129,25 @@ def save_fss(fss: FinalStateSpectrum, path: str) -> None:
                      f"{'-' if v < 0 else v}\n")
 
 
-def _parse_quantum(token: str, what: str, lineno: int) -> int:
-    if token == "-":
-        return -1
-    try:
-        value = int(token)
-    except ValueError:
-        raise FssParseError(f"bad {what} value {token!r}", lineno) from None
-    if value < 0:
-        raise FssParseError(f"{what} must be >= 0, got {value}", lineno)
-    return value
+#: labels of a row with fewer than five columns: channel 0, no J, no v
+_MISSING_LABELS = ["0", "-", "-"]
+_LABEL_NAMES = ("channel", "J", "v")
+
+
+def _label(known: dict, token: str, what: str, lineno: int) -> int:
+    """`known[token]`: the channel, J or v label `token` as an integer >= 0,
+    converted and checked at the first file line that holds it."""
+    if token not in known:
+        if token == "-":
+            raise FssParseError(f"{what} must be an integer, got '-'", lineno)
+        try:
+            value = int(token)
+        except ValueError:
+            raise FssParseError(f"bad {what} value {token!r}", lineno) from None
+        if value < 0:
+            raise FssParseError(f"{what} must be >= 0, got {value}", lineno)
+        known[token] = value
+    return known[token]
 
 
 def load_fss(path_or_file) -> FinalStateSpectrum:
@@ -147,62 +156,76 @@ def load_fss(path_or_file) -> FinalStateSpectrum:
     Unsorted input is sorted silently, with a warning flag recorded in the
     provenance; non-finite values, negative probabilities, negative J or
     v, more than five columns and malformed rows raise, naming the file
-    line.
+    line.  A row is converted as it is read, each distinct label token
+    once, and a field that does not convert raises at once; energies and
+    probabilities are then checked once per column, naming the first
+    offending line.
     """
-    if isinstance(path_or_file, (str, bytes)):
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
         fh = open(path_or_file, "r", encoding="utf-8")
         close = True
         name = str(path_or_file)
     else:
         fh, close, name = path_or_file, False, "<stream>"
-    rows: list[tuple[float, float, int, int, int]] = []
+    # the label tokens of each column read so far (`-` is a missing J or v):
+    # a row whose labels are all known takes three dict lookups
+    known = ({}, {"-": -1}, {"-": -1})
+    linenos, energies, probs, channels, rotations, vibrations = (
+        [] for _ in range(6))
     parsed_q = None
     try:
         for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
+            cols = raw.split()
+            if not cols:
                 continue
-            if text.startswith("#"):
-                if "q_ref_au" in text and "=" in text:
+            if cols[0][0] == "#":
+                if "q_ref_au" in raw and "=" in raw:
                     try:
-                        parsed_q = float(text.split("=", 1)[1])
+                        parsed_q = float(raw.split("=", 1)[1])
                     except ValueError:
                         pass
                 continue
-            cols = text.split()
-            if not 2 <= len(cols) <= 5:
+            n = len(cols)
+            if not 2 <= n <= 5:
                 raise FssParseError(
-                    f"expected 2 to 5 columns (E_n P_n channel J v), got "
-                    f"{len(cols)}", lineno)
+                    f"expected 2 to 5 columns (E_n P_n channel J v), got {n}",
+                    lineno)
+            if n < 5:
+                cols += _MISSING_LABELS[n - 2:]
             try:
-                energy = float(cols[0])
-                prob = float(cols[1])
+                energy, prob = float(cols[0]), float(cols[1])
             except ValueError:
                 raise FssParseError(f"bad numeric field in {cols[:2]}", lineno) from None
-            if not (math.isfinite(energy) and math.isfinite(prob)):
-                raise FssParseError("line energy and probability must be "
-                                    f"finite, got {energy} and {prob}", lineno)
-            if prob < 0.0:
-                raise FssParseError(f"negative probability {prob}", lineno)
-            channel = 0
-            if len(cols) >= 3:
-                channel = _parse_quantum(cols[2], "channel", lineno)
-                if channel < 0:
-                    raise FssParseError("channel must be an integer, got '-'",
-                                        lineno)
-            rot = _parse_quantum(cols[3], "J", lineno) if len(cols) >= 4 else -1
-            vib = _parse_quantum(cols[4], "v", lineno) if len(cols) >= 5 else -1
-            rows.append((energy, prob, channel, rot, vib))
+            try:
+                c, j, v = known[0][cols[2]], known[1][cols[3]], known[2][cols[4]]
+            except KeyError:
+                c, j, v = (_label(table, token, what, lineno) for table, token,
+                           what in zip(known, cols[2:], _LABEL_NAMES))
+            energies.append(energy)
+            probs.append(prob)
+            channels.append(c)
+            rotations.append(j)
+            vibrations.append(v)
+            linenos.append(lineno)
     finally:
         if close:
             fh.close()
-    if not rows:
+    if not linenos:
         raise FssParseError(f"no data rows in {name}")
-    e, p, channels, rotations, vibrations = zip(*rows)
-    prov = {"source": name, "line_count": len(rows)}
+    e, p = np.array(energies), np.array(probs)
+    finite = np.isfinite(e) & np.isfinite(p)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise FssParseError("line energy and probability must be finite, got "
+                            f"{float(e[row])} and {float(p[row])}", linenos[row])
+    if np.any(p < 0.0):
+        row = int(np.argmax(p < 0.0))
+        raise FssParseError(f"negative probability {float(p[row])}", linenos[row])
+    prov = {"source": name, "line_count": len(linenos)}
     if np.any(np.diff(e) < 0.0):
         prov["sorted_on_load"] = True
-    return from_lines([(e, p, channels, rotations, vibrations)],
+    return from_lines([(e, p, np.array(channels), np.array(rotations),
+                        np.array(vibrations))],
                       q_ref=parsed_q, provenance=prov)
 
 

@@ -11,12 +11,13 @@ used: gate theta(eps_n) with radicand eps_n^2 - m2nu, which is positive.
 The linearized sum is the moment form of `fss`, one prefix-sum lookup per
 energy.  The exact line sums run over blocks of energies, about
 `_BLOCK_ELEMENTS` (energies x lines) elements each, so working memory
-stays bounded whatever the number of lines and energies.  Energies where
-every line is closed are skipped, and that is exact: the lines are
-sorted, so when the available energy W0_eff - eps is at or below the
-lowest line, eps_n <= 0 for every line, theta(eps_n) closes it and the
-row sums to 0.  Each row still sums the same terms in the same order as
-one dense pass.
+stays bounded whatever the number of lines and energies.  The block
+buffers are allocated once per call and every block fills views of them
+in place, so a call maps no new memory per block.  Energies where every
+line is closed are skipped, and that is exact: the lines are sorted, so
+when the available energy W0_eff - eps is at or below the lowest line,
+eps_n <= 0 for every line, theta(eps_n) closes it and the row sums to 0.
+Each row still sums the same terms in the same order as one dense pass.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ ArrayLike = Union[float, np.ndarray]
 #: sanity bound on the neutrino mass-squared fit parameter (eV^2)
 M2NU_SANITY_EV2 = 1.0e4
 
-#: elements per (energies x lines) block of a line sum: each float
-#: temporary stays near 256 KB, inside a core's cache
+#: elements per (energies x lines) block of a line sum: each of the four
+#: float block buffers stays near 256 KB, inside a core's cache; they are
+#: allocated once per call and reused by every block
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -94,29 +96,39 @@ def _prefactor(eps: np.ndarray, z_daughter: int) -> np.ndarray:
 
 def _line_blocks(eps: np.ndarray, params: SpectrumParams,
                  fss: FinalStateSpectrum):
-    """Yield (rows, eps_n, gated radicand, its square root) per energy block.
+    """Yield (rows, eps_n, gated radicand, its square root, scratch) per
+    energy block.
 
     eps_n = W0_eff - eps - E_n over all lines, and the radicand
     eps_n^2 - m2nu is gated by theta(eps_n) (eps_n > sqrt(m2nu) for
     m2nu >= 0).  Only rows with available energy above the lowest line are
     yielded, about `_BLOCK_ELEMENTS` elements per block; the sums of the
-    other rows are 0.
+    other rows are 0.  The arrays are views of buffers allocated once per
+    call, which the next block overwrites; `scratch` is free for the
+    caller's products.
     """
     avail = _effective_endpoints(eps, params) - eps
     open_rows = np.flatnonzero(avail > fss.energies[0])
-    step = max(1, _BLOCK_ELEMENTS // len(fss))
+    if not open_rows.size:
+        return
+    step = min(max(1, _BLOCK_ELEMENTS // len(fss)), open_rows.size)
     m2 = params.m2nu_ev2
+    threshold = np.sqrt(m2) if m2 >= 0.0 else 0.0
+    buffers = [np.empty((step, len(fss))) for _ in range(4)]
+    closed_buffer = np.empty((step, len(fss)), dtype=bool)
     for start in range(0, len(open_rows), step):
         rows = open_rows[start:start + step]
-        en = avail[rows, None] - fss.energies[None, :]
+        en, rad, root, scratch = (b[:len(rows)] for b in buffers)
+        closed = closed_buffer[:len(rows)]
+        np.subtract(avail[rows, None], fss.energies[None, :], out=en)
+        np.multiply(en, en, out=rad)
+        np.subtract(rad, m2, out=rad)
         if m2 >= 0.0:
-            gate = en > np.sqrt(m2)
-            rad = np.maximum(en * en - m2, 0.0)
-        else:
-            gate = en > 0.0
-            rad = en * en - m2
-        rad = np.where(gate, rad, 0.0)
-        yield rows, en, rad, np.sqrt(rad)
+            np.maximum(rad, 0.0, out=rad)
+        np.less_equal(en, threshold, out=closed)
+        np.copyto(rad, 0.0, where=closed)
+        np.sqrt(rad, out=root)
+        yield rows, en, rad, root, scratch
 
 
 def _as_grid(eps_beta: ArrayLike):
@@ -135,8 +147,9 @@ def spectral_sum(eps_beta: ArrayLike, params: SpectrumParams,
     """Inner integral-spectrum sum  sum_n P_n (eps_n^2 - m2nu)^{3/2} theta."""
     eps, shape, scalar = _as_grid(eps_beta)
     s = np.zeros_like(eps)
-    for rows, _, rad, root in _line_blocks(eps, params, fss):
-        s[rows] = (fss.probabilities * rad * root).sum(axis=1)
+    for rows, _, rad, root, scratch in _line_blocks(eps, params, fss):
+        np.multiply(fss.probabilities, rad, out=scratch)
+        s[rows] = np.multiply(scratch, root, out=scratch).sum(axis=1)
     return _finalize(s, shape, scalar)
 
 
@@ -155,11 +168,13 @@ def differential_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
     """dN/deps: A F E p sum_n P_n eps_n sqrt(eps_n^2 - m2nu) theta."""
     eps, shape, scalar = _as_grid(eps_beta)
     inner = np.zeros_like(eps)
-    for rows, en, _, root in _line_blocks(eps, params, fss):
+    for rows, en, _, root, scratch in _line_blocks(eps, params, fss):
         # a closed line adds -0 or +0 here (root is 0) where the theta gate
         # adds +0; a yielded row holds a term that is not -0, so the sum
         # has the same bits
-        inner[rows] = (fss.probabilities * (en * root)).sum(axis=1)
+        np.multiply(en, root, out=scratch)
+        inner[rows] = np.multiply(fss.probabilities, scratch,
+                                  out=scratch).sum(axis=1)
     out = params.amplitude * _prefactor(eps, params.z_daughter) * inner
     return _finalize(out, shape, scalar)
 
@@ -186,11 +201,12 @@ def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
     """
     eps, shape, scalar = _as_grid(eps_beta)
     s, ds_dw0, ds_dm2 = (np.zeros_like(eps) for _ in range(3))
-    for rows, en, rad, root in _line_blocks(eps, params, fss):
-        s[rows] = (fss.probabilities * rad * root).sum(axis=1)
-        prob_root = fss.probabilities * root
-        ds_dw0[rows] = (prob_root * en).sum(axis=1)
-        ds_dm2[rows] = prob_root.sum(axis=1)
+    for rows, en, rad, root, scratch in _line_blocks(eps, params, fss):
+        np.multiply(fss.probabilities, rad, out=scratch)
+        s[rows] = np.multiply(scratch, root, out=scratch).sum(axis=1)
+        np.multiply(fss.probabilities, root, out=scratch)
+        ds_dm2[rows] = scratch.sum(axis=1)
+        ds_dw0[rows] = np.multiply(scratch, en, out=scratch).sum(axis=1)
     # scaled after the loop, so skipped rows get -1.5 * 0 = -0 as well
     ds_dw0 *= 3.0
     ds_dm2 *= -1.5

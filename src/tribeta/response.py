@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -234,15 +235,19 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
                          exposure=exposure, seed=seed, truth=truth)
 
 
-def save_dataset(dataset: PseudoDataset, path: str) -> None:
-    """CSV `bin_center_eV, counts` plus the JSON truth sidecar `<path>.json`."""
+def save_dataset(dataset: PseudoDataset, path) -> None:
+    """CSV `bin_center_eV, counts` plus the JSON truth sidecar `<path>.json`;
+    `path` is a string or an `os.PathLike`."""
+    path = os.fspath(path)
     write_table(path, ["bin_center_eV", "counts"],
                 zip(dataset.bin_centers, dataset.counts))
     write_document(path + ".json", dataset.truth)
 
 
-def load_dataset(path: str) -> PseudoDataset:
-    """Read a `save_dataset` CSV, with exposure and seed from `<path>.json`."""
+def load_dataset(path) -> PseudoDataset:
+    """Read a `save_dataset` CSV, with exposure and seed from `<path>.json`;
+    `path` is a string or an `os.PathLike`."""
+    path = os.fspath(path)
     centers, counts = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -175,6 +175,28 @@ class TestSpectrumCommands:
         mid = float(rows[250].split(",")[1])
         assert mid == pytest.approx(2.0 + 0.01 * 50.0, rel=1e-3)
 
+    def test_convolve_warns_of_rows_near_the_table_ends(self, tmp_path,
+                                                        capsys):
+        # 0.2 eV rows over [0, 100]; 6 sigma = 8.7 eV, so the rows at
+        # 0 .. 8.6 eV and 91.4 .. 100 eV (44 at each end) reach beyond the
+        # table, where it is held constant
+        src = tmp_path / "rates.csv"
+        src.write_text("epsilon_beta_eV,rate\n" + "".join(
+            f"{x},{2.0 + 0.01 * x}\n" for x in np.linspace(0.0, 100.0, 501)))
+        out = tmp_path / "smeared.csv"
+        assert run_cli(["convolve", "--rates", str(src), "--sigma", "1.45",
+                        "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == (f"warning: 88 of 501 output rows lie within the response "
+                       f"half-width (8.7 eV) of an end of {src}, where the "
+                       "rates are held constant\n")
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 501
+        # the smear of a linear table is exact away from the ends, and
+        # pulled towards the flat extension at them
+        assert float(rows[250].split(",")[1]) == pytest.approx(2.5, rel=1e-12)
+        assert float(rows[0].split(",")[1]) > 2.0
+
     def test_fit_command(self, fit_inputs, tmp_path):
         argv, n_bins = fit_inputs
         out = tmp_path / "result.json"

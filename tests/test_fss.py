@@ -96,14 +96,19 @@ class TestIO:
         assert len(fss) == 2
 
     def test_negative_probability_rejected(self):
-        with pytest.raises(ValidationError, match="negative probability"):
-            load_fss(io.StringIO("0.0 0.5\n1.0 -0.1\n"))
+        # the first offending line is named
+        with pytest.raises(FssParseError,
+                           match="^line 2: negative probability -0.1$"):
+            load_fss(io.StringIO("0.0 0.5\n1.0 -0.1\n2.0 0.1\n3.0 -0.2\n"))
 
     @pytest.mark.parametrize("row", ["nan 0.3 0 - -", "inf 0.5 0 - -",
                                      "-inf 0.5", "1.0 nan", "1.0 inf"])
     def test_non_finite_rejected_with_line(self, row):
-        with pytest.raises(ValidationError, match="line 3: .*must be finite"):
-            load_fss(io.StringIO(f"# header\n0.0 0.4\n{row}\n"))
+        energy, prob = (float(x) for x in row.split()[:2])
+        message = ("line 3: line energy and probability must be finite, got "
+                   f"{energy} and {prob}")
+        with pytest.raises(FssParseError, match=f"^{message}$"):
+            load_fss(io.StringIO(f"# header\n0.0 0.4\n{row}\n2.0 0.1\n"))
 
     @pytest.mark.parametrize("energy,prob", [(float("nan"), 0.3),
                                              (float("-inf"), 0.5),
@@ -131,15 +136,43 @@ class TestIO:
         assert fss.rotations.tolist() == [12, -1]
         assert fss.vibrations.tolist() == [3, -1]
 
+    @pytest.mark.parametrize("text,q_ref,labels", [
+        ("   # q_ref_au = 3.5\n1.0 0.25 0 12 3\n2.0 0.25 1 - -\n", 3.5,
+         ([0, 1], [12, -1], [3, -1])),
+        ("1.0\t0.25\t0\t12\t3\n2.0\t0.25 1\t-\t-\n", None,
+         ([0, 1], [12, -1], [3, -1])),
+        ("# q_ref_au = 3.5\r\n1.0 0.25 0 12 3\r\n2.0 0.25 1 - -\r\n", 3.5,
+         ([0, 1], [12, -1], [3, -1])),
+        # 2 to 5 columns in one file: channel 0, J and v -1 where missing
+        ("1.0 0.1\n2.0 0.2 1\n3.0 0.3 2 4\n4.0 0.1 3 5 6\n", None,
+         ([0, 1, 2, 3], [-1, -1, 4, 5], [-1, -1, -1, 6])),
+    ], ids=["indented-comment", "tabs", "crlf", "two-to-five-columns"])
+    def test_row_layouts(self, text, q_ref, labels):
+        fss = load_fss(io.StringIO(text))
+        assert fss.q_ref == q_ref
+        assert (fss.channels.tolist(), fss.rotations.tolist(),
+                fss.vibrations.tolist()) == labels
+        assert all(c.dtype == np.int64 for c in (fss.channels, fss.rotations,
+                                                 fss.vibrations))
+
     @pytest.mark.parametrize("row,fragment", [
         ("1.0 0.5 0 -3 2", "J must be >= 0"),
         ("1.0 0.5 0 3 -2", "v must be >= 0"),
         ("1.0 0.5 -1 3 2", "channel must be >= 0"),
         ("2.0 0.2 0 1 2 junk", "got 6"),
+        ("1.0 0.5 0 -1 2", "J must be >= 0, got -1$"),
+        ("oops 0.5", r"bad numeric field in \['oops', '0.5'\]$"),
+        ("1.0 0.5 x 3 2", "bad channel value 'x'$"),
+        ("1.0 0.5 1.5", r"bad channel value '1\.5'$"),
+        ("1.0 0.5 0 x 2", "bad J value 'x'$"),
+        ("1.0 0.5 0 1.5", r"bad J value '1\.5'$"),
+        ("1.0 0.5 0 3 x", "bad v value 'x'$"),
+        ("1.0 0.5 0 3 1.5", r"bad v value '1\.5'$"),
     ])
     def test_bad_quantum_or_extra_column_rejected(self, row, fragment):
-        with pytest.raises(FssParseError, match=f"line 3: .*{fragment}"):
-            load_fss(io.StringIO(f"# header\n0.0 0.4\n{row}\n"))
+        with pytest.raises(FssParseError, match=f"line 3: .*{fragment}") as info:
+            load_fss(io.StringIO(f"# header\n0.0 0.4 0 1 1\n{row}\n"))
+        assert info.value.line_number == 3
 
     def test_q_ref_from_comment(self):
         fss = load_fss(io.StringIO("# q_ref_au = 18.5\n0.0 0.5\n"))
@@ -147,7 +180,8 @@ class TestIO:
         assert load_fss(io.StringIO("0.0 0.5\n")).q_ref is None
 
     def test_dash_channel_rejected(self):
-        with pytest.raises(FssParseError, match="line 2"):
+        with pytest.raises(FssParseError, match="^line 2: channel must be an "
+                                                "integer, got '-'$"):
             load_fss(io.StringIO("1.0 0.25 0 12 3\n2.0 0.25 - - -\n"))
 
     def test_round_trip_bit_identical(self, tmp_path):
@@ -160,12 +194,14 @@ class TestIO:
         assert np.any(fss.rotations == -1) and np.any(fss.vibrations == -1)
         path = tmp_path / "t.fss"
         save_fss(fss, str(path))
-        back = load_fss(str(path))
-        for name in ("energies", "probabilities", "channels", "rotations",
-                     "vibrations"):
-            got, want = getattr(back, name), getattr(fss, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert back.q_ref == fss.q_ref
+        # a path is a string or an os.PathLike
+        for back in (load_fss(str(path)), load_fss(path)):
+            for name in ("energies", "probabilities", "channels", "rotations",
+                         "vibrations"):
+                got, want = getattr(back, name), getattr(fss, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert back.q_ref == fss.q_ref
+            assert back.provenance["source"] == str(path)
         # -1 labels are written as `-`, and the file ends with a newline
         text = path.read_text()
         labels = [token for row in text.splitlines() if not row.startswith("#")

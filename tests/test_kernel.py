@@ -336,6 +336,23 @@ class TestBlockedLineSums:
         self.assert_bytes_equal(eps, params(m2nu_ev2=m2), wide)
         assert not np.any(spectral_sum(eps, params(m2nu_ev2=m2), wide))
 
+    @pytest.mark.parametrize("m2", [0.25, -0.5])
+    def test_theta_gate_boundary_across_blocks(self, m2):
+        # lines and available energies on a 0.25 eV lattice, so eps_n is
+        # exact: some eps_n are exactly sqrt(m2) = 0.5 (m2 = 0.25) or
+        # exactly 0 (m2 < 0, where the radicand -m2 is not 0 and only the
+        # theta gate closes the line), in every block
+        n_lines = 1000
+        fss = from_lines([(2.0 + 0.25 * np.arange(n_lines),
+                           np.full(n_lines, 0.9 / n_lines), 0, -1, -1)])
+        rows = tribeta.kernel._BLOCK_ELEMENTS // n_lines
+        eps = W0 - 0.25 * np.arange(3 * rows + 5)
+        en = (W0 - eps)[:, None] - fss.energies[None, :]
+        boundary = np.sqrt(m2) if m2 >= 0.0 else 0.0
+        hits = np.flatnonzero(np.any(en == boundary, axis=1))
+        assert hits[0] < rows and hits[-1] >= 2 * rows
+        self.assert_bytes_equal(eps, params(m2nu_ev2=m2), fss)
+
     @pytest.mark.parametrize("eps", [W0 - 30.0, W0 - 2.0, W0 + 1.0])
     @pytest.mark.parametrize("m2", [-0.5, 0.5])
     def test_scalar_call(self, wide, eps, m2):

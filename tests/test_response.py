@@ -206,9 +206,11 @@ class TestDatasetIO:
         r = ResponseModel(sigma_ev=2.5)
         bins = np.arange(W0 - 30.0, W0 + 6.0, 3.0)
         ds = generate_pseudodata(p, study_fss, r, bins, 2.0, seed=7)
+        # a path is a string or an os.PathLike
         path = tmp_path / "data.csv"
-        save_dataset(ds, str(path))
-        back = load_dataset(str(path))
+        save_dataset(ds, path)
+        assert Path(f"{path}.json").is_file()
+        back = load_dataset(path)
         assert np.array_equal(back.counts, ds.counts)
         assert np.allclose(back.bin_centers, ds.bin_centers)
         assert back.seed == 7

@@ -77,9 +77,17 @@ def _load_model(path: str | None) -> MoleculeModel:
 
 def _load_rates(path: str) -> np.ndarray:
     """(energy, rate) rows of a rate CSV, after its header row: finite
-    values, energies strictly increasing."""
+    values, energies strictly increasing.  A first row of two numbers is
+    data without a header, and is refused rather than dropped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        header, *rows = list(csv.reader(fh)) or [[]]
+    try:
+        numbers = [float(value) for value in header]
+    except ValueError:
+        numbers = []
+    if len(numbers) == 2:
+        raise ValidationError(f"{path} row 1: expected a header row, got "
+                              f"{header!r}")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data, last = [], -math.inf

@@ -132,11 +132,13 @@ def save_fss(fss: FinalStateSpectrum, path: str) -> None:
 #: labels of a row with fewer than five columns: channel 0, no J, no v
 _MISSING_LABELS = ["0", "-", "-"]
 _LABEL_NAMES = ("channel", "J", "v")
+_LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 def _label(known: dict, token: str, what: str, lineno: int) -> int:
-    """`known[token]`: the channel, J or v label `token` as an integer >= 0,
-    converted and checked at the first file line that holds it."""
+    """`known[token]`: the channel, J or v label `token` as an integer in
+    [0, 2^63 - 1], converted and checked at the first file line that holds
+    it."""
     if token not in known:
         if token == "-":
             raise FssParseError(f"{what} must be an integer, got '-'", lineno)
@@ -146,6 +148,10 @@ def _label(known: dict, token: str, what: str, lineno: int) -> int:
             raise FssParseError(f"bad {what} value {token!r}", lineno) from None
         if value < 0:
             raise FssParseError(f"{what} must be >= 0, got {value}", lineno)
+        # labels are stored as int64
+        if value > _LABEL_MAX:
+            raise FssParseError(f"{what} must be <= {_LABEL_MAX}, got {value}",
+                                lineno)
         known[token] = value
     return known[token]
 

@@ -258,12 +258,17 @@ def load_dataset(path) -> PseudoDataset:
             if not row:
                 continue
             try:
-                centers.append(float(row[0]))
-                counts.append(int(row[1]))
+                center, count = float(row[0]), int(row[1])
+                # `x < inf` is False for NaN too
+                ok = abs(center) < math.inf and count >= 0
             except (IndexError, ValueError):
+                ok = False
+            if not ok:
                 raise ValidationError(
-                    f"{path} row {reader.line_num}: expected a bin centre and an "
-                    f"integer count, got {row!r}") from None
+                    f"{path} row {reader.line_num}: expected a finite bin "
+                    f"centre and an integer count >= 0, got {row!r}")
+            centers.append(center)
+            counts.append(count)
     sidecar = path + ".json"
     try:
         truth = read_document(sidecar)

@@ -1,7 +1,12 @@
 """Linearization-accuracy study and the bias-scan mechanism (desk scale)."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
+import tribeta.bias
 from tribeta.bias import ScanSpec, bias_scan, fig2_study
 from tribeta.fss import from_lines
 
@@ -44,6 +49,23 @@ class TestFig2:
     def test_zero_mass_c_is_zero(self, study_fss):
         assert fig2_study(study_fss, m_nu_ev=0.0).c_fit == 0.0
 
+    @pytest.mark.parametrize("m_nu", [0.0, 0.4, 0.6])
+    def test_bound_holds_up_to_rounding(self, study_fss, m_nu):
+        # at m = 0 the difference is rounding only; at 0.4 and 0.6 eV the
+        # argmax row's c_fit * trend rounds below its difference
+        result = fig2_study(study_fss, m_nu_ev=m_nu)
+        assert result.bound_holds()
+        if m_nu > 0.0:
+            # the allowance is far below a 1% shortfall of c_fit
+            short = dataclasses.replace(result, c_fit=0.99 * result.c_fit)
+            assert not short.bound_holds()
+
+    def test_nan_difference_fails_the_bound(self, study_fss):
+        result = fig2_study(study_fss, m_nu_ev=1.0)
+        rows = list(result.rows)
+        rows[100] = dataclasses.replace(rows[100], difference=math.nan)
+        assert not dataclasses.replace(result, rows=tuple(rows)).bound_holds()
+
 
 class TestBiasScanRecord:
     def test_spec_records_fixed_study_settings(self, study_fss):
@@ -84,7 +106,7 @@ class TestBiasScanSmoke:
             assert result.windows[0].mean_m2nu < 0.0
 
     def test_job_count_independence(self, study_fss):
-        spec = ScanSpec(window_depths_ev=(150.0,), replications=2,
+        spec = ScanSpec(window_depths_ev=(60.0, 150.0), replications=3,
                         base_seed=7)
         serial = bias_scan(spec, fss=study_fss, jobs=1)
         pooled = bias_scan(spec, fss=study_fss, jobs=2)
@@ -95,3 +117,77 @@ class TestBiasScanSmoke:
             ScanSpec(window_depths_ev=(200.0, 100.0))
         with pytest.raises(Exception):
             ScanSpec(replications=0)
+
+
+class TestBiasScanExclusions:
+    """The reduction keeps a replication only when both its fits converged."""
+
+    def test_unconverged_fits_are_excluded(self, study_fss, monkeypatch):
+        spec = ScanSpec(window_depths_ev=(30.0, 40.0, 50.0, 60.0),
+                        replications=3, base_seed=100)
+        seed = [[100 + 1009 * iw + rep for rep in range(3)] for iw in range(4)]
+        # (seed, endpoint_drift of the fit) that report no convergence: in
+        # window 0 only the control of replication 1, all of window 1, and
+        # replications 0 and 2 of window 2; window 3 keeps every fit
+        failing = {(seed[0][1], True)}
+        failing |= {(s, drift) for s in seed[1] for drift in (False, True)}
+        failing |= {(seed[2][0], False), (seed[2][2], True)}
+        fits = {}
+        minimize = tribeta.bias.minimize
+
+        def flaky_minimize(dataset, config):
+            key = (dataset.seed, config.initial.endpoint_drift)
+            fits[key] = result = minimize(dataset, config)
+            return dataclasses.replace(result,
+                                       converged=key not in failing)
+
+        monkeypatch.setattr(tribeta.bias, "minimize", flaky_minimize)
+        result = bias_scan(spec, fss=study_fss)
+        assert result.flagged
+        windows = result.windows
+        assert [w.n_fits for w in windows] == [2, 0, 1, 3]
+        assert [w.n_excluded for w in windows] == [1, 3, 2, 0]
+
+        def shifts(kept, drift):
+            return [fits[s, drift].params.endpoint_ev - 18575.0 for s in kept]
+
+        def m2nus(kept, drift):
+            return [fits[s, drift].params.m2nu_ev2 for s in kept]
+
+        for w, kept in ((windows[0], [seed[0][0], seed[0][2]]),
+                        (windows[3], seed[3])):
+            values = np.array(m2nus(kept, False))
+            assert w.mean_m2nu == pytest.approx(values.mean(), rel=1e-12)
+            assert w.se_m2nu == pytest.approx(
+                values.std(ddof=1) / math.sqrt(len(kept)), rel=1e-12)
+            assert w.mean_w0_shift == pytest.approx(
+                np.mean(shifts(kept, False)), rel=1e-12)
+            assert w.control_mean_m2nu == pytest.approx(
+                np.mean(m2nus(kept, True)), rel=1e-12)
+            assert w.control_mean_w0_shift == pytest.approx(
+                np.mean(shifts(kept, True)), rel=1e-12)
+        # every fit excluded: no means
+        none = windows[1]
+        assert all(math.isnan(x) for x in (
+            none.mean_m2nu, none.se_m2nu, none.mean_w0_shift,
+            none.se_w0_shift, none.control_mean_m2nu, none.control_se_m2nu,
+            none.control_mean_w0_shift))
+        # one fit kept: its values as means, no standard error
+        one = windows[2]
+        assert one.mean_m2nu == m2nus([seed[2][1]], False)[0]
+        assert one.control_mean_w0_shift == shifts([seed[2][1]], True)[0]
+        assert math.isnan(one.se_m2nu) and math.isnan(one.control_se_m2nu)
+
+    def test_exclusions_within_a_tenth_are_not_flagged(self, study_fss,
+                                                       monkeypatch):
+        spec = ScanSpec(window_depths_ev=(30.0,), replications=10,
+                        base_seed=3)
+        minimize = tribeta.bias.minimize
+
+        def flaky_minimize(dataset, config):
+            result = minimize(dataset, config)
+            return dataclasses.replace(result, converged=dataset.seed != 3)
+
+        monkeypatch.setattr(tribeta.bias, "minimize", flaky_minimize)
+        result = bias_scan(spec, fss=study_fss)
+        assert (result.windows[0].n_excluded, result.flagged) == (1, False)

@@ -381,6 +381,10 @@ class TestUsageErrors:
         ("epsilon_beta_eV,rate\n18520,1.0\n18500,1.0\n18510,1.0\n",
          ("row 3", "'18500'")),
         ("epsilon_beta_eV,rate\n1.0,2.0\n1.0,3.0\n", ("row 3", "increasing")),
+        # no header: the first data row would be lost
+        ("1.0,2.0\n2.0,3.0\n", ("row 1", "expected a header row", "'1.0'")),
+        ("1.0,2.0\n", ("row 1", "expected a header row", "'2.0'")),
+        (" 1e3 , nan\n2.0,3.0\n", ("row 1", "expected a header row")),
     ])
     def test_convolve_bad_rates(self, tmp_path, capsys, content, fragments):
         rates = tmp_path / "rates.csv"

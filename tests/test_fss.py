@@ -168,6 +168,8 @@ class TestIO:
         ("1.0 0.5 0 1.5", r"bad J value '1\.5'$"),
         ("1.0 0.5 0 3 x", "bad v value 'x'$"),
         ("1.0 0.5 0 3 1.5", r"bad v value '1\.5'$"),
+        ("0.0 0.5 0 99999999999999999999 1",
+         "J must be <= 9223372036854775807, got 99999999999999999999$"),
     ])
     def test_bad_quantum_or_extra_column_rejected(self, row, fragment):
         with pytest.raises(FssParseError, match=f"line 3: .*{fragment}") as info:

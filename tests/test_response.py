@@ -246,6 +246,20 @@ class TestDatasetIO:
             load_dataset(str(path))
         assert f"{path}.json" in str(info.value)
 
+    @pytest.mark.parametrize("row", [
+        "nan,12", "inf,12", "-inf,12", "18560.0,-1", "18560.0,12.5",
+        "18560.0", "x,12"])
+    def test_bad_row_rejected(self, tmp_path, study_fss, row):
+        path = self.bare_dataset(tmp_path, study_fss)
+        lines = path.read_text().splitlines()
+        lines[4] = row
+        path.write_text("\n".join(lines) + "\n")
+        message = (f"{path} row 5: expected a finite bin centre and an "
+                   f"integer count >= 0, got {row.split(',')!r}")
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("sidecar,reason", [
         (None, "not found"), ('{"seed": 3}', "has no exposure")])
     def test_exposure_fallback_warns(self, tmp_path, study_fss, sidecar,

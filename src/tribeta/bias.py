@@ -62,29 +62,24 @@ def build_study_fss() -> FinalStateSpectrum:
 # ---------------------------------------------------------------------------
 # linearization accuracy study
 
-@dataclass(frozen=True)
-class Fig2Row:
-    depth_ev: float       # W0 - eps_beta
-    exact: float
-    linear: float
-    difference: float
-    trend: float          # (m_nu c^2)^4 / depth
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fig2Result:
-    rows: tuple[Fig2Row, ...]
+    depth_ev: np.ndarray      # W0 - eps_beta
+    exact: np.ndarray
+    linear: np.ndarray
+    difference: np.ndarray
+    trend: np.ndarray         # (m_nu c^2)^4 / depth
     c_fit: float          # difference <= c_fit * trend at every grid point
     m_nu_ev: float
     endpoint_ev: float
     n_lines: int          # FSS lines in each exact and linearized sum
 
     def bound_holds(self) -> bool:
-        """difference <= c_fit * trend at every row, up to rounding; a NaN
+        """difference <= c_fit * trend at every depth, up to rounding; a NaN
         difference fails.
 
         The allowance is derived from the arithmetic, not fitted.  c_fit *
-        trend reaches the argmax row's difference through four roundings
+        trend reaches the argmax depth's difference through four roundings
         (difference * depth, / m^4, m^4 / depth, their product) of at most
         half an ulp each, so it may lie 2 eps of it below.  Each difference
         also holds the rounding of two sums over n_lines lines, each within
@@ -94,9 +89,10 @@ class Fig2Result:
         difference there is.
         """
         eps = float(np.finfo(float).eps)
-        return all(r.difference <= self.c_fit * r.trend * (1.0 + 2.0 * eps)
-                   + self.n_lines * eps * max(abs(r.exact), abs(r.linear))
-                   for r in self.rows)
+        return bool(np.all(
+            self.difference <= self.c_fit * self.trend * (1.0 + 2.0 * eps)
+            + self.n_lines * eps * np.maximum(np.abs(self.exact),
+                                              np.abs(self.linear))))
 
 
 def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV,
@@ -111,25 +107,24 @@ def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV
     params = SpectrumParams(amplitude=1.0, endpoint_ev=endpoint_ev,
                             m2nu_ev2=m_nu_ev ** 2)
     eps = endpoint_ev - depths
-    exact = np.atleast_1d(spectral_sum(eps, params, fss))
-    linear = np.atleast_1d(linearized_sum(eps, params, fss))
+    exact = spectral_sum(eps, params, fss)
+    linear = linearized_sum(eps, params, fss)
     diff = np.abs(exact - linear)
-    trend = m_nu_ev ** 4 / depths
     if m_nu_ev == 0.0:
         c_fit = 0.0
     else:
         c_fit = float(np.max(diff * depths) / m_nu_ev ** 4)
-    rows = tuple(Fig2Row(float(d), float(e), float(l), float(df), float(t))
-                 for d, e, l, df, t in zip(depths, exact, linear, diff, trend))
-    return Fig2Result(rows=rows, c_fit=c_fit, m_nu_ev=m_nu_ev,
-                      endpoint_ev=endpoint_ev, n_lines=len(fss))
+    return Fig2Result(depth_ev=depths, exact=exact, linear=linear,
+                      difference=diff, trend=m_nu_ev ** 4 / depths,
+                      c_fit=c_fit, m_nu_ev=m_nu_ev, endpoint_ev=endpoint_ev,
+                      n_lines=len(fss))
 
 
 def save_fig2_csv(result: Fig2Result, path: str) -> None:
     write_table(path, ["depth_eV", "exact_sum", "linear_sum", "abs_difference",
                        "trend"],
-                [(r.depth_ev, r.exact, r.linear, r.difference, r.trend)
-                 for r in result.rows])
+                zip(result.depth_ev, result.exact, result.linear,
+                    result.difference, result.trend))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _cmd_fss_gen(args) -> int:
     spectrum = engine.overlaps(args.q)
     save_fss(spectrum, args.out)
     write_document(args.out + ".json", {
-        "truncation_warning": False, **spectrum.provenance,
+        **spectrum.provenance,
         "line_count": len(spectrum),
         "total_probability": spectrum.total_probability})
     return 0

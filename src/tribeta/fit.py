@@ -91,7 +91,6 @@ class FitResult:
     n_iterations: int
     converged: bool
     window_ev: tuple[float, float]
-    n_bins: int
     message: str = ""
 
 
@@ -243,4 +242,4 @@ def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
                      covariance=covariance, chi2=chi2,
                      dof=n_bins - len(free), n_iterations=iteration,
                      converged=converged, window_ev=config.window_ev,
-                     n_bins=n_bins, message=message)
+                     message=message)

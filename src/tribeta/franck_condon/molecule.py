@@ -59,10 +59,6 @@ class GridSpec:
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min_bohr, self.r_max_bohr, self.points)
 
-    @property
-    def step(self) -> float:
-        return (self.r_max_bohr - self.r_min_bohr) / (self.points - 1)
-
 
 @dataclass(frozen=True)
 class Channel:

@@ -73,7 +73,11 @@ class RecoilEngine:
         self.reference_ev = self.bases[0].energies_ev[0, 0]
 
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
-        """Full recoil FSS at recoil momentum q (atomic units)."""
+        """Full recoil FSS at recoil momentum q (atomic units): one block of
+        (J, v) lines per Morse or Coulomb channel, one line per lumped
+        channel.  The provenance holds each channel's truncation deficit
+        1 - sum P / w_c and `truncation_warning`, whether any channel keeps
+        less than TRUNCATION_WARN_FRACTION of its weight."""
         check_recoil_momentum(q_au)
         # j_J(0) = delta_J0: at rest every J >= 1 line has P = 0
         j_top = self.j_max if q_au > 0.0 else 0
@@ -94,14 +98,15 @@ class RecoilEngine:
             # integrals[J] = C_J^T projected[:, J]
             integrals = np.matmul(projected.T[:, None, :],
                                   bases.coefficients[:j_top + 1])[:, 0, :]
-            total = 0.0
-            for j in range(j_top + 1):
-                probs = ch.weight * (2 * j + 1) * integrals[j]**2
-                energies = ch.offset_ev + bases.energies_ev[j] - self.reference_ev
-                total += float(probs.sum())
-                keep = probs > 0.0
-                blocks.append((energies[keep], probs[keep], ic, j,
-                               np.flatnonzero(keep)))
+            # (J, v) arrays; the mask reads them row-major, J by J
+            probs = ch.weight * (2 * np.arange(j_top + 1)[:, None] + 1) \
+                * integrals**2
+            energies = (ch.offset_ev + bases.energies_ev[:j_top + 1]
+                        - self.reference_ev)
+            keep = probs > 0.0
+            blocks.append((energies[keep], probs[keep], ic, *np.nonzero(keep)))
+            # summed J by J, in J order
+            total = sum(probs.sum(axis=1).tolist())
             deficit = 1.0 - total / ch.weight
             deficits[ch.label or f"channel{ic}"] = deficit
             if total < TRUNCATION_WARN_FRACTION * ch.weight:
@@ -114,9 +119,8 @@ class RecoilEngine:
             "grid": [self.model.grid.r_min_bohr, self.model.grid.r_max_bohr,
                      self.model.grid.points],
             "truncation_deficit": deficits,
+            "truncation_warning": warned,
         }
-        if warned:
-            provenance["truncation_warning"] = True
         return from_lines(blocks, q_ref=q_au, provenance=provenance)
 
     def pseudo_spectrum(self, q_au: float) -> FinalStateSpectrum:

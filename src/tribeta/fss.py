@@ -52,7 +52,9 @@ class MomentSet:
 @dataclass(frozen=True, eq=False)
 class FinalStateSpectrum:
     """Immutable FSS: read-only line columns sorted by energy, with
-    provenance metadata.  J and v are -1 where a line has none."""
+    provenance metadata.  The labels are int64, the channel >= 0, and J and
+    v >= 0 or -1 where a line has none: the rules `load_fss` applies to a
+    file, checked here for every spectrum, unpickled ones included."""
 
     energies: np.ndarray
     probabilities: np.ndarray
@@ -71,8 +73,14 @@ class FinalStateSpectrum:
                 "line energies and probabilities must be finite")
         if np.any(p < 0.0):
             raise ValidationError(f"negative probability {p.min()}")
+        labels = (self.channels, self.rotations, self.vibrations)
+        if any(column.dtype != np.int64 for column in labels):
+            raise ValidationError("channel, J and v labels must be int64, got "
+                                  f"{[str(column.dtype) for column in labels]}")
         if np.any(self.channels < 0):
             raise ValidationError("channel index must be >= 0")
+        if np.any(self.rotations < -1) or np.any(self.vibrations < -1):
+            raise ValidationError("J and v must be >= 0, or -1 for none")
         if np.any(np.diff(e) < 0.0):
             raise ValidationError("lines must be sorted ascending in energy")
         total = float(p.sum())

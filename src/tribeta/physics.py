@@ -112,7 +112,6 @@ CONSTANTS = _default_constants()
 class Kinematics(NamedTuple):
     """Relativistic kinematics of a beta electron."""
 
-    kinetic_ev: float         # epsilon_beta
     total_energy_ev: float    # E_beta = epsilon_beta + m_e c^2
     momentum_ev: float        # p_beta * c in eV
     recoil_q_au: float        # q = p_beta/2 in atomic units
@@ -129,7 +128,6 @@ def momentum_from_kinetic(kinetic_ev: float) -> Kinematics:
     me = CONSTANTS.electron_mass_ev
     pc = math.sqrt(kinetic_ev * (kinetic_ev + 2.0 * me))
     return Kinematics(
-        kinetic_ev=kinetic_ev,
         total_energy_ev=kinetic_ev + me,
         momentum_ev=pc,
         recoil_q_au=0.5 * pc / CONSTANTS.momentum_au_ev,

@@ -63,9 +63,6 @@ class ResponseModel:
         w[-1] *= 0.5
         return w / w.sum()
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -219,13 +216,11 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
         raise ValidationError(
             "bins must lie within [W0 - 1000 eV, W0 + 50 eV]")
     mus = expected_counts(params, fss, response, centers, exposure)
-    if np.any(mus < 0.0):
-        raise ModelError("model produced negative expected counts")
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = poisson_sample(rng, mus)
     truth = {
         "params": asdict(params),
-        "response": response.as_dict(),
+        "response": asdict(response),
         "exposure": exposure,
         "seed": seed,
         "fss_lines": len(fss),

@@ -114,7 +114,7 @@ def test_criterion_07_linearization_trend():
     check(7, "|exact - linear| bounded by C m^4 / depth",
           result.bound_holds() and 0.0 < result.c_fit < 50.0,
           f"C = {result.c_fit:.3f}, bound holds at all "
-          f"{len(result.rows)} grid points")
+          f"{len(result.depth_ev)} grid points")
 
 
 def test_criterion_08_moment_form_identity():

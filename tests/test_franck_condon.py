@@ -154,6 +154,14 @@ class TestRecoilOverlaps:
         assert "truncation_deficit" in fss.provenance
         assert "model_hash" in fss.provenance
 
+    def test_truncation_warning_is_always_recorded(self, small_engine, model):
+        # a converged engine keeps > 99% of every channel; j_max 4, v_max 6
+        # keeps about 65% of the ground channel at q = 4
+        assert small_engine.overlaps(5.0).provenance[
+            "truncation_warning"] is False
+        truncated = RecoilEngine(model, j_max=4, v_max=6).overlaps(4.0)
+        assert truncated.provenance["truncation_warning"] is True
+
     def test_generated_spectrum_file_round_trip(self, small_engine, tmp_path):
         from tribeta.fss import load_fss, save_fss
         fss = small_engine.overlaps(7.3)

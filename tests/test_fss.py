@@ -60,6 +60,18 @@ class TestFinalStateSpectrum:
         with pytest.raises(ValidationError, match=fragment):
             columns(**change)
 
+    @pytest.mark.parametrize("labels,fragment", [
+        ((2**70, -1, -1), "labels must be int64"),
+        ((0, 2**63, -1), "labels must be int64"),
+        ((0, 1.0, -1), "labels must be int64"),
+        ((0, -5, -5), "J and v must be >= 0, or -1 for none"),
+        ((0, 3, -2), "J and v must be >= 0, or -1 for none"),
+    ], ids=["channel-2^70", "J-2^63", "J-float", "J-v-minus-5", "v-minus-2"])
+    def test_from_lines_bounds_labels(self, labels, fragment):
+        # the label rules of load_fss hold for spectra built in memory too
+        with pytest.raises(ValidationError, match=fragment):
+            from_lines([(0.0, 1.0, *labels)])
+
     def test_columns_read_only(self):
         fss = columns()
         for column in (fss.energies, fss.probabilities, fss.channels,

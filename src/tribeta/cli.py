@@ -22,6 +22,12 @@ import sys
 import time
 import warnings
 
+# BLAS on one thread unless the user chose otherwise, set before numpy loads
+# it: the dense radial solves round differently on more threads, and the
+# rotational solves already run on two threads of their own
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import __version__

@@ -9,13 +9,21 @@ are kept rather than dropped.
 Every J of a channel comes from one dense J = 0 solve (`rotational_bases`):
 sequential diagonalization and truncation, Bacic & Light, Annu. Rev. Phys.
 Chem. 40 (1989) 469.  Each J is kept as coefficients in the J = 0 basis,
-never mapped back to the grid.  The N-doubling gate needs only the lowest
-eigenvalues of the doubled grid and gets them by shift-invert Lanczos
-(Ericsson & Ruhe, Math. Comp. 35 (1980) 1251), not a dense solve.
+never mapped back to the grid.  The J >= 1 solves are independent, so odd J
+run on one worker thread while the caller solves even J.  They go through
+`numpy.linalg.eigh`, which calls the same LAPACK routine as scipy's
+divide-and-conquer driver but releases the GIL for it; with BLAS on one
+thread the results do not depend on which thread solved a J.  The worker
+runs nothing but eigh and array writes.
+
+The N-doubling gate needs only the lowest eigenvalues of the doubled grid
+and gets them by shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35
+(1980) 1251), not a dense solve.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +90,9 @@ def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,
                 n_states: int) -> tuple[np.ndarray, np.ndarray]:
     h = _hamiltonian(potential, radii, mass_au)
     n_states = min(n_states, radii.size)
-    w, v = eigh(h, subset_by_index=[0, n_states - 1])
+    # h is exactly symmetric: LAPACK overwrites its F-ordered view h.T in
+    # place, where a C-ordered h would be copied first (4.7 MB at N = 768)
+    w, v = eigh(h.T, subset_by_index=[0, n_states - 1], overwrite_a=True)
     # unit norm with the grid measure
     return w, v / np.sqrt(radii[1] - radii[0])
 
@@ -154,7 +164,9 @@ def rotational_bases(model: MoleculeModel, channel: int, j_max: int,
     (E_K, chi_K); with j_max = 0 it solves for v_max + 1 pairs only.  The
     centrifugal term is projected once, U_K = chi_K^T diag(1/(2 M R^2)) chi_K
     dR, and each J >= 1 takes the lowest pairs of the K x K problem
-    diag(E_K) + J(J+1) U_K.  J = 0 has identity columns.
+    diag(E_K) + J(J+1) U_K.  J = 0 has identity columns.  Odd J are solved
+    on one worker thread and even J on the calling thread, each writing its
+    own rows of the result; an error in either reaches the caller.
     """
     n_states = v_max + 1
     k = n_states if j_max == 0 else min(model.grid.points, max(
@@ -170,12 +182,21 @@ def rotational_bases(model: MoleculeModel, channel: int, j_max: int,
     coefficients = np.empty((j_max + 1, chi.shape[1], n_states))
     energies[0] = base.energies_ev[:n_states]
     coefficients[0] = np.eye(chi.shape[1], n_states)
-    for j in range(1, j_max + 1):
-        # all K pairs by divide and conquer: faster here than a subset solve
-        w, c = eigh(np.diag(base.energies_ev) + j * (j + 1) * projected,
-                    driver="evd")
+
+    def solve(j: int) -> None:
+        # all K pairs by divide and conquer (dsyevd): faster here than a
+        # subset solve; numpy's eigh releases the GIL, scipy's does not
+        w, c = np.linalg.eigh(np.diag(base.energies_ev)
+                              + j * (j + 1) * projected)
         energies[j] = w[:n_states]
         coefficients[j] = c[:, :n_states]
+
+    # odd J on one worker thread, even J here; each J writes only its rows
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        odd = worker.map(solve, range(1, j_max + 1, 2))
+        for j in range(2, j_max + 1, 2):
+            solve(j)
+        list(odd)  # waits for the worker and re-raises its error
     return RotationalBases(chi, energies, coefficients)
 
 

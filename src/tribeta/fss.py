@@ -66,14 +66,18 @@ class FinalStateSpectrum:
 
     def __post_init__(self):
         e, p = self.energies, self.probabilities
+        labels = (self.channels, self.rotations, self.vibrations)
         if not e.size:
             raise ValidationError("final-state spectrum must contain lines")
+        if any(column.shape != (e.size,) for column in (e, p, *labels)):
+            raise ValidationError(
+                "line columns must be 1-D with one entry per line, got shapes "
+                f"{[column.shape for column in (e, p, *labels)]}")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(p))):
             raise ValidationError(
                 "line energies and probabilities must be finite")
         if np.any(p < 0.0):
             raise ValidationError(f"negative probability {p.min()}")
-        labels = (self.channels, self.rotations, self.vibrations)
         if any(column.dtype != np.int64 for column in labels):
             raise ValidationError("channel, J and v labels must be int64, got "
                                   f"{[str(column.dtype) for column in labels]}")
@@ -87,7 +91,7 @@ class FinalStateSpectrum:
         if not (0.0 < total <= _TOTAL_PROBABILITY_MAX):
             raise ValidationError(
                 f"total probability {total} outside (0, {_TOTAL_PROBABILITY_MAX}]")
-        for column in (e, p, self.channels, self.rotations, self.vibrations):
+        for column in (e, p, *labels):
             column.setflags(write=False)
 
     def __reduce__(self):

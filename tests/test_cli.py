@@ -133,6 +133,34 @@ class TestFssCommands:
                         "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_gen_table_is_the_one_blas_thread_table(self, tmp_path):
+        # with the thread variables unset the CLI runs BLAS on one thread;
+        # on more threads the dense radial solve rounds differently
+        tables = []
+        for name, threads in (("unset.dat", None), ("one.dat", "1")):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "tribeta.cli", "fss", "gen",
+                            "--q", "18.64", "--j-max", "12", "--v-max", "12",
+                            "--out", str(out)], env=env, check=True)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_blas_thread_choice_is_kept(self, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", "import os, tribeta.cli; print(os.environ"
+             "['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.split() == [threads or "1", "1"]
+
     def test_moments_stdout(self, small_fss_file, capsys):
         assert run_cli(["fss", "moments", "--fss", str(small_fss_file),
                         "--eps", "0.1", "30.0"]) == 0

@@ -336,7 +336,8 @@ class TestEngineMomentMethods:
         for module, names in ((overlaps, ("solve_initial", "rotational_bases")),
                               (radial, ("solve_initial", "rotational_bases",
                                         "solve_radial", "eigh")),
-                              (scipy.linalg, ("eigh",))):
+                              (scipy.linalg, ("eigh",)),
+                              (np.linalg, ("eigh",))):
             for name in names:
                 monkeypatch.setattr(module, name, unreachable)
         for name in MOMENT_METHODS:

@@ -54,8 +54,16 @@ class TestFinalStateSpectrum:
         ({"energies": np.array([1.0, 0.0])}, "sorted ascending"),
         ({"probabilities": np.array([0.9, 0.9])}, "total probability"),
         ({"probabilities": np.array([0.0, 0.0])}, "total probability"),
+        # save_fss would zip columns of unequal length short
+        ({"channels": np.array([0, 0, 0]), "rotations": np.array([-1]),
+          "vibrations": np.array([-1, -1])}, "one entry per line"),
+        ({"probabilities": np.array([0.5, 0.25, 0.25])}, "one entry per line"),
+        ({"energies": np.array([0.0])}, "one entry per line"),
+        ({"vibrations": np.array([[2, -1]])}, "one entry per line"),
     ], ids=["empty", "nan-energy", "inf-probability", "negative-probability",
-            "negative-channel", "unsorted", "total-above-1", "total-zero"])
+            "negative-channel", "unsorted", "total-above-1", "total-zero",
+            "labels-3-1-2", "three-probabilities", "one-energy",
+            "2d-vibrations"])
     def test_rejects_bad_columns(self, change, fragment):
         with pytest.raises(ValidationError, match=fragment):
             columns(**change)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +14,10 @@ from scipy.linalg import eigh, eigvalsh
 
 from tribeta.errors import AccuracyError, ConfigurationError, ValidationError
 from tribeta.franck_condon import (CONVERGENCE_TOL_EV, Channel, GridSpec,
-                                   MoleculeModel, MorseParams, default_model,
-                                   kinetic_matrix, rotational_bases,
-                                   solve_initial, solve_radial,
-                                   spherical_jn_table)
+                                   MoleculeModel, MorseParams, RecoilEngine,
+                                   default_model, kinetic_matrix,
+                                   rotational_bases, solve_initial,
+                                   solve_radial, spherical_jn_table)
 from tribeta.franck_condon import radial
 from tribeta.franck_condon.overlaps import _derivative_matrix
 from tribeta.physics import CONSTANTS
@@ -248,6 +250,53 @@ class TestRotationalBases:
             j_max] * init.wavefunctions[:, 0] * init.step
         probs = (grid_wavefunctions(bases, j_max).T @ integrand) ** 2
         assert np.abs(probs - (vectors.T @ integrand) ** 2).max() <= 1e-12
+
+    @staticmethod
+    def rotational_problem(model, k):
+        """E_K and U_K of the J >= 1 problems diag(E_K) + J(J+1) U_K of
+        channel 0, built as rotational_bases builds them."""
+        base = solve_radial(model, n_states=k)
+        chi = base.wavefunctions
+        centrifugal = HART / (2.0 * model.final_mass_au * base.radii**2)
+        return (base.energies_ev,
+                chi.T @ (centrifugal[:, None] * chi) * base.step)
+
+    def test_threaded_solves_match_a_serial_loop(self, model):
+        # a short switch interval interleaves the two threads' array writes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first, second = [rotational_bases(model, 0, 60, 80,
+                                              convergence_check=False)
+                             for _ in range(2)]
+        finally:
+            sys.setswitchinterval(interval)
+        energies, projected = self.rotational_problem(model,
+                                                      first.chi.shape[1])
+        for j in range(1, 61):
+            w, c = np.linalg.eigh(np.diag(energies) + j * (j + 1) * projected)
+            assert np.array_equal(first.energies_ev[j], w[:81])
+            assert np.array_equal(first.coefficients[j], c[:, :81])
+        for name in ("chi", "energies_ev", "coefficients"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    def test_worker_error_reaches_the_caller(self, model, monkeypatch):
+        energies, projected = self.rotational_problem(model, 200)
+        failing = np.diag(energies) + 7 * 8 * projected
+        eigh, raised_on = np.linalg.eigh, []
+
+        def eigh_failing_at_j7(a, *args, **kwargs):
+            if np.array_equal(a, failing):
+                raised_on.append(threading.current_thread())
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at_j7)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            RecoilEngine(model, j_max=12, v_max=12)
+        # odd J are solved off the calling thread
+        assert len(raised_on) == 1
+        assert raised_on[0] is not threading.main_thread()
 
     @pytest.mark.parametrize("j_max,dense_states", [(0, 81), (3, 200)])
     def test_j0_is_the_dense_solve(self, model, j_max, dense_states):

@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, write_table
-from .fit import FitConfig, minimize
+from .fit import FitConfig, FitModel, minimize
 from .franck_condon import RecoilEngine, default_model
 from .fss import FinalStateSpectrum, from_lines
 from .kernel import SpectrumParams, integral_spectrum, linearized_sum, spectral_sum
 from .physics import momentum_from_kinetic
-from .response import ResponseModel, generate_pseudodata
+from .response import (BINS_BELOW_W0_EV, Lattice, PseudoDataset,
+                       ResponseModel, draw_pseudodata, expected_dataset)
 
 DEFAULT_ENDPOINT_EV = 18575.0
 
@@ -132,10 +133,12 @@ def save_fig2_csv(result: Fig2Result, path: str) -> None:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Window depths, replications and seed of a bias scan.  The rest is
-    `STUDY_DESIGN`: drift on in the data and the control fit, off in the
-    mismatch fit; W0 = 18575 eV; 2.5 eV resolution; 2 eV bins up to W0 +
-    20 eV; 2.56e11 counts at 200 eV depth, and 4% of that as background."""
+    """Window depths, replications and seed of a bias scan.  The depths
+    increase strictly, each above 0 and at most 1000 eV, the pseudo-data
+    generator's range below W0.  The rest is `STUDY_DESIGN`: drift on in
+    the data and the control fit, off in the mismatch fit; W0 = 18575 eV;
+    2.5 eV resolution; 2 eV bins up to W0 + 20 eV; 2.56e11 counts at 200 eV
+    depth, and 4% of that as background."""
 
     window_depths_ev: tuple[float, ...] = (100.0, 200.0, 400.0)
     replications: int = 100
@@ -149,6 +152,11 @@ class ScanSpec:
         if not all(0.0 < d < math.inf for d in depths):
             raise ValidationError(
                 f"window depths must be finite and > 0, got {depths}")
+        deep = [d for d in depths if d > BINS_BELOW_W0_EV]
+        if deep:
+            raise ValidationError(
+                f"window depths must be at most {BINS_BELOW_W0_EV:g} eV, the "
+                f"pseudo-data generator's range below W0, got {deep[0]:g}")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValidationError("window depths must be strictly increasing")
 
@@ -185,13 +193,25 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _one_replication(task, truth, fss, response, exposure):
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """One window's forward model, built once and shared by its
+    replications: the expected counts mu of the truth on the window's bins
+    (an `expected_dataset`), and one `FitModel` per fit config, the mismatch
+    fit first.  mu and the fit models share one `Lattice` of the bins, unless
+    the fit window leaves a bin out; all their arrays are read-only."""
+
+    expected: PseudoDataset
+    fits: tuple[FitModel, ...]
+
+
+def _one_replication(task, truth):
     """(both fits converged, then m2nu and W0 shift of each fit) for one
-    `(centers, configs, seed)` task."""
-    centers, configs, seed = task
-    dataset = generate_pseudodata(truth, fss, response, centers, exposure,
-                                  seed)
-    fits = [minimize(dataset, config) for config in configs]
+    `(window, seed)` task: the Poisson draw of the seed, fitted with each of
+    the window's fit models."""
+    window, seed = task
+    dataset = draw_pseudodata(window.expected, seed)
+    fits = [minimize(dataset, model.config, model) for model in window.fits]
     outcome = [all(fit.converged for fit in fits)]
     for fit in fits:
         outcome += [fit.params.m2nu_ev2,
@@ -204,9 +224,18 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
     """Ensemble of drift-on pseudo-experiments fitted drift-off, window by
     window, with the drift-matched control on the same datasets.
 
+    Each window's forward model is built once, before any replication: the
+    `Lattice` of its bins, the expected counts mu of the truth on it, and
+    for each of the two fit configs the first kernel pass at the initial
+    point (a `FitModel`).  Each replication then only draws its Poisson
+    counts from mu with its seed and runs both fits on the shared models.
+    The results are bit-identical to generating and fitting each
+    replication from scratch.
+
     Every window's replications form one task list.  With jobs > 1 one
-    process pool serves all windows; outcomes come back and are reduced in
-    replication order, so results are identical for any job count.
+    process pool serves all windows, and each task carries its window's
+    model; outcomes come back and are reduced in replication order, so
+    results are identical for any job count.
     """
     fss = fss or build_study_fss()
     design = STUDY_DESIGN
@@ -234,17 +263,21 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
         n_edge = int(round(depth / spacing))
         n_top = int(round(top / spacing))
         centers = w0 + (np.arange(-n_edge, n_top + 1) * spacing)
-        window = (w0 - depth - 1e-9, w0 + top + 1e-9)
+        lattice = Lattice.build(response, centers)
+        expected = expected_dataset(truth, fss, response, centers, exposure,
+                                    lattice)
+        window_ev = (w0 - depth - 1e-9, w0 + top + 1e-9)
         # the mismatch fit, then the control
-        configs = [FitConfig(window_ev=window, response=response, fss=fss,
-                             initial=guess.with_values(endpoint_drift=drift))
-                   for drift in (design["fitter_drift"],
-                                 design["generator_drift"])]
-        tasks += [(centers, configs, spec.base_seed + 1009 * iw + rep)
+        fits = tuple(
+            FitModel.build(expected, FitConfig(
+                window_ev=window_ev, response=response, fss=fss,
+                initial=guess.with_values(endpoint_drift=drift)), lattice)
+            for drift in (design["fitter_drift"], design["generator_drift"]))
+        window = _Window(expected, fits)
+        tasks += [(window, spec.base_seed + 1009 * iw + rep)
                   for rep in range(spec.replications)]
 
-    run = partial(_one_replication, truth=truth, fss=fss, response=response,
-                  exposure=exposure)
+    run = partial(_one_replication, truth=truth)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -7,8 +7,12 @@ Subcommands: `constants dump`, `fss gen`, `fss moments`, `spectrum`,
 A run with `--out` that returns (exit 0, or 2 for an unconverged fit or
 a flagged scan) also writes `<output>.manifest.json`: the command, the
 hashes of the input-flag files and a TRIBETA_CONSTANTS file, constants
-version and seed.  Re-runs with identical inputs produce byte-identical
-primary outputs (manifests differ only in the timestamp field).
+version, seed, `jobs` (`bias-scan --jobs`), `libraries` (the numpy and
+scipy versions) and `blas_threads` (`OPENBLAS_NUM_THREADS` and
+`OMP_NUM_THREADS` in effect, taken from the environment).  Re-runs with
+identical inputs produce byte-identical primary outputs; their manifests
+differ only in the timestamp field when `--jobs` and the BLAS variables
+are also the same.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import warnings
 # BLAS on one thread unless the user chose otherwise, set before numpy loads
 # it: the dense radial solves round differently on more threads, and the
 # rotational solves already run on two threads of their own
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in _BLAS_THREADS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import (AccuracyError, ConfigurationError, ModelError,
@@ -37,8 +43,9 @@ from .errors import (AccuracyError, ConfigurationError, ModelError,
 
 try:
     from .fit import PARAM_NAMES, FitConfig, minimize
-    from .franck_condon import (MoleculeModel, RecoilEngine,
-                                check_recoil_momentum, default_model)
+    from .franck_condon import (TRUNCATION_WARN_FRACTION, MoleculeModel,
+                                RecoilEngine, check_recoil_momentum,
+                                default_model, truncation_warned)
     from .fss import cumulative_moments, load_fss, save_fss
     from .kernel import (SpectrumParams, differential_spectrum,
                          integral_spectrum, linearized_spectrum)
@@ -71,6 +78,9 @@ def _write_manifest(args: argparse.Namespace) -> None:
                    for p in inputs + [os.environ.get(CONSTANTS_ENV_VAR)]
                    if p and os.path.exists(p)},
         "seeds": {"base_seed": args.seed} if "seed" in args else None,
+        "jobs": getattr(args, "jobs", None),
+        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREADS},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     })
 
@@ -152,6 +162,11 @@ def _cmd_fss_gen(args) -> int:
         **spectrum.provenance,
         "line_count": len(spectrum),
         "total_probability": spectrum.total_probability})
+    for label, deficit in spectrum.provenance["truncation_deficit"].items():
+        if truncation_warned(deficit):
+            print(f"warning: channel {label} keeps less than "
+                  f"{TRUNCATION_WARN_FRACTION:.0%} of its weight (deficit "
+                  f"{deficit:.3g}); raise --j-max or --v-max", file=sys.stderr)
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The statistic is Pearson chi^2 with a unit floor on the denominator,
 Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from the forward model that
-also generates the pseudo-data (`response.expected_counts`).  Minimization
+also generates the pseudo-data (`response.Lattice.counts`).  Minimization
 is damped least squares (Levenberg-style trust parameter) on a closed-form
 Jacobian: mu is linear in A and b, and the W0 and m2nu columns come from
 `kernel.integral_spectrum_derivatives` in the same kernel pass as mu
@@ -104,18 +104,30 @@ def _params_vector(params: SpectrumParams) -> dict:
             "m2nu": params.m2nu_ev2, "background": params.background}
 
 
+def _unit_shape(config: FitConfig, vec: np.ndarray) -> SpectrumParams:
+    """The unit-amplitude, zero-background shape at the free-parameter
+    vector; a ValidationError if its W0 or m2nu leaves the sane region."""
+    p = _params_vector(config.initial)
+    p.update(zip(config.free, vec))
+    return config.initial.with_values(
+        amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
+        background=0.0)
+
+
 class _Residuals:
     """Pearson residuals (n - mu) / sqrt(max(mu, 1)) of a fit's window bins
     as a function of the free-parameter vector, with their Jacobian, both
     from one kernel pass.
 
-    The window's `Lattice` is built once.  mu is linear in A and b, so it is
-    built from the unit-amplitude, zero-background shape, and trial steps
-    with A <= 0 or b < 0 are still evaluated; a trial W0 or m2nu outside the
-    sane region gives infinite residuals and no Jacobian, a rejected step.
+    The `Lattice` of the window's bins is built once, or given.  mu is
+    linear in A and b, so it is built from the unit-amplitude,
+    zero-background shape, and trial steps with A <= 0 or b < 0 are still
+    evaluated; a trial W0 or m2nu outside the sane region gives infinite
+    residuals and no Jacobian, a rejected step.
     """
 
-    def __init__(self, dataset: PseudoDataset, config: FitConfig):
+    def __init__(self, dataset: PseudoDataset, config: FitConfig,
+                 lattice: Optional[Lattice] = None):
         mask = _window_mask(dataset.bin_centers, config.window_ev)
         self.n_bins = int(mask.sum())
         self.free = tuple(config.free)
@@ -124,8 +136,10 @@ class _Residuals:
                 f"window selects {self.n_bins} bins; "
                 f"need at least {len(self.free) + 1}")
         self.counts = dataset.counts[mask].astype(float)
-        self.lattice = Lattice.build(config.response,
-                                     dataset.bin_centers[mask])
+        if lattice is None:
+            lattice = Lattice.build(config.response,
+                                    dataset.bin_centers[mask])
+        self.lattice = lattice
         self.fixed = _params_vector(config.initial)
         self.x0 = np.array([self.fixed[name] for name in self.free])
         self.exposure = dataset.exposure
@@ -133,16 +147,19 @@ class _Residuals:
 
     def __call__(self, vec: np.ndarray):
         """(residuals, Jacobian) at vec; (inf residuals, None) if insane."""
-        p = dict(self.fixed)
-        p.update(zip(self.free, vec))
         try:
-            shape = self.config.initial.with_values(
-                amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
-                background=0.0)
+            shape = _unit_shape(self.config, vec)
         except ValidationError:
             return np.full(self.n_bins, np.inf), None
-        unit, d_w0, d_m2 = self.lattice.counts_with_derivatives(
-            shape, self.config.fss, self.exposure)
+        return self.from_pass(vec, self.lattice.counts_with_derivatives(
+            shape, self.config.fss, self.exposure))
+
+    def from_pass(self, vec: np.ndarray, kernel_pass):
+        """(residuals, Jacobian) at vec from its kernel pass: the unit mu,
+        dmu/dW0 and dmu/dm2nu."""
+        unit, d_w0, d_m2 = kernel_pass
+        p = dict(self.fixed)
+        p.update(zip(self.free, vec))
         amplitude = p["amplitude"]
         mu = amplitude * unit + p["background"]
         s = np.sqrt(np.maximum(mu, 1.0))
@@ -154,18 +171,77 @@ class _Residuals:
         return r, jac * dr_dmu[:, None]
 
 
-def minimize(dataset: PseudoDataset, config: FitConfig) -> FitResult:
+@dataclass(frozen=True, eq=False)
+class FitModel:
+    """What a fit computes before it reads any counts: the `Lattice` of the
+    bins inside the fit window, and the first kernel pass, the unit-amplitude
+    mu with its W0 and m2nu columns at the config's initial point.
+
+    It depends on the dataset's bin centres and exposure and on the config,
+    not on the counts, so fits of datasets that share the first two can
+    share one: `minimize(dataset, model.config, model)`.  Its arrays are
+    read-only.
+    """
+
+    bin_centers: np.ndarray   # every bin of the dataset, inside the window or not
+    exposure: float
+    config: FitConfig
+    lattice: Lattice
+    first_pass: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        for array in (self.bin_centers, *self.first_pass):
+            array.setflags(write=False)
+
+    @classmethod
+    def build(cls, dataset: PseudoDataset, config: FitConfig,
+              lattice: Optional[Lattice] = None) -> "FitModel":
+        """The model of `dataset`'s bins and exposure.  `lattice`, the
+        `Lattice` of all its bins under the config's response (a
+        ValidationError if it is not), serves the fit when every bin lies
+        inside the window."""
+        if lattice is not None and not lattice.is_of(config.response,
+                                                     dataset.bin_centers):
+            raise ValidationError("lattice was built for other bins or "
+                                  "another response than the fit's")
+        if not _window_mask(dataset.bin_centers, config.window_ev).all():
+            lattice = None
+        residuals = _Residuals(dataset, config, lattice)
+        first_pass = residuals.lattice.counts_with_derivatives(
+            _unit_shape(config, residuals.x0), config.fss, dataset.exposure)
+        return cls(dataset.bin_centers, dataset.exposure, config,
+                   residuals.lattice, first_pass)
+
+
+def minimize(dataset: PseudoDataset, config: FitConfig,
+             model: Optional[FitModel] = None) -> FitResult:
     """Damped least-squares descent to a local chi^2 minimum.
 
     Deterministic given the config.  Non-convergence is flagged on the
     result, not raised; a singular Hessian leaves the covariance absent.
+
+    The fit starts from a `FitModel`, its window's `Lattice` and the kernel
+    pass at its initial point; without `model` it builds its own.  Fits of
+    datasets on the same bins with the same exposure can share one:
+    `bias_scan` builds one per window and config, and each replication's two
+    fits read theirs.  It must have been built for the dataset's bin centres
+    and exposure and for this config, the FSS compared by identity (a
+    ValidationError otherwise).  The result is bit-identical either way.
     """
-    residuals = _Residuals(dataset, config)
+    if model is None:
+        model = FitModel.build(dataset, config)
+    if not (np.array_equal(model.bin_centers, dataset.bin_centers)
+            and model.exposure == dataset.exposure):
+        raise ValidationError("fit model was built for other bin centres "
+                              "or another exposure than the dataset's")
+    if model.config != config:
+        raise ValidationError("fit model was built for another fit config")
+    residuals = _Residuals(dataset, config, model.lattice)
+    r, jac = residuals.from_pass(residuals.x0, model.first_pass)
     free, n_bins = residuals.free, residuals.n_bins
     x = residuals.x0
     scales = _param_scales(x, free)
 
-    r, jac = residuals(x)
     chi2 = float(r @ r)
     if not np.isfinite(chi2):
         raise ModelError("initial chi^2 is not finite")

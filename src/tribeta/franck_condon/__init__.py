@@ -4,7 +4,9 @@ from .bessel import spherical_jn_table
 from .molecule import (Channel, GridSpec, MoleculeModel, MorseParams,
                        default_model, GROUND_CHANNEL_WEIGHT, IONIC_GROUND,
                        T2_INITIAL)
-from .overlaps import RecoilEngine, check_recoil_momentum, rotational_shift_ev
+from .overlaps import (TRUNCATION_WARN_FRACTION, RecoilEngine,
+                       check_recoil_momentum, rotational_shift_ev,
+                       truncation_warned)
 from .radial import (CONVERGENCE_TOL_EV, RadialEigenbasis, RotationalBases,
                      kinetic_matrix, rotational_bases, solve_initial,
                      solve_radial)
@@ -14,6 +16,7 @@ __all__ = [
     "RecoilEngine", "RotationalBases", "check_recoil_momentum",
     "default_model", "kinetic_matrix", "rotational_bases",
     "rotational_shift_ev", "solve_initial", "solve_radial",
-    "spherical_jn_table", "CONVERGENCE_TOL_EV", "GROUND_CHANNEL_WEIGHT",
-    "IONIC_GROUND", "T2_INITIAL",
+    "spherical_jn_table", "truncation_warned", "CONVERGENCE_TOL_EV",
+    "GROUND_CHANNEL_WEIGHT", "IONIC_GROUND", "T2_INITIAL",
+    "TRUNCATION_WARN_FRACTION",
 ]

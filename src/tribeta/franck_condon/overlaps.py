@@ -30,6 +30,12 @@ from .radial import (RotationalBases, _hamiltonian, rotational_bases,
 TRUNCATION_WARN_FRACTION = 0.99
 
 
+def truncation_warned(deficit: float) -> bool:
+    """Whether a channel whose lines miss `deficit` of its weight keeps
+    less than TRUNCATION_WARN_FRACTION of it."""
+    return deficit > 1.0 - TRUNCATION_WARN_FRACTION
+
+
 def check_recoil_momentum(q_au: float) -> None:
     """Raise unless q (atomic units) is finite and >= 0; NaN fails too."""
     if not 0.0 <= q_au < np.inf:
@@ -109,8 +115,7 @@ class RecoilEngine:
             total = sum(probs.sum(axis=1).tolist())
             deficit = 1.0 - total / ch.weight
             deficits[ch.label or f"channel{ic}"] = deficit
-            if total < TRUNCATION_WARN_FRACTION * ch.weight:
-                warned = True
+            warned = warned or truncation_warned(deficit)
         provenance = {
             "q_au": q_au,
             "j_max": self.j_max,

@@ -31,6 +31,9 @@ _PTRS_SWITCH = 30.0
 #: largest expected count sampled (NaN fails the test too): counts are
 #: int64, and half its range leaves the draw room above mu
 _MU_MAX = 2.0 ** 62
+#: the pseudo-data generator's bin range about the endpoint W0
+BINS_BELOW_W0_EV = 1000.0
+BINS_ABOVE_W0_EV = 50.0
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,11 @@ class Lattice:
     inverse: np.ndarray      # shape (bins, offsets)
     weights: np.ndarray
 
+    def __post_init__(self):
+        # fits that share a lattice cannot alter one another's
+        for array in (self.energies, self.inverse, self.weights):
+            array.setflags(write=False)
+
     @classmethod
     def build(cls, response: ResponseModel, bin_centers) -> "Lattice":
         centers = np.atleast_1d(np.asarray(bin_centers, dtype=float)).ravel()
@@ -86,14 +94,28 @@ class Lattice:
         energies, inverse = np.unique(grid, return_inverse=True)
         return cls(energies, inverse.reshape(grid.shape), response.weights())
 
+    def is_of(self, response: ResponseModel, bin_centers) -> bool:
+        """Whether this is the lattice of `bin_centers` under `response`."""
+        centers = np.atleast_1d(np.asarray(bin_centers, dtype=float)).ravel()
+        grid = centers[:, None] - response.offsets()[None, :]
+        return (self.inverse.shape == grid.shape
+                and np.array_equal(self.energies[self.inverse], grid)
+                and np.array_equal(self.weights, response.weights()))
+
     def smear(self, values: np.ndarray) -> np.ndarray:
         """Convolve values given at `energies`; one result per bin."""
         return np.asarray(values, dtype=float)[self.inverse] @ self.weights
 
+    def counts(self, params: SpectrumParams, fss: FinalStateSpectrum,
+               exposure: float) -> np.ndarray:
+        """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
+        values = integral_spectrum(self.energies, params, fss)
+        return exposure * self.smear(values) + params.background
+
     def counts_with_derivatives(self, params: SpectrumParams,
                                 fss: FinalStateSpectrum, exposure: float):
         """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is bit-identical
-        to `expected_counts`."""
+        to `counts`."""
         values, d_w0, d_m2 = integral_spectrum_derivatives(
             self.energies, params, fss)
         return (exposure * self.smear(values) + params.background,
@@ -105,7 +127,8 @@ def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
 
     Returns a vectorized callable.  The input function must accept a 1-D
     numpy array of energies and act elementwise: it is called once per
-    evaluation with the distinct energies of the evaluation's `Lattice`.
+    evaluation with the distinct energies of the evaluation's `Lattice`, a
+    read-only array.
     """
 
     def smeared(eps_beta):
@@ -196,9 +219,51 @@ def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
                     response: ResponseModel, bin_centers: np.ndarray,
                     exposure: float) -> np.ndarray:
     """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-    lattice = Lattice.build(response, bin_centers)
-    values = integral_spectrum(lattice.energies, params, fss)
-    return exposure * lattice.smear(values) + params.background
+    return Lattice.build(response, bin_centers).counts(params, fss, exposure)
+
+
+def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
+                     response: ResponseModel, bin_centers, exposure: float,
+                     lattice: Lattice | None = None) -> PseudoDataset:
+    """The expected counts mu as a dataset (the Asimov dataset): float
+    counts, seed -1 and the truth record of `generate_pseudodata`, which
+    draws its counts from it.  `lattice`, the `Lattice` of `bin_centers`
+    under `response`, spares building it again.
+
+    exposure = 0 is allowed and yields background-only counts.
+    """
+    centers = np.asarray(bin_centers, dtype=float)
+    if exposure < 0.0:
+        raise ValidationError("exposure must be >= 0")
+    w0 = params.endpoint_ev
+    if np.any(centers < w0 - BINS_BELOW_W0_EV) or \
+            np.any(centers > w0 + BINS_ABOVE_W0_EV):
+        raise ValidationError(
+            f"bins must lie within [W0 - {BINS_BELOW_W0_EV:g} eV, "
+            f"W0 + {BINS_ABOVE_W0_EV:g} eV]")
+    if lattice is None:
+        lattice = Lattice.build(response, centers)
+    truth = {
+        "params": asdict(params),
+        "response": asdict(response),
+        "exposure": exposure,
+        "seed": None,
+        "fss_lines": len(fss),
+        "fss_total_probability": fss.total_probability,
+    }
+    return PseudoDataset(bin_centers=centers,
+                         counts=lattice.counts(params, fss, exposure),
+                         exposure=exposure, seed=-1, truth=truth)
+
+
+def draw_pseudodata(expected: PseudoDataset, seed: int) -> PseudoDataset:
+    """Poisson counts drawn from the expected counts of `expected_dataset`;
+    deterministic given the seed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = poisson_sample(rng, expected.counts)
+    return PseudoDataset(bin_centers=expected.bin_centers, counts=counts,
+                         exposure=expected.exposure, seed=seed,
+                         truth={**expected.truth, "seed": seed})
 
 
 def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
@@ -208,26 +273,8 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
 
     exposure = 0 is allowed and yields background-only counts.
     """
-    centers = np.asarray(bin_centers, dtype=float)
-    if exposure < 0.0:
-        raise ValidationError("exposure must be >= 0")
-    w0 = params.endpoint_ev
-    if np.any(centers < w0 - 1000.0) or np.any(centers > w0 + 50.0):
-        raise ValidationError(
-            "bins must lie within [W0 - 1000 eV, W0 + 50 eV]")
-    mus = expected_counts(params, fss, response, centers, exposure)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = poisson_sample(rng, mus)
-    truth = {
-        "params": asdict(params),
-        "response": asdict(response),
-        "exposure": exposure,
-        "seed": seed,
-        "fss_lines": len(fss),
-        "fss_total_probability": fss.total_probability,
-    }
-    return PseudoDataset(bin_centers=centers, counts=counts,
-                         exposure=exposure, seed=seed, truth=truth)
+    expected = expected_dataset(params, fss, response, bin_centers, exposure)
+    return draw_pseudodata(expected, seed)
 
 
 def save_dataset(dataset: PseudoDataset, path) -> None:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import tribeta.bias
-from tribeta.bias import ScanSpec, bias_scan, fig2_study
+from tribeta.bias import STUDY_DESIGN, ScanSpec, bias_scan, fig2_study
+from tribeta.errors import ValidationError
+from tribeta.fit import FitConfig, minimize
 from tribeta.fss import from_lines
+from tribeta.kernel import SpectrumParams, integral_spectrum
+from tribeta.response import Lattice, ResponseModel, generate_pseudodata
 
 W0 = 18575.0
 
@@ -120,6 +124,12 @@ class TestBiasScanSmoke:
             ScanSpec(replications=0)
 
 
+def test_depth_beyond_the_generator_range_fails_up_front():
+    ScanSpec(window_depths_ev=(100.0, 1000.0))
+    with pytest.raises(ValidationError, match="at most 1000 eV.*got 1500"):
+        ScanSpec(window_depths_ev=(100.0, 1500.0))
+
+
 class TestBiasScanExclusions:
     """The reduction keeps a replication only when both its fits converged."""
 
@@ -136,9 +146,9 @@ class TestBiasScanExclusions:
         fits = {}
         minimize = tribeta.bias.minimize
 
-        def flaky_minimize(dataset, config):
+        def flaky_minimize(dataset, config, model=None):
             key = (dataset.seed, config.initial.endpoint_drift)
-            fits[key] = result = minimize(dataset, config)
+            fits[key] = result = minimize(dataset, config, model)
             return dataclasses.replace(result,
                                        converged=key not in failing)
 
@@ -185,10 +195,110 @@ class TestBiasScanExclusions:
                         base_seed=3)
         minimize = tribeta.bias.minimize
 
-        def flaky_minimize(dataset, config):
-            result = minimize(dataset, config)
+        def flaky_minimize(dataset, config, model=None):
+            result = minimize(dataset, config, model)
             return dataclasses.replace(result, converged=dataset.seed != 3)
 
         monkeypatch.setattr(tribeta.bias, "minimize", flaky_minimize)
         result = bias_scan(spec, fss=study_fss)
         assert (result.windows[0].n_excluded, result.flagged) == (1, False)
+
+
+def _reference_scan(spec, fss):
+    """The scan with every replication generated and fitted from scratch:
+    `generate_pseudodata`, then `minimize(dataset, config)` per fit."""
+    design = STUDY_DESIGN
+    w0 = design["endpoint_ev"]
+    response = ResponseModel(sigma_ev=design["sigma_ev"])
+    anchor = integral_spectrum(w0 - design["anchor_depth_ev"],
+                               SpectrumParams(amplitude=1.0, endpoint_ev=w0),
+                               fss)
+    exposure = design["anchor_counts"] / float(anchor)
+    background = design["background_fraction"] * design["anchor_counts"]
+    truth = SpectrumParams(amplitude=1.0, endpoint_ev=w0, background=background,
+                           endpoint_drift=True)
+    guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.3,
+                              endpoint_ev=w0 - 0.05,
+                              background=background * 1.05)
+    windows = []
+    for iw, depth in enumerate(spec.window_depths_ev):
+        centers = w0 + 2.0 * np.arange(-int(round(depth / 2.0)), 11)
+        configs = [FitConfig(window_ev=(w0 - depth - 1e-9, w0 + 20.0 + 1e-9),
+                             initial=guess.with_values(endpoint_drift=drift),
+                             response=response, fss=fss)
+                   for drift in (False, True)]
+        rows = []
+        for rep in range(spec.replications):
+            dataset = generate_pseudodata(truth, fss, response, centers,
+                                          exposure,
+                                          spec.base_seed + 1009 * iw + rep)
+            fits = [minimize(dataset, config) for config in configs]
+            if all(fit.converged for fit in fits):
+                rows.append([v for fit in fits for v in (
+                    fit.params.m2nu_ev2, fit.params.endpoint_ev - w0)])
+        columns = np.array(rows).reshape(-1, 4).T
+        n = columns.shape[1]
+        means = [c.mean() if n else math.nan for c in columns]
+        ses = [c.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan
+               for c in columns]
+        windows.append({
+            "depth_ev": depth, "n_fits": n,
+            "n_excluded": spec.replications - n,
+            "mean_m2nu": means[0], "se_m2nu": ses[0],
+            "mean_w0_shift": means[1], "se_w0_shift": ses[1],
+            "control_mean_m2nu": means[2], "control_se_m2nu": ses[2],
+            "control_mean_w0_shift": means[3]})
+    return windows
+
+
+class TestWindowModel:
+    """Each window's forward model is built once and shared by its
+    replications, with results bit-identical to fitting from scratch."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equals_fitting_each_replication_from_scratch(self, study_fss,
+                                                          jobs):
+        # at 99 eV the deepest bin (W0 - 100 eV) lies below the fit window,
+        # so the fits' lattice is not the generator's
+        spec = ScanSpec(window_depths_ev=(30.0, 99.0), replications=3,
+                        base_seed=7)
+        result = bias_scan(spec, fss=study_fss, jobs=jobs)
+        expected = _reference_scan(spec, study_fss)
+        got = [dataclasses.asdict(w) for w in result.windows]
+        assert [w.keys() for w in got] == [w.keys() for w in expected]
+        for g, e in zip(got, expected):
+            for key in e:
+                assert np.array_equal(g[key], e[key], equal_nan=True), key
+
+    def test_one_lattice_and_one_initial_pass_per_window(self, study_fss,
+                                                         monkeypatch):
+        builds, passes = [], {}
+        build = Lattice.build.__func__
+        counts_with_derivatives = Lattice.counts_with_derivatives
+
+        def counting_build(cls, response, bin_centers):
+            builds.append(len(bin_centers))
+            return build(cls, response, bin_centers)
+
+        def counting_pass(self, params, fss, exposure):
+            key = (id(self), params)
+            passes[key] = passes.get(key, 0) + 1
+            return counts_with_derivatives(self, params, fss, exposure)
+
+        monkeypatch.setattr(Lattice, "build", classmethod(counting_build))
+        monkeypatch.setattr(Lattice, "counts_with_derivatives", counting_pass)
+        spec = ScanSpec(window_depths_ev=(100.0, 200.0, 400.0),
+                        replications=4, base_seed=11)
+        result = bias_scan(spec, fss=study_fss)
+        assert [w.n_fits for w in result.windows] == [4, 4, 4]
+        # one lattice per window, of all its bins
+        assert builds == [61, 111, 211]
+        w0 = STUDY_DESIGN["endpoint_ev"]
+        initial = [SpectrumParams(amplitude=1.0, endpoint_ev=w0 - 0.05,
+                                  m2nu_ev2=0.3, endpoint_drift=drift)
+                   for drift in (False, True)]
+        first = {key: n for key, n in passes.items() if key[1] in initial}
+        # each (window, config) initial point evaluated once, on the
+        # window's lattice
+        assert len(first) == 6 and set(first.values()) == {1}
+        assert len({lattice for lattice, _ in first}) == 3

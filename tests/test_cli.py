@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import tribeta.cli
 import tribeta.franck_condon.overlaps
@@ -160,6 +161,28 @@ class TestFssCommands:
              "['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
             env=env, capture_output=True, text=True, check=True)
         assert result.stdout.split() == [threads or "1", "1"]
+
+    def test_gen_warns_of_each_truncated_channel(self, tmp_path, capsys):
+        out = tmp_path / "fss.dat"
+        assert run_cli(["fss", "gen", "--q", "18.64", "--j-max", "12",
+                        "--v-max", "5", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "fss.dat.json").read_text())
+        assert sidecar["truncation_warning"] is True
+        deficit = sidecar["truncation_deficit"]["ionic ground"]
+        assert deficit == pytest.approx(0.964, abs=5e-4)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert "channel ionic ground" in lines[0]
+        assert f"deficit {deficit:.3g}" in lines[0]
+
+    def test_gen_without_truncation_is_silent(self, tmp_path, capsys):
+        out = tmp_path / "fss.dat"
+        assert run_cli(["fss", "gen", "--q", "3.0", "--j-max", "8",
+                        "--v-max", "12", "--no-grid-check",
+                        "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "fss.dat.json").read_text())
+        assert sidecar["truncation_warning"] is False
+        assert capsys.readouterr().err == ""
 
     def test_moments_stdout(self, small_fss_file, capsys):
         assert run_cli(["fss", "moments", "--fss", str(small_fss_file),
@@ -343,6 +366,26 @@ class TestManifest:
         assert manifest["inputs"] == self.digests(given)
         assert manifest["seeds"] == (
             {"base_seed": 11} if command == "bias-scan" else None)
+        assert manifest["jobs"] == (1 if command == "bias-scan" else None)
+        assert manifest["libraries"] == {"numpy": np.__version__,
+                                         "scipy": scipy.__version__}
+        assert manifest["blas_threads"] == {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+    def test_records_jobs_and_blas_threads_in_effect(self, tmp_path):
+        # a fresh process, so that the CLI's one-thread default applies
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["OMP_NUM_THREADS"] = "2"
+        out = tmp_path / "bias.csv"
+        subprocess.run([sys.executable, "-m", "tribeta.cli", "bias-scan",
+                        "--depths", "50", "--replications", "1", "--jobs",
+                        "2", "--out", str(out)], env=env, check=True)
+        manifest = self.manifest(out)
+        assert manifest["jobs"] == 2
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": "2"}
 
     @pytest.mark.parametrize("command", ["fit", "convolve"])
     def test_exit_1_writes_nothing(self, fit_inputs, tmp_path, command):
@@ -468,6 +511,13 @@ class TestUsageErrors:
         self.assert_input_error(
             ["bias-scan", "--depths", "100", depth, "--out", str(out)], capsys,
             "window depths must be finite and > 0")
+        assert not out.exists()
+
+    def test_bias_scan_depth_beyond_the_generator(self, tmp_path, capsys):
+        out = tmp_path / "bias.csv"
+        self.assert_input_error(
+            ["bias-scan", "--depths", "100", "1500", "--out", str(out)],
+            capsys, "window depths must be at most 1000 eV", "got 1500")
         assert not out.exists()
 
     @pytest.mark.parametrize("mnu", ["nan", "inf", "-1"])

@@ -8,11 +8,13 @@ import pytest
 
 import tribeta.kernel
 from tribeta.errors import ValidationError
-from tribeta.fit import FitConfig, _param_scales, _Residuals, minimize
+from tribeta.fit import (FitConfig, FitModel, _param_scales, _Residuals,
+                         minimize)
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams
-from tribeta.response import (PseudoDataset, ResponseModel, expected_counts,
-                              generate_pseudodata)
+from tribeta.response import (Lattice, PseudoDataset, ResponseModel,
+                              draw_pseudodata, expected_counts,
+                              expected_dataset, generate_pseudodata)
 
 mp.mp.dps = 30
 
@@ -280,22 +282,24 @@ class TestJacobian:
 
     def test_one_kernel_pass_per_evaluation(self, setup, monkeypatch):
         # residuals and Jacobian of a trial point come from one pass; a
-        # finite-difference Jacobian would cost 2 passes per free parameter
+        # finite-difference Jacobian would cost 2 passes per free parameter.
+        # Every evaluation, the initial point's from the fit model's pass
+        # included, goes through `from_pass`
         fss, response, truth, centers, exposure, zero_noise = setup
         passes, evaluations = [], []
         line_blocks = tribeta.kernel._line_blocks
-        evaluate = _Residuals.__call__
+        evaluate = _Residuals.from_pass
 
         def counting(*args):
             passes.append(1)
             return line_blocks(*args)
 
-        def counted(self, vec):
+        def counted(self, vec, kernel_pass):
             evaluations.append(1)
-            return evaluate(self, vec)
+            return evaluate(self, vec, kernel_pass)
 
         monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
-        monkeypatch.setattr(_Residuals, "__call__", counted)
+        monkeypatch.setattr(_Residuals, "from_pass", counted)
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
         result = minimize(zero_noise, make_config(fss, response, guess))
@@ -320,3 +324,70 @@ class TestJacobian:
         r, jac = _Residuals(dataset, cfg)(x)
         assert float(r @ r) == result.chi2
         assert np.array_equal(result.covariance, np.linalg.inv(jac.T @ jac))
+
+
+class TestFitModel:
+    """A `FitModel` shares a window's lattice and first kernel pass between
+    fits of datasets on the same bins with the same exposure."""
+
+    @staticmethod
+    def fit_fields(result):
+        return [result.params, result.free_names, result.errors,
+                result.covariance.tolist(), result.chi2, result.dof,
+                result.n_iterations, result.converged, result.message]
+
+    @pytest.mark.parametrize("window", [(W0 - 200.0, W0 + 20.0),
+                                        (W0 - 150.0, W0 + 20.0)],
+                             ids=["every-bin", "some-bins"])
+    def test_shared_model_gives_the_same_fit(self, setup, window):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        # the lattice of every bin serves the fit only if its window holds
+        # every bin
+        lattice = Lattice.build(response, centers)
+        expected = expected_dataset(truth, fss, response, centers, exposure,
+                                    lattice)
+        cfg = make_config(fss, response,
+                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2),
+                          window=window)
+        model = FitModel.build(expected, cfg, lattice)
+        for seed in (1, 2):
+            dataset = draw_pseudodata(expected, seed)
+            assert self.fit_fields(minimize(dataset, cfg, model)) == \
+                self.fit_fields(minimize(dataset, cfg))
+
+    def test_model_arrays_are_read_only(self, setup):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        model = FitModel.build(zero_noise, make_config(fss, response, truth))
+        arrays = [model.bin_centers, *model.first_pass, model.lattice.energies,
+                  model.lattice.inverse, model.lattice.weights]
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_lattice_of_other_bins_or_response_is_refused(self, setup):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        cfg = make_config(fss, response, truth)
+        for lattice in (Lattice.build(response, centers[1:]),
+                        Lattice.build(response, centers + 0.25),
+                        Lattice.build(ResponseModel(sigma_ev=2.0), centers)):
+            with pytest.raises(ValidationError, match="lattice was built"):
+                FitModel.build(zero_noise, cfg, lattice)
+
+    def test_model_of_other_bins_or_exposure_is_refused(self, setup):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        cfg = make_config(fss, response, truth, window=(W0 - 100.0, W0 + 20.0))
+        model = FitModel.build(zero_noise, cfg)
+        shifted = PseudoDataset(bin_centers=centers + 1e-6,
+                                counts=zero_noise.counts, exposure=exposure,
+                                seed=-1)
+        rescaled = replace(zero_noise, exposure=2.0 * exposure)
+        for dataset in (shifted, rescaled):
+            with pytest.raises(ValidationError, match="bin centres or "
+                                                      "another exposure"):
+                minimize(dataset, cfg, model)
+
+    def test_model_of_another_config_is_refused(self, setup):
+        fss, response, truth, centers, exposure, zero_noise = setup
+        cfg = make_config(fss, response, truth)
+        model = FitModel.build(zero_noise, cfg)
+        other = replace(cfg, initial=truth.with_values(endpoint_drift=True))
+        with pytest.raises(ValidationError, match="another fit config"):
+            minimize(zero_noise, other, model)

@@ -11,7 +11,8 @@ from scipy.special import erf
 from tribeta.errors import ConfigurationError, ModelError, ValidationError
 from tribeta.kernel import SpectrumParams, integral_spectrum
 from tribeta.response import (Lattice, PseudoDataset, ResponseModel, convolve,
-                              expected_counts, generate_pseudodata,
+                              draw_pseudodata, expected_counts,
+                              expected_dataset, generate_pseudodata,
                               load_dataset, poisson_sample, save_dataset)
 
 W0 = 18575.0
@@ -188,6 +189,28 @@ class TestPoissonSampler:
             generate_pseudodata(p, study_fss, r, np.array([W0 - 2000.0]), 1.0, 1)
         with pytest.raises(ValidationError):
             generate_pseudodata(p, study_fss, r, np.array([W0 + 100.0]), 1.0, 1)
+
+    def test_expected_then_drawn_is_generated(self, study_fss):
+        # generate_pseudodata is the expected counts, then the draw
+        p = SpectrumParams(amplitude=1e-10, endpoint_ev=W0, background=5.0)
+        r = ResponseModel(sigma_ev=2.5)
+        bins = np.arange(W0 - 60.0, W0 + 10.0, 2.0)
+        expected = expected_dataset(p, study_fss, r, bins, 3.0,
+                                    Lattice.build(r, bins))
+        assert np.array_equal(expected.counts,
+                              expected_counts(p, study_fss, r, bins, 3.0))
+        assert (expected.seed, expected.truth["seed"]) == (-1, None)
+        assert not expected.counts.flags.writeable
+        assert not expected.bin_centers.flags.writeable
+        for seed in (42, 43):
+            drawn = draw_pseudodata(expected, seed)
+            generated = generate_pseudodata(p, study_fss, r, bins, 3.0, seed)
+            assert np.array_equal(drawn.counts, generated.counts)
+            assert np.array_equal(drawn.bin_centers, generated.bin_centers)
+            assert (drawn.exposure, drawn.seed) == (3.0, seed)
+            assert drawn.truth == generated.truth
+        # the expected counts are left as they were
+        assert expected.truth["seed"] is None
 
     def test_counts_match_expectation_scale(self, study_fss):
         p = SpectrumParams(amplitude=1.0, endpoint_ev=W0, background=0.0)

@@ -205,11 +205,12 @@ class _Window:
     fits: tuple[FitModel, ...]
 
 
-def _one_replication(task, truth):
+def _one_replication(task, windows, truth):
     """(both fits converged, then m2nu and W0 shift of each fit) for one
-    `(window, seed)` task: the Poisson draw of the seed, fitted with each of
-    the window's fit models."""
-    window, seed = task
+    `(window index, seed)` task: the Poisson draw of the seed, fitted with
+    each of the window's fit models."""
+    iw, seed = task
+    window = windows[iw]
     dataset = draw_pseudodata(window.expected, seed)
     fits = [minimize(dataset, model.config, model) for model in window.fits]
     outcome = [all(fit.converged for fit in fits)]
@@ -217,6 +218,20 @@ def _one_replication(task, truth):
         outcome += [fit.params.m2nu_ev2,
                     fit.params.endpoint_ev - truth.endpoint_ev]
     return outcome
+
+
+#: a pool worker's (windows, truth), set once per worker by `_share`
+_shared: tuple = ()
+
+
+def _share(windows, truth):
+    global _shared
+    _shared = (windows, truth)
+
+
+def _shared_replication(task):
+    """`_one_replication` on the windows `_share` gave this pool worker."""
+    return _one_replication(task, *_shared)
 
 
 def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
@@ -232,10 +247,11 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
     The results are bit-identical to generating and fitting each
     replication from scratch.
 
-    Every window's replications form one task list.  With jobs > 1 one
-    process pool serves all windows, and each task carries its window's
-    model; outcomes come back and are reduced in replication order, so
-    results are identical for any job count.
+    Every window's replications form one task list of (window index,
+    seed).  With jobs > 1 one process pool serves all windows: each worker
+    gets the window models once, when it starts, and each task sends only
+    its index and seed.  Outcomes come back and are reduced in replication
+    order, so results are identical for any job count.
     """
     fss = fss or build_study_fss()
     design = STUDY_DESIGN
@@ -258,8 +274,8 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
                               background=background * 1.05)
 
     spacing, top = design["bin_spacing_ev"], design["window_top_margin_ev"]
-    tasks = []
-    for iw, depth in enumerate(spec.window_depths_ev):
+    windows = []
+    for depth in spec.window_depths_ev:
         n_edge = int(round(depth / spacing))
         n_top = int(round(top / spacing))
         centers = w0 + (np.arange(-n_edge, n_top + 1) * spacing)
@@ -273,17 +289,18 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
                 window_ev=window_ev, response=response, fss=fss,
                 initial=guess.with_values(endpoint_drift=drift)), lattice)
             for drift in (design["fitter_drift"], design["generator_drift"]))
-        window = _Window(expected, fits)
-        tasks += [(window, spec.base_seed + 1009 * iw + rep)
-                  for rep in range(spec.replications)]
+        windows.append(_Window(expected, fits))
+    tasks = [(iw, spec.base_seed + 1009 * iw + rep)
+             for iw in range(len(windows)) for rep in range(spec.replications)]
 
-    run = partial(_one_replication, truth=truth)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                                 initargs=(windows, truth)) as pool:
+            outcomes = list(pool.map(_shared_replication, tasks))
     else:
-        outcomes = list(map(run, tasks))
+        outcomes = list(map(partial(_one_replication, windows=windows,
+                                    truth=truth), tasks))
     # (window, replication, outcome of `_one_replication`)
     outcomes = np.reshape(outcomes, (-1, spec.replications, 5))
 

@@ -17,8 +17,16 @@ thread the results do not depend on which thread solved a J.  The worker
 runs nothing but eigh and array writes.
 
 The N-doubling gate needs only the lowest eigenvalues of the doubled grid
-and gets them by shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35
-(1980) 1251), not a dense solve.
+and gets them by a shift-invert block Lanczos (Ericsson & Ruhe, Math.
+Comp. 35 (1980) 1251; Golub & Underwood, Mathematical Software III, 1977),
+not a dense solve.  Seeded with the coarse eigenvectors it needs 4 block
+solves with the doubled grid's LU factors on the default grid.  The LU
+runs on one worker thread while the calling thread solves the coarse grid.
+Its Ritz values bound the doubled-grid levels from above, index by index,
+and its residuals bound them from below, so the gate fails closed: a
+coarse level above its Ritz level by more than the tolerance fails at
+once, and a pass needs drift plus residual bound within the tolerance at
+every level.  The gate never changes the coarse solve.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ from .molecule import GridSpec, MoleculeModel
 
 #: N-doubling eigenvalue gate (eV) on the lowest 10 states
 CONVERGENCE_TOL_EV = 1e-8
+#: the gate's Lanczos stops once every level's residual bound is within
+#: this (eV); the bound floors near 2-3e-9 eV at 2048 points
+LANCZOS_STOP_EV = 5e-9
+#: block Lanczos steps before the gate reports non-convergence
+LANCZOS_MAX_STEPS = 20
 #: floor on the J = 0 pairs that rotational bases are projected from; with
 #: 2 (v_max + 1) alone the default model's J <= 12 levels missed a dense
 #: solve per J by 5e-4 eV at v_max 12, with the floor by 8e-14 eV
@@ -97,59 +110,108 @@ def _solve_grid(potential: np.ndarray, radii: np.ndarray, mass_au: float,
     return w, v / np.sqrt(radii[1] - radii[0])
 
 
-def _lowest_levels(potential: np.ndarray, radii: np.ndarray, mass_au: float,
-                   k: int) -> np.ndarray:
-    """Lowest k eigenvalues (hartree) by shift-invert Lanczos about
-    sigma = min V, a strict lower bound of the spectrum because the sinc-DVR
-    kinetic matrix is positive definite.  Non-convergence is AccuracyError.
+def _lowest_levels(lu: tuple, sigma: float, seed: np.ndarray,
+                   coarse: np.ndarray) -> np.ndarray:
+    """The N-doubling gate: the lowest k = seed.shape[1] eigenvalues
+    (hartree) of the doubled-grid Hamiltonian H against the coarse levels.
+
+    Block Lanczos on (H - sigma)^-1, `lu` its factors and sigma = min V a
+    strict lower bound of the spectrum (the sinc-DVR kinetic matrix is
+    positive definite), from the coarse eigenvectors interpolated onto the
+    doubled grid.  Every step adds the next block of the Krylov space,
+    orthogonalized twice against the whole basis, and takes Ritz pairs
+    (theta_i, y_i) of the basis (Rayleigh-Ritz).  theta_i lies below the
+    i-th largest eigenvalue of (H - sigma)^-1 (Cauchy interlacing) and
+    within the residual norm |(H - sigma)^-1 y_i - theta_i y_i| of some
+    eigenvalue, which from a seed this close to the lowest levels is the
+    i-th.  So the level sigma + 1/theta_i bounds the i-th doubled-grid
+    level from above and lies above it by at most |residual| / theta_i^2.
+
+    Fails as soon as a coarse level lies more than CONVERGENCE_TOL_EV above
+    its Ritz level; stops once every bound is within LANCZOS_STOP_EV, and
+    passes when every coarse level's drift plus its bound is within
+    CONVERGENCE_TOL_EV.  AccuracyError on failure, and when the bounds are
+    not met within LANCZOS_MAX_STEPS steps or before the basis would
+    outgrow the grid.
     """
-    # imported here: at module level it adds about 0.03 s to every command
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-    n = radii.size
-    h = _hamiltonian(potential, radii, mass_au)
-    sigma = potential.min()
-    h[np.diag_indices(n)] -= sigma
-    # h is exactly symmetric, so its F-ordered view h.T is the same matrix
-    # and LAPACK factors it in place; a C-ordered h would be copied (19 MB)
-    lu = lu_factor(h.T, overwrite_a=True)
-    # lu_factor checked h for non-finite entries; ARPACK supplies the x
-    inverse = LinearOperator(
-        (n, n), dtype=float,
-        matvec=lambda x: lu_solve(lu, x, check_finite=False))
-    try:
-        # in shift-invert mode eigsh reads only the shape and dtype of A
-        w = eigsh(inverse, k, sigma=sigma, OPinv=inverse, v0=np.ones(n),
-                  return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise AccuracyError(
-            f"grid check failed: shift-invert Lanczos on the doubled grid "
-            f"did not converge ({exc})") from None
-    return np.sort(w)
+    n, k = seed.shape
+    block = np.linalg.qr(seed)[0]
+    basis = np.empty((n, 0))
+    images = np.empty((n, 0))  # (H - sigma)^-1 basis
+    for _ in range(LANCZOS_MAX_STEPS):
+        image = lu_solve(lu, block, check_finite=False)
+        basis = np.hstack((basis, block))
+        images = np.hstack((images, image))
+        projected = basis.T @ images
+        theta, ritz = np.linalg.eigh(0.5 * (projected + projected.T))
+        # the k largest, so the k lowest levels in ascending order
+        theta, ritz = theta[::-1][:k], ritz[:, ::-1][:, :k]
+        residual = np.linalg.norm(images @ ritz - basis @ ritz * theta, axis=0)
+        levels = sigma + 1.0 / theta
+        moved = (coarse - levels) * CONSTANTS.hartree_ev
+        bound = residual / theta**2 * CONSTANTS.hartree_ev
+        done = bound.max() <= LANCZOS_STOP_EV
+        drift = (np.abs(moved) + bound).max() if done else moved.max()
+        if drift > CONVERGENCE_TOL_EV:
+            raise AccuracyError(
+                f"grid too coarse: eigenvalues moved {drift:.3e} eV on "
+                f"doubling (tolerance {CONVERGENCE_TOL_EV:.1e} eV)")
+        if done:
+            return levels
+        if basis.shape[1] + k > n:
+            break
+        for _ in range(2):
+            image -= basis @ (basis.T @ image)
+        block = np.linalg.qr(image)[0]
+    raise AccuracyError(
+        f"grid check failed: block Lanczos on the doubled grid did not "
+        f"converge (residual bound {bound.max():.1e} eV after "
+        f"{basis.shape[1]} vectors)")
 
 
 def solve_radial(model: MoleculeModel, channel: int = 0, n_states: int = 31,
                  convergence_check: bool = False) -> RadialEigenbasis:
     """Lowest eigenpairs of the J = 0 channel Hamiltonian on the grid.
 
-    With convergence_check=True the grid is doubled and the lowest 10
-    eigenvalues must agree within CONVERGENCE_TOL_EV, else AccuracyError;
-    the doubled grid is solved for those eigenvalues only (`_lowest_levels`).
+    With convergence_check=True the grid is doubled and the lowest
+    min(10, n_states) eigenvalues must agree within CONVERGENCE_TOL_EV, else
+    AccuracyError (`_lowest_levels`).  This thread builds the doubled grid's
+    shifted Hamiltonian, hands its in-place LU to one worker thread and
+    solves the coarse grid meanwhile.  scipy's LU (getrf) releases the GIL
+    and its eigh (syevr) holds it, so the worker must enter getrf first: it
+    does, since `submit` waits for the new thread to start and the worker
+    reaches getrf within microseconds of that.  Every large array is
+    allocated on this thread; allocated on the worker, the coarse solve's
+    arrays would sit in a second malloc arena and add about 4 MB of RSS.
+    The basis is the same with or without the check.
     """
     radii = model.grid.radii()
-    w, v = _solve_grid(model.potential(channel), radii, model.final_mass_au,
-                       n_states)
-
-    if convergence_check:
+    potential = model.potential(channel)
+    if not convergence_check:
+        w, v = _solve_grid(potential, radii, model.final_mass_au, n_states)
+    else:
         fine = replace(model, grid=GridSpec(
             model.grid.r_min_bohr, model.grid.r_max_bohr, 2 * model.grid.points))
-        k = min(10, n_states)
-        wf = _lowest_levels(fine.potential(channel), fine.grid.radii(),
-                            fine.final_mass_au, k)
-        drift = np.abs(w[:k] - wf).max() * CONSTANTS.hartree_ev
-        if drift > CONVERGENCE_TOL_EV:
-            raise AccuracyError(
-                f"grid too coarse: eigenvalues moved {drift:.3e} eV on doubling "
-                f"(tolerance {CONVERGENCE_TOL_EV:.1e} eV)")
+        fine_radii, fine_potential = fine.grid.radii(), fine.potential(channel)
+        # the kinetic matrix is finite, so this is lu_factor's check_finite
+        if not np.isfinite(fine_potential).all():
+            raise ValueError("array must not contain infs or NaNs")
+        h = _hamiltonian(fine_potential, fine_radii, fine.final_mass_au)
+        sigma = fine_potential.min()
+        h[np.diag_indices(fine_radii.size)] -= sigma
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            # h is exactly symmetric, so its F-ordered view h.T is the same
+            # matrix and LAPACK factors it in place; a C-ordered h would be
+            # copied (19 MB at 2N = 1536)
+            factors = worker.submit(lu_factor, h.T, overwrite_a=True,
+                                    check_finite=False)
+            w, v = _solve_grid(potential, radii, model.final_mass_au,
+                               n_states)
+            lu = factors.result()
+        k = min(10, w.size)
+        seed = np.column_stack([np.interp(fine_radii, radii, v[:, i])
+                                for i in range(k)])
+        _lowest_levels(lu, sigma, seed, w[:k])
     return RadialEigenbasis(radii=radii, energies_ev=w * CONSTANTS.hartree_ev,
                             wavefunctions=v)
 

@@ -1,7 +1,9 @@
 """Linearization-accuracy study and the bias-scan mechanism (desk scale)."""
 
+import concurrent.futures
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -116,6 +118,24 @@ class TestBiasScanSmoke:
         serial = bias_scan(spec, fss=study_fss, jobs=1)
         pooled = bias_scan(spec, fss=study_fss, jobs=2)
         assert serial.to_dict() == pooled.to_dict()
+
+    def test_pool_tasks_do_not_carry_the_window_models(self, study_fss,
+                                                       monkeypatch):
+        # each worker gets the models once; a task is an index and a seed
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sizes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        spec = ScanSpec(window_depths_ev=(60.0, 150.0), replications=3,
+                        base_seed=7)
+        pooled = bias_scan(spec, fss=study_fss, jobs=2)
+        assert len(sizes) == 6 and max(sizes) < 1000
+        assert pooled.to_dict() == bias_scan(spec, fss=study_fss).to_dict()
 
     def test_spec_validation(self):
         with pytest.raises(Exception):

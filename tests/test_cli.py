@@ -15,6 +15,7 @@ import scipy
 
 import tribeta.cli
 import tribeta.franck_condon.overlaps
+import tribeta.franck_condon.radial
 import tribeta.response as resp
 from tribeta.cli import main
 from tribeta.errors import ModelError
@@ -415,6 +416,17 @@ class TestManifest:
         assert json.loads(out.read_text())["converged"] is False
         assert self.manifest(out)["inputs"] == self.digests(argv[2::2])
 
+    def test_unconverged_grid_check_exit_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the gate's Lanczos bound never reaches 0, so it hits its step cap
+        monkeypatch.setattr(tribeta.franck_condon.radial, "LANCZOS_STOP_EV",
+                            0.0)
+        out = tmp_path / "fss.dat"
+        assert run_cli(["fss", "gen", "--q", "1.0", "--j-max", "0",
+                        "--v-max", "2", "--out", str(out)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_empty_argv(self, capsys):
@@ -806,10 +818,13 @@ class TestUsageErrors:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # the N-doubling gate imports scipy.sparse.linalg when it runs; loaded
-    # at import it would add about 0.03 s to every command
+    # nothing in tribeta, the N-doubling gate included, needs scipy.sparse;
+    # loading it would add about 0.03 s and 3 MB to a command
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, tribeta.cli; print(sorted("
+        [sys.executable, "-c", "import sys, tribeta.cli\n"
+         "from tribeta.franck_condon import default_model, solve_radial\n"
+         "solve_radial(default_model(), n_states=10, convergence_check=True)\n"
+         "print(sorted("
          "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"],
         capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import scipy.sparse.linalg
 from scipy.linalg import eigh, eigvalsh
 
 from tribeta.errors import AccuracyError, ConfigurationError, ValidationError
@@ -173,8 +172,8 @@ class TestBasisContracts:
         seen = []
         lowest_levels = radial._lowest_levels
 
-        def recorded(potential, radii, mass_au, k):
-            seen.append(lowest_levels(potential, radii, mass_au, k))
+        def recorded(lu, sigma, seed, coarse):
+            seen.append(lowest_levels(lu, sigma, seed, coarse))
             return seen[-1]
 
         monkeypatch.setattr(radial, "_lowest_levels", recorded)
@@ -190,6 +189,14 @@ class TestBasisContracts:
             assert seen[-1].size == k
             assert np.abs(seen[-1] * HART - dense[:k]).max() <= 1e-11
 
+    def test_gated_basis_equals_ungated(self, model):
+        # the gate only checks the coarse solve; it never changes it
+        gated = solve_radial(model, n_states=200, convergence_check=True)
+        plain = solve_radial(model, n_states=200, convergence_check=False)
+        assert np.array_equal(gated.radii, plain.radii)
+        assert np.array_equal(gated.energies_ev, plain.energies_ev)
+        assert np.array_equal(gated.wavefunctions, plain.wavefunctions)
+
     def test_convergence_gate_rejects_coarse_grid(self):
         # a very stiff well is unresolved at the minimum point count
         stiff = MoleculeModel(
@@ -197,18 +204,31 @@ class TestBasisContracts:
             channels=(Channel(kind="morse", weight=1.0,
                               morse=MorseParams(60.0, 40.0, 1.0)),),
             grid=GridSpec(0.3, 12.0, 256))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError, match="grid too coarse"):
             solve_radial(stiff, n_states=10, convergence_check=True)
 
     def test_convergence_gate_fails_closed(self, model, monkeypatch):
-        # a Lanczos run that does not converge fails the gate
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.empty(0), np.empty(0))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # a Lanczos run that does not meet its stop bound within the step
+        # cap fails the gate; the bound never reaches 0
+        monkeypatch.setattr(radial, "LANCZOS_STOP_EV", 0.0)
         with pytest.raises(AccuracyError, match="did not converge"):
             solve_radial(model, n_states=10, convergence_check=True)
+
+    def test_convergence_gate_stops_at_the_grid_size(self, monkeypatch):
+        # with no step cap, the basis may not outgrow the doubled grid
+        monkeypatch.setattr(radial, "LANCZOS_STOP_EV", 0.0)
+        monkeypatch.setattr(radial, "LANCZOS_MAX_STEPS", 10**6)
+        small = replace(default_model(), grid=GridSpec(0.3, 12.0, 256))
+        with pytest.raises(AccuracyError, match="did not converge"):
+            solve_radial(small, n_states=10, convergence_check=True)
+
+    def test_gate_rejects_a_non_finite_potential(self, model):
+        steep = replace(model.channels[0],
+                        morse=MorseParams(2.04, 800.0, 1.29))
+        overflow = replace(model, channels=(steep,) + model.channels[1:])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_radial(overflow, n_states=10, convergence_check=True)
 
 
 def coulomb_model():

@@ -88,8 +88,12 @@ def document_text(doc) -> str:
 
 
 def write_document(path: str, doc) -> None:
+    """`doc` as `document_text` in `path`.  The text is rendered before the
+    file is opened, so a document that does not serialize leaves no file
+    and an existing one untouched."""
+    text = document_text(doc)
     with open_output(path) as fh:
-        fh.write(document_text(doc))
+        fh.write(text)
 
 
 def write_table(path: str, header, rows) -> None:

@@ -11,6 +11,28 @@ one pass for its residuals and Jacobian together.  The
 (eps_n^2 - m2nu)^{3/2} term is C^1 at threshold for m2nu >= 0; for
 m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and the Jacobian is the
 derivative away from that jump.
+
+Each iteration first asks whether it is done, from the residuals r and
+Jacobian J it holds: a full Gauss-Newton step would lower chi^2 by
+g . H^-1 g (g = J^T r, H = J^T J, the Newton decrement), so a fit whose
+predicted decrease is within CHI2_TOL stops without evaluating that step.
+A fit ends with one of five messages (`FitResult.message`):
+
+- "predicted chi^2 change below tolerance": g . H^-1 g <= CHI2_TOL *
+  max(1, chi^2); converged.
+- "gradient below tolerance": the scaled gradient max-norm is below
+  GRADIENT_TOL * max(1, chi^2), where H is singular or the predicted
+  change is above tolerance; converged.
+- "step and chi^2 change below tolerance": an accepted step moved every
+  parameter by less than STEP_TOL of its scale, or lowered chi^2 by at
+  most CHI2_TOL * max(1, chi^2); converged.
+- "damping exhausted": no damped step lowered chi^2 before the damping
+  grew past 1e15; converged only if the scaled gradient is below
+  1e-3 * max(1, chi^2).
+- "max iterations reached": not converged.
+
+The CLI exits 2 on every unconverged fit, so on the last message always and
+on "damping exhausted" when its gradient test fails.
 """
 
 from __future__ import annotations
@@ -219,6 +241,10 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
 
     Deterministic given the config.  Non-convergence is flagged on the
     result, not raised; a singular Hessian leaves the covariance absent.
+    The result's message is one of the five stops listed in the module
+    docstring.  Whichever ends the fit, its params, chi^2 and covariance
+    are those of the last point evaluated and accepted, and n_iterations
+    counts the iteration in which the stop was found.
 
     The fit starts from a `FitModel`, its window's `Lattice` and the kernel
     pass at its initial point; without `model` it builds its own.  Fits of
@@ -253,6 +279,16 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     for iteration in range(1, config.max_iterations + 1):
         grad = jac.T @ r
         hess = jac.T @ jac
+        # a full Gauss-Newton step lowers the linearized chi^2 by
+        # grad . hess^-1 grad; a singular hess skips this test
+        try:
+            predicted = float(grad @ np.linalg.solve(hess, grad))
+        except np.linalg.LinAlgError:
+            predicted = math.inf
+        if predicted <= CHI2_TOL * max(1.0, chi2):
+            converged = True
+            message = "predicted chi^2 change below tolerance"
+            break
         if np.max(np.abs(grad * scales)) < GRADIENT_TOL * max(1.0, chi2):
             converged = True
             message = "gradient below tolerance"
@@ -275,7 +311,8 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
             if lam > 1e15:
                 break
         if not accepted:
-            converged = np.max(np.abs(grad * scales)) < 1e-3 * max(1.0, chi2)
+            converged = bool(
+                np.max(np.abs(grad * scales)) < 1e-3 * max(1.0, chi2))
             message = "damping exhausted"
             break
         change = chi2 - chi2_try

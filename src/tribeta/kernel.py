@@ -2,7 +2,9 @@
 forms, plus endpoint bookkeeping.
 
 All forms share the prefactor F(p, Z) E_beta p_beta evaluated at the
-electron energy (it sits outside the final-state sum).  The integral
+electron energy (it sits outside the final-state sum); it depends only on
+the energies and Z, so the integral forms accept it precomputed
+(`response.Lattice` computes it once per nuclear charge).  The integral
 form carries amplitude A/3 with the (.)^{3/2} radicand unscaled.
 
 For m2nu < 0 (fit context) the standard experimental continuation is
@@ -85,7 +87,7 @@ def _effective_endpoints(eps: np.ndarray,
     return np.full_like(eps, params.endpoint_ev)
 
 
-def _prefactor(eps: np.ndarray, z_daughter: int) -> np.ndarray:
+def spectrum_prefactor(eps: np.ndarray, z_daughter: int) -> np.ndarray:
     """F(p, Z) * E_beta * p_beta on an energy grid (eps > 0 required)."""
     if np.any(eps <= 0.0):
         raise ValidationError("spectrum evaluation requires eps_beta > 0")
@@ -175,28 +177,34 @@ def differential_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
         np.multiply(en, root, out=scratch)
         inner[rows] = np.multiply(fss.probabilities, scratch,
                                   out=scratch).sum(axis=1)
-    out = params.amplitude * _prefactor(eps, params.z_daughter) * inner
+    out = params.amplitude * spectrum_prefactor(eps, params.z_daughter) * inner
     return _finalize(out, shape, scalar)
 
 
 def integral_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
-                      fss: FinalStateSpectrum) -> ArrayLike:
-    """Integral spectrum  (A/3) F E p sum_n P_n (eps_n^2 - m2nu)^{3/2} theta."""
+                      fss: FinalStateSpectrum, prefactor=None) -> ArrayLike:
+    """Integral spectrum  (A/3) F E p sum_n P_n (eps_n^2 - m2nu)^{3/2} theta.
+
+    `prefactor`, the `spectrum_prefactor` of these energies at the params'
+    Z, spares computing it again; the result has the same bits."""
     eps, shape, scalar = _as_grid(eps_beta)
     s = spectral_sum(eps, params, fss)
-    out = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter) * s
+    if prefactor is None:
+        prefactor = spectrum_prefactor(eps, params.z_daughter)
+    out = (params.amplitude / 3.0) * prefactor * s
     return _finalize(out, shape, scalar)
 
 
 def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
-                                  fss: FinalStateSpectrum):
+                                  fss: FinalStateSpectrum, prefactor=None):
     """`integral_spectrum` with its derivatives by W0 and by m2nu, in one pass.
 
     Returns (value, d/dW0, d/dm2nu); the value is bit-identical to
-    `integral_spectrum`.  Per line, d/dW0 (eps_n^2 - m2nu)^{3/2} is
-    3 eps_n (eps_n^2 - m2nu)^{1/2}, times 1 - 1/M_t with endpoint drift, and
-    d/dm2nu is -(3/2) (eps_n^2 - m2nu)^{1/2}.  The term is C^1 at threshold
-    for m2nu >= 0; for m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and
+    `integral_spectrum`, and `prefactor` is as there.  Per line, d/dW0
+    (eps_n^2 - m2nu)^{3/2} is 3 eps_n (eps_n^2 - m2nu)^{1/2}, times
+    1 - 1/M_t with endpoint drift, and d/dm2nu is
+    -(3/2) (eps_n^2 - m2nu)^{1/2}.  The term is C^1 at threshold for
+    m2nu >= 0; for m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and
     these are the derivatives away from that jump.
     """
     eps, shape, scalar = _as_grid(eps_beta)
@@ -212,7 +220,9 @@ def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
     ds_dm2 *= -1.5
     if params.endpoint_drift:
         ds_dw0 *= 1.0 - 1.0 / CONSTANTS.triton_electron_ratio
-    scale = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter)
+    if prefactor is None:
+        prefactor = spectrum_prefactor(eps, params.z_daughter)
+    scale = (params.amplitude / 3.0) * prefactor
     return tuple(_finalize(scale * v, shape, scalar)
                  for v in (s, ds_dw0, ds_dm2))
 
@@ -222,6 +232,7 @@ def linearized_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
     """Integral spectrum with the linearized neutrino-mass term."""
     eps, shape, scalar = _as_grid(eps_beta)
     s = linearized_sum(eps, params, fss)
-    out = (params.amplitude / 3.0) * _prefactor(eps, params.z_daughter) * s
+    prefactor = spectrum_prefactor(eps, params.z_daughter)
+    out = (params.amplitude / 3.0) * prefactor * s
     return _finalize(out, shape, scalar)
 

@@ -25,7 +25,7 @@ from .errors import (ConfigurationError, ModelError, ValidationError,
                      read_document, write_document, write_table)
 from .fss import FinalStateSpectrum
 from .kernel import (SpectrumParams, integral_spectrum,
-                     integral_spectrum_derivatives)
+                     integral_spectrum_derivatives, spectrum_prefactor)
 
 _PTRS_SWITCH = 30.0
 #: largest expected count sampled (NaN fails the test too): counts are
@@ -75,12 +75,15 @@ class Lattice:
     share most grid energies, so a spectrum is evaluated once per distinct
     energy and scattered back onto the grid: `energies[inverse]` is the grid
     c_i - o_k.  It depends only on the response and the bin centres, so a
-    fit builds it once.
+    fit builds it once.  The spectrum prefactor F(p, Z) E p at `energies`
+    is computed once per nuclear charge Z and kept for every later pass.
     """
 
     energies: np.ndarray
     inverse: np.ndarray      # shape (bins, offsets)
     weights: np.ndarray
+    _prefactors: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         # fits that share a lattice cannot alter one another's
@@ -102,6 +105,14 @@ class Lattice:
                 and np.array_equal(self.energies[self.inverse], grid)
                 and np.array_equal(self.weights, response.weights()))
 
+    def prefactor(self, z_daughter: int) -> np.ndarray:
+        """`kernel.spectrum_prefactor` at `energies`, read-only."""
+        if z_daughter not in self._prefactors:
+            values = spectrum_prefactor(self.energies, z_daughter)
+            values.setflags(write=False)
+            self._prefactors[z_daughter] = values
+        return self._prefactors[z_daughter]
+
     def smear(self, values: np.ndarray) -> np.ndarray:
         """Convolve values given at `energies`; one result per bin."""
         return np.asarray(values, dtype=float)[self.inverse] @ self.weights
@@ -109,7 +120,8 @@ class Lattice:
     def counts(self, params: SpectrumParams, fss: FinalStateSpectrum,
                exposure: float) -> np.ndarray:
         """mu_i = exposure * (convolved integral spectrum)(c_i) + background."""
-        values = integral_spectrum(self.energies, params, fss)
+        values = integral_spectrum(self.energies, params, fss,
+                                   self.prefactor(params.z_daughter))
         return exposure * self.smear(values) + params.background
 
     def counts_with_derivatives(self, params: SpectrumParams,
@@ -117,7 +129,7 @@ class Lattice:
         """(mu, dmu/dW0, dmu/dm2nu) from one kernel pass; mu is bit-identical
         to `counts`."""
         values, d_w0, d_m2 = integral_spectrum_derivatives(
-            self.energies, params, fss)
+            self.energies, params, fss, self.prefactor(params.z_daughter))
         return (exposure * self.smear(values) + params.background,
                 exposure * self.smear(d_w0), exposure * self.smear(d_m2))
 

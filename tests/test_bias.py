@@ -322,3 +322,30 @@ class TestWindowModel:
         # window's lattice
         assert len(first) == 6 and set(first.values()) == {1}
         assert len({lattice for lattice, _ in first}) == 3
+
+
+def test_scan_fits_stop_on_the_predicted_change(study_fss, monkeypatch):
+    # a fit stops once a full Gauss-Newton step is predicted to lower chi^2
+    # by less than its tolerance, instead of confirming that with one more
+    # kernel pass or running out of damping at the chi^2 rounding floor
+    passes, messages = [], set()
+    counts_with_derivatives = Lattice.counts_with_derivatives
+
+    def counting_pass(self, *args):
+        passes.append(1)
+        return counts_with_derivatives(self, *args)
+
+    def recording(*args):
+        result = minimize(*args)
+        messages.add(result.message)
+        return result
+
+    monkeypatch.setattr(Lattice, "counts_with_derivatives", counting_pass)
+    monkeypatch.setattr(tribeta.bias, "minimize", recording)
+    for seed in range(16):
+        passes.clear()
+        spec = ScanSpec(window_depths_ev=(100.0, 200.0, 400.0),
+                        replications=4, base_seed=seed)
+        bias_scan(spec, fss=study_fss)
+        assert len(passes) <= 140, seed
+    assert "damping exhausted" not in messages

@@ -14,11 +14,12 @@ import pytest
 import scipy
 
 import tribeta.cli
+import tribeta.fit
 import tribeta.franck_condon.overlaps
 import tribeta.franck_condon.radial
 import tribeta.response as resp
 from tribeta.cli import main
-from tribeta.errors import ModelError
+from tribeta.errors import ModelError, write_document
 from tribeta.fss import load_fss
 from tribeta.franck_condon import GridSpec, default_model
 from tribeta.kernel import SpectrumParams
@@ -285,6 +286,32 @@ class TestSpectrumCommands:
         assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err == "error: fit left the sane parameter region: test\n"
+
+
+    def test_damping_exhausted_fit_writes_its_document(self, fit_inputs,
+                                                       tmp_path, monkeypatch):
+        # every trial point is insane, so the damping runs out at once
+        monkeypatch.setattr(tribeta.fit._Residuals, "__call__",
+                            lambda self, vec: (np.full(self.n_bins, np.inf),
+                                               None))
+        argv, _ = fit_inputs
+        out = tmp_path / "result.json"
+        code = run_cli(argv + ["--out", str(out)])
+        result = json.loads(out.read_text())
+        assert result["message"] == "damping exhausted"
+        assert code == (0 if result["converged"] else 2)
+        assert result["n_iterations"] == 1
+        assert Path(f"{out}.manifest.json").exists()
+
+
+def test_unserializable_document_leaves_no_file(tmp_path):
+    existing, new = tmp_path / "existing.json", tmp_path / "new.json"
+    existing.write_text('{"kept": true}\n')
+    for path in (existing, new):
+        with pytest.raises(TypeError):
+            write_document(str(path), {"value": object()})
+    assert existing.read_text() == '{"kept": true}\n'
+    assert not new.exists()
 
 
 class TestStudies:

@@ -308,16 +308,49 @@ class TestJacobian:
         assert len(passes) == len(evaluations)
         assert len(passes) <= 3 * result.n_iterations + 2
 
+    def test_fit_at_the_truth_stops_without_a_trial_pass(self, setup,
+                                                         monkeypatch):
+        # at the zero-noise truth a full Gauss-Newton step is predicted to
+        # lower chi^2 by nothing, so no trial point is evaluated
+        fss, response, truth, centers, exposure, zero_noise = setup
+        cfg = make_config(fss, response, truth)
+        model = FitModel.build(zero_noise, cfg)
+        passes = []
+        line_blocks = tribeta.kernel._line_blocks
+
+        def counting(*args):
+            passes.append(1)
+            return line_blocks(*args)
+
+        monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
+        result = minimize(zero_noise, cfg, model)
+        assert passes == []
+        assert result.converged
+        assert result.n_iterations == 1
+        assert result.message == "predicted chi^2 change below tolerance"
+        assert result.params == truth
+
+    def test_damping_exhausted_converged_is_a_bool(self, setup, monkeypatch):
+        # every trial point is insane, so the damping runs out at once
+        fss, response, truth, centers, exposure, zero_noise = setup
+        monkeypatch.setattr(_Residuals, "__call__", lambda self, vec: (
+            np.full(self.n_bins, np.inf), None))
+        guess = truth.with_values(amplitude=1.02, m2nu_ev2=0.5)
+        result = minimize(zero_noise, make_config(fss, response, guess))
+        assert result.message == "damping exhausted"
+        assert type(result.converged) is bool
+        assert result.params == guess
+
     def test_covariance_is_inverse_gauss_newton_at_result(self, setup):
-        # the fit stops right after an accepted step: the covariance must
-        # come from the Jacobian at that step's point, not the one before
+        # the fit stops at the point of its last accepted step: the
+        # covariance must come from the Jacobian there, not the one before
         fss, response, truth, centers, exposure, zero_noise = setup
         dataset = generate_pseudodata(truth, fss, response, centers, exposure,
                                       seed=1)
         cfg = make_config(fss, response,
                           truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
         result = minimize(dataset, cfg)
-        assert result.message == "step and chi^2 change below tolerance"
+        assert result.message == "predicted chi^2 change below tolerance"
         assert result.params.background > 0.0
         x = np.array([result.params.amplitude, result.params.endpoint_ev,
                       result.params.m2nu_ev2, result.params.background])

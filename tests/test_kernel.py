@@ -248,7 +248,7 @@ def dense_line_sums(eps, p, fss):
     if p.endpoint_drift:
         ds_dw0 *= 1.0 - 1.0 / CONSTANTS.triton_electron_ratio
     ds_dm2 = -1.5 * prob_root.sum(axis=1)
-    prefactor = tribeta.kernel._prefactor(eps, p.z_daughter)
+    prefactor = tribeta.kernel.spectrum_prefactor(eps, p.z_daughter)
     scale = (p.amplitude / 3.0) * prefactor
     return {"spectral": spectral, "linearized": linear,
             "differential": p.amplitude * prefactor * inner,

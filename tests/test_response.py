@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import tribeta.response
 from tribeta.errors import ConfigurationError, ModelError, ValidationError
-from tribeta.kernel import SpectrumParams, integral_spectrum
+from tribeta.kernel import (SpectrumParams, integral_spectrum,
+                            integral_spectrum_derivatives, spectrum_prefactor)
 from tribeta.response import (Lattice, PseudoDataset, ResponseModel, convolve,
                               draw_pseudodata, expected_counts,
                               expected_dataset, generate_pseudodata,
@@ -147,6 +149,33 @@ class TestConvolve:
             mu_d, _, _ = lattice.counts_with_derivatives(p, study_fss,
                                                          exposure)
             assert np.array_equal(mu_d, mu)
+
+    def test_prefactor_once_per_nuclear_charge(self, study_fss, monkeypatch):
+        r = ResponseModel(sigma_ev=2.5)
+        centers = np.arange(W0 - 100.0, W0 + 20.0 + 1e-9, 2.0)
+        lattice = Lattice.build(r, centers)
+        computed = []
+
+        def counting(eps, z_daughter):
+            computed.append(z_daughter)
+            return spectrum_prefactor(eps, z_daughter)
+
+        monkeypatch.setattr(tribeta.response, "spectrum_prefactor", counting)
+        for z in (2, 1):
+            for m2nu in (-0.5, 0.5):
+                p = SpectrumParams(amplitude=1.3, endpoint_ev=W0,
+                                   m2nu_ev2=m2nu, z_daughter=z)
+                direct = integral_spectrum_derivatives(lattice.energies, p,
+                                                       study_fss)
+                passed = lattice.counts_with_derivatives(p, study_fss, 1.0)
+                assert all(np.array_equal(a, lattice.smear(b))
+                           for a, b in zip(passed, direct))
+                assert np.array_equal(
+                    lattice.counts(p, study_fss, 1.0),
+                    lattice.smear(integral_spectrum(lattice.energies, p,
+                                                    study_fss)))
+        assert computed == [2, 1]
+        assert not lattice.prefactor(2).flags.writeable
 
 
 class TestPoissonSampler:

@@ -198,8 +198,10 @@ class _Window:
     """One window's forward model, built once and shared by its
     replications: the expected counts mu of the truth on the window's bins
     (an `expected_dataset`), and one `FitModel` per fit config, the mismatch
-    fit first.  mu and the fit models share one `Lattice` of the bins, unless
-    the fit window leaves a bin out; all their arrays are read-only."""
+    fit first.  A replication fits its Poisson counts with each model,
+    `minimize(counts, model)`.  mu and the fit models share one `Lattice` of
+    the bins, unless the fit window leaves a bin out; all their arrays are
+    read-only."""
 
     expected: PseudoDataset
     fits: tuple[FitModel, ...]
@@ -211,8 +213,8 @@ def _one_replication(task, windows, truth):
     each of the window's fit models."""
     iw, seed = task
     window = windows[iw]
-    dataset = draw_pseudodata(window.expected, seed)
-    fits = [minimize(dataset, model.config, model) for model in window.fits]
+    counts = draw_pseudodata(window.expected, seed).counts
+    fits = [minimize(counts, model) for model in window.fits]
     outcome = [all(fit.converged for fit in fits)]
     for fit in fits:
         outcome += [fit.params.m2nu_ev2,
@@ -241,11 +243,11 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
 
     Each window's forward model is built once, before any replication: the
     `Lattice` of its bins, the expected counts mu of the truth on it, and
-    for each of the two fit configs the first kernel pass at the initial
-    point (a `FitModel`).  Each replication then only draws its Poisson
-    counts from mu with its seed and runs both fits on the shared models.
-    The results are bit-identical to generating and fitting each
-    replication from scratch.
+    for each of the two fit configs a `FitModel`, which holds the first
+    kernel pass at the initial point.  Each replication then only draws its
+    Poisson counts from mu with its seed and fits them with both models,
+    `minimize(counts, model)`.  The results are bit-identical to generating
+    and fitting each replication from scratch.
 
     Every window's replications form one task list of (window index,
     seed).  With jobs > 1 one process pool serves all windows: each worker
@@ -285,7 +287,7 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
         window_ev = (w0 - depth - 1e-9, w0 + top + 1e-9)
         # the mismatch fit, then the control
         fits = tuple(
-            FitModel.build(expected, FitConfig(
+            FitModel.build(centers, exposure, FitConfig(
                 window_ev=window_ev, response=response, fss=fss,
                 initial=guess.with_values(endpoint_drift=drift)), lattice)
             for drift in (design["fitter_drift"], design["generator_drift"]))

@@ -42,7 +42,7 @@ from .errors import (AccuracyError, ConfigurationError, ModelError,
                      write_document, write_table)
 
 try:
-    from .fit import PARAM_NAMES, FitConfig, minimize
+    from .fit import PARAM_NAMES, FitConfig, FitModel, minimize
     from .franck_condon import (TRUNCATION_WARN_FRACTION, MoleculeModel,
                                 RecoilEngine, check_recoil_momentum,
                                 default_model, truncation_warned)
@@ -249,7 +249,10 @@ def _cmd_fit(args) -> int:
         config = FitConfig(**{**doc, "window_ev": tuple(window),
                               "initial": params, "response": response,
                               "fss": spectrum_fss, "free": tuple(free)})
-    result = minimize(dataset, config)
+    with naming(f"{args.config} window_ev"):
+        config.window_mask(dataset.bin_centers)
+    result = minimize(dataset.counts, FitModel.build(
+        dataset.bin_centers, dataset.exposure, config))
     write_document(args.out, {
         "values": {
             "amplitude": result.params.amplitude,

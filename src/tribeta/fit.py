@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
-from .response import Lattice, PseudoDataset, ResponseModel
+from .response import Lattice, ResponseModel
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
@@ -99,6 +99,17 @@ class FitConfig:
             raise ValidationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")
 
+    def window_mask(self, bin_centers: np.ndarray) -> np.ndarray:
+        """Which of `bin_centers` lie inside the window; a ValidationError
+        if they are fewer than the free parameters plus one."""
+        lo, hi = self.window_ev
+        mask = (bin_centers >= lo) & (bin_centers <= hi)
+        n_bins, need = int(mask.sum()), len(self.free) + 1
+        if n_bins < need:
+            raise ValidationError(
+                f"window selects {n_bins} bins; need at least {need}")
+        return mask
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -116,11 +127,6 @@ class FitResult:
     message: str = ""
 
 
-def _window_mask(centers: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    return (centers >= lo) & (centers <= hi)
-
-
 def _params_vector(params: SpectrumParams) -> dict:
     return {"amplitude": params.amplitude, "endpoint": params.endpoint_ev,
             "m2nu": params.m2nu_ev2, "background": params.background}
@@ -136,136 +142,110 @@ def _unit_shape(config: FitConfig, vec: np.ndarray) -> SpectrumParams:
         background=0.0)
 
 
-class _Residuals:
-    """Pearson residuals (n - mu) / sqrt(max(mu, 1)) of a fit's window bins
-    as a function of the free-parameter vector, with their Jacobian, both
-    from one kernel pass.
-
-    The `Lattice` of the window's bins is built once, or given.  mu is
-    linear in A and b, so it is built from the unit-amplitude,
-    zero-background shape, and trial steps with A <= 0 or b < 0 are still
-    evaluated; a trial W0 or m2nu outside the sane region gives infinite
-    residuals and no Jacobian, a rejected step.
-    """
-
-    def __init__(self, dataset: PseudoDataset, config: FitConfig,
-                 lattice: Optional[Lattice] = None):
-        mask = _window_mask(dataset.bin_centers, config.window_ev)
-        self.n_bins = int(mask.sum())
-        self.free = tuple(config.free)
-        if self.n_bins < len(self.free) + 1:
-            raise ValidationError(
-                f"window selects {self.n_bins} bins; "
-                f"need at least {len(self.free) + 1}")
-        self.counts = dataset.counts[mask].astype(float)
-        if lattice is None:
-            lattice = Lattice.build(config.response,
-                                    dataset.bin_centers[mask])
-        self.lattice = lattice
-        self.fixed = _params_vector(config.initial)
-        self.x0 = np.array([self.fixed[name] for name in self.free])
-        self.exposure = dataset.exposure
-        self.config = config
-
-    def __call__(self, vec: np.ndarray):
-        """(residuals, Jacobian) at vec; (inf residuals, None) if insane."""
-        try:
-            shape = _unit_shape(self.config, vec)
-        except ValidationError:
-            return np.full(self.n_bins, np.inf), None
-        return self.from_pass(vec, self.lattice.counts_with_derivatives(
-            shape, self.config.fss, self.exposure))
-
-    def from_pass(self, vec: np.ndarray, kernel_pass):
-        """(residuals, Jacobian) at vec from its kernel pass: the unit mu,
-        dmu/dW0 and dmu/dm2nu."""
-        unit, d_w0, d_m2 = kernel_pass
-        p = dict(self.fixed)
-        p.update(zip(self.free, vec))
-        amplitude = p["amplitude"]
-        mu = amplitude * unit + p["background"]
-        s = np.sqrt(np.maximum(mu, 1.0))
-        r = (self.counts - mu) / s
-        dmu = {"amplitude": unit, "endpoint": amplitude * d_w0,
-               "m2nu": amplitude * d_m2, "background": np.ones(self.n_bins)}
-        dr_dmu = -(1.0 + np.where(mu > 1.0, r / (2.0 * s), 0.0)) / s
-        jac = np.column_stack([dmu[name] for name in self.free])
-        return r, jac * dr_dmu[:, None]
-
-
 @dataclass(frozen=True, eq=False)
 class FitModel:
-    """What a fit computes before it reads any counts: the `Lattice` of the
-    bins inside the fit window, and the first kernel pass, the unit-amplitude
-    mu with its W0 and m2nu columns at the config's initial point.
+    """Everything a fit reads but the counts: the config and exposure, which
+    of the dataset's bins lie inside the window (`mask`), the `Lattice` of
+    those bins, the initial values of the free parameters (`x0`), and the
+    first kernel pass, the unit-amplitude mu with its W0 and m2nu columns
+    at x0.
 
-    It depends on the dataset's bin centres and exposure and on the config,
-    not on the counts, so fits of datasets that share the first two can
-    share one: `minimize(dataset, model.config, model)`.  Its arrays are
-    read-only.
+    Fits of datasets on the same bins with the same exposure share one:
+    `minimize(counts, model)`.  Its arrays are read-only.
+
+    The Pearson residuals (n - mu) / sqrt(max(mu, 1)) of the window's counts
+    n and their Jacobian come from one kernel pass per free-parameter
+    vector.  mu is linear in A and b, so it is built from the
+    unit-amplitude, zero-background shape, and trial steps with A <= 0 or
+    b < 0 are still evaluated; a trial W0 or m2nu outside the sane region
+    gives infinite residuals and no Jacobian, a rejected step.
     """
 
-    bin_centers: np.ndarray   # every bin of the dataset, inside the window or not
-    exposure: float
     config: FitConfig
+    exposure: float
+    mask: np.ndarray
     lattice: Lattice
+    x0: np.ndarray
     first_pass: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for array in (self.bin_centers, *self.first_pass):
+        for array in (self.mask, self.x0, *self.first_pass):
             array.setflags(write=False)
 
     @classmethod
-    def build(cls, dataset: PseudoDataset, config: FitConfig,
-              lattice: Optional[Lattice] = None) -> "FitModel":
-        """The model of `dataset`'s bins and exposure.  `lattice`, the
-        `Lattice` of all its bins under the config's response (a
+    def build(cls, bin_centers: np.ndarray, exposure: float,
+              config: FitConfig, lattice: Optional[Lattice] = None
+              ) -> "FitModel":
+        """The model of a dataset's bin centres and exposure.  `lattice`,
+        the `Lattice` of all its bins under the config's response (a
         ValidationError if it is not), serves the fit when every bin lies
         inside the window."""
         if lattice is not None and not lattice.is_of(config.response,
-                                                     dataset.bin_centers):
+                                                     bin_centers):
             raise ValidationError("lattice was built for other bins or "
                                   "another response than the fit's")
-        if not _window_mask(dataset.bin_centers, config.window_ev).all():
-            lattice = None
-        residuals = _Residuals(dataset, config, lattice)
-        first_pass = residuals.lattice.counts_with_derivatives(
-            _unit_shape(config, residuals.x0), config.fss, dataset.exposure)
-        return cls(dataset.bin_centers, dataset.exposure, config,
-                   residuals.lattice, first_pass)
+        mask = config.window_mask(bin_centers)
+        if lattice is None or not mask.all():
+            lattice = Lattice.build(config.response, bin_centers[mask])
+        initial = _params_vector(config.initial)
+        x0 = np.array([initial[name] for name in config.free])
+        first_pass = lattice.counts_with_derivatives(
+            _unit_shape(config, x0), config.fss, exposure)
+        return cls(config, exposure, mask, lattice, x0, first_pass)
+
+    def residuals(self, counts: np.ndarray, vec: np.ndarray):
+        """(residuals, Jacobian) of the window's `counts` at vec, from one
+        kernel pass; (inf residuals, None) if vec is insane."""
+        try:
+            shape = _unit_shape(self.config, vec)
+        except ValidationError:
+            return np.full(len(counts), np.inf), None
+        kernel_pass = self.lattice.counts_with_derivatives(
+            shape, self.config.fss, self.exposure)
+        return self.from_pass(counts, vec, kernel_pass)
+
+    def from_pass(self, counts: np.ndarray, vec: np.ndarray, kernel_pass):
+        """(residuals, Jacobian) of the window's `counts` at vec from its
+        kernel pass: the unit mu, dmu/dW0 and dmu/dm2nu."""
+        unit, d_w0, d_m2 = kernel_pass
+        p = _params_vector(self.config.initial)
+        p.update(zip(self.config.free, vec))
+        amplitude = p["amplitude"]
+        mu = amplitude * unit + p["background"]
+        s = np.sqrt(np.maximum(mu, 1.0))
+        r = (counts - mu) / s
+        dmu = {"amplitude": unit, "endpoint": amplitude * d_w0,
+               "m2nu": amplitude * d_m2, "background": np.ones(len(counts))}
+        dr_dmu = -(1.0 + np.where(mu > 1.0, r / (2.0 * s), 0.0)) / s
+        jac = np.column_stack([dmu[name] for name in self.config.free])
+        return r, jac * dr_dmu[:, None]
 
 
-def minimize(dataset: PseudoDataset, config: FitConfig,
-             model: Optional[FitModel] = None) -> FitResult:
-    """Damped least-squares descent to a local chi^2 minimum.
+def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
+    """Damped least-squares descent from the model's initial point to a
+    local chi^2 minimum of `counts`, one per bin of the dataset the model
+    was built for (a ValidationError naming both sizes otherwise).
 
-    Deterministic given the config.  Non-convergence is flagged on the
-    result, not raised; a singular Hessian leaves the covariance absent.
-    The result's message is one of the five stops listed in the module
-    docstring.  Whichever ends the fit, its params, chi^2 and covariance
-    are those of the last point evaluated and accepted, and n_iterations
-    counts the iteration in which the stop was found.
+    Deterministic given the counts and the model.  Non-convergence is
+    flagged on the result, not raised; a singular Hessian leaves the
+    covariance absent.  The result's message is one of the five stops
+    listed in the module docstring.  Whichever ends the fit, its params,
+    chi^2 and covariance are those of the last point evaluated and
+    accepted, and n_iterations counts the iteration in which the stop was
+    found.
 
-    The fit starts from a `FitModel`, its window's `Lattice` and the kernel
-    pass at its initial point; without `model` it builds its own.  Fits of
-    datasets on the same bins with the same exposure can share one:
-    `bias_scan` builds one per window and config, and each replication's two
-    fits read theirs.  It must have been built for the dataset's bin centres
-    and exposure and for this config, the FSS compared by identity (a
-    ValidationError otherwise).  The result is bit-identical either way.
+    Fits of datasets on the same bins with the same exposure share one
+    model: `bias_scan` builds one per window and config, and each
+    replication's two fits read theirs.
     """
-    if model is None:
-        model = FitModel.build(dataset, config)
-    if not (np.array_equal(model.bin_centers, dataset.bin_centers)
-            and model.exposure == dataset.exposure):
-        raise ValidationError("fit model was built for other bin centres "
-                              "or another exposure than the dataset's")
-    if model.config != config:
-        raise ValidationError("fit model was built for another fit config")
-    residuals = _Residuals(dataset, config, model.lattice)
-    r, jac = residuals.from_pass(residuals.x0, model.first_pass)
-    free, n_bins = residuals.free, residuals.n_bins
-    x = residuals.x0
+    if np.shape(counts) != model.mask.shape:
+        raise ValidationError(f"{np.size(counts)} counts for a fit model of "
+                              f"{model.mask.size} bins")
+    config = model.config
+    counts = np.asarray(counts)[model.mask].astype(float)
+    free = config.free
+    r, jac = model.from_pass(counts, model.x0, model.first_pass)
+    x = model.x0
     scales = _param_scales(x, free)
 
     chi2 = float(r @ r)
@@ -302,7 +282,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_try, jac_try = residuals(x + delta)
+            r_try, jac_try = model.residuals(counts, x + delta)
             chi2_try = float(r_try @ r_try)
             if np.isfinite(chi2_try) and chi2_try < chi2:
                 accepted = True
@@ -343,7 +323,7 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
     except np.linalg.LinAlgError:
         covariance = None
 
-    values = dict(residuals.fixed)
+    values = _params_vector(config.initial)
     values.update(zip(free, x))
     try:
         fitted = config.initial.with_values(
@@ -353,6 +333,6 @@ def minimize(dataset: PseudoDataset, config: FitConfig,
         raise ModelError(f"fit left the sane parameter region: {exc}") from exc
     return FitResult(params=fitted, free_names=free, errors=errors,
                      covariance=covariance, chi2=chi2,
-                     dof=n_bins - len(free), n_iterations=iteration,
+                     dof=len(counts) - len(free), n_iterations=iteration,
                      converged=converged, window_ev=config.window_ev,
                      message=message)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tribeta.bias import ScanSpec, bias_scan, build_study_fss, fig2_study
-from tribeta.fit import FitConfig, minimize
+from tribeta.fit import FitConfig, FitModel, minimize
 from test_kernel import dense_line_sums
 from tribeta.fss import from_lines
 from tribeta.franck_condon import RecoilEngine, rotational_shift_ev
@@ -190,9 +190,10 @@ def test_criterion_11_exact_recovery():
                             exposure=exposure, seed=-1)
     guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                               m2nu_ev2=0.5, background=420.0)
-    result = minimize(dataset, FitConfig(window_ev=(centers[0], centers[-1]),
-                                         initial=guess, response=response,
-                                         fss=fss))
+    config = FitConfig(window_ev=(centers[0], centers[-1]), initial=guess,
+                       response=response, fss=fss)
+    result = minimize(dataset.counts,
+                      FitModel.build(centers, exposure, config))
     da = abs(result.params.amplitude - 1.0)
     dw = abs(result.params.endpoint_ev - W0)
     dm = abs(result.params.m2nu_ev2)

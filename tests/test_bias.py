@@ -11,7 +11,7 @@ import pytest
 import tribeta.bias
 from tribeta.bias import STUDY_DESIGN, ScanSpec, bias_scan, fig2_study
 from tribeta.errors import ValidationError
-from tribeta.fit import FitConfig, minimize
+from tribeta.fit import FitConfig, FitModel, minimize
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams, integral_spectrum
 from tribeta.response import Lattice, ResponseModel, generate_pseudodata
@@ -150,6 +150,21 @@ def test_depth_beyond_the_generator_range_fails_up_front():
         ScanSpec(window_depths_ev=(100.0, 1500.0))
 
 
+def recording_draws(monkeypatch):
+    """Each dataset `bias_scan` draws, by the id of its counts array; every
+    dataset is kept, so no later array takes its id."""
+    drawn = {}
+    draw = tribeta.bias.draw_pseudodata
+
+    def recording(expected, seed):
+        dataset = draw(expected, seed)
+        drawn[id(dataset.counts)] = dataset
+        return dataset
+
+    monkeypatch.setattr(tribeta.bias, "draw_pseudodata", recording)
+    return drawn
+
+
 class TestBiasScanExclusions:
     """The reduction keeps a replication only when both its fits converged."""
 
@@ -165,10 +180,11 @@ class TestBiasScanExclusions:
         failing |= {(seed[2][0], False), (seed[2][2], True)}
         fits = {}
         minimize = tribeta.bias.minimize
+        drawn = recording_draws(monkeypatch)
 
-        def flaky_minimize(dataset, config, model=None):
-            key = (dataset.seed, config.initial.endpoint_drift)
-            fits[key] = result = minimize(dataset, config, model)
+        def flaky_minimize(counts, model):
+            key = (drawn[id(counts)].seed, model.config.initial.endpoint_drift)
+            fits[key] = result = minimize(counts, model)
             return dataclasses.replace(result,
                                        converged=key not in failing)
 
@@ -214,10 +230,12 @@ class TestBiasScanExclusions:
         spec = ScanSpec(window_depths_ev=(30.0,), replications=10,
                         base_seed=3)
         minimize = tribeta.bias.minimize
+        drawn = recording_draws(monkeypatch)
 
-        def flaky_minimize(dataset, config, model=None):
-            result = minimize(dataset, config, model)
-            return dataclasses.replace(result, converged=dataset.seed != 3)
+        def flaky_minimize(counts, model):
+            result = minimize(counts, model)
+            return dataclasses.replace(result,
+                                       converged=drawn[id(counts)].seed != 3)
 
         monkeypatch.setattr(tribeta.bias, "minimize", flaky_minimize)
         result = bias_scan(spec, fss=study_fss)
@@ -226,7 +244,7 @@ class TestBiasScanExclusions:
 
 def _reference_scan(spec, fss):
     """The scan with every replication generated and fitted from scratch:
-    `generate_pseudodata`, then `minimize(dataset, config)` per fit."""
+    `generate_pseudodata`, then `minimize` on a new `FitModel` per fit."""
     design = STUDY_DESIGN
     w0 = design["endpoint_ev"]
     response = ResponseModel(sigma_ev=design["sigma_ev"])
@@ -252,7 +270,9 @@ def _reference_scan(spec, fss):
             dataset = generate_pseudodata(truth, fss, response, centers,
                                           exposure,
                                           spec.base_seed + 1009 * iw + rep)
-            fits = [minimize(dataset, config) for config in configs]
+            fits = [minimize(dataset.counts, FitModel.build(
+                dataset.bin_centers, dataset.exposure, config))
+                for config in configs]
             if all(fit.converged for fit in fits):
                 rows.append([v for fit in fits for v in (
                     fit.params.m2nu_ev2, fit.params.endpoint_ev - w0)])

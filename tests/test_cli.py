@@ -278,7 +278,7 @@ class TestSpectrumCommands:
 
     def test_model_error_exit_2(self, fit_inputs, tmp_path, monkeypatch,
                                 capsys):
-        def failing_minimize(dataset, config):
+        def failing_minimize(counts, model):
             raise ModelError("fit left the sane parameter region: test")
 
         monkeypatch.setattr(tribeta.cli, "minimize", failing_minimize)
@@ -291,9 +291,9 @@ class TestSpectrumCommands:
     def test_damping_exhausted_fit_writes_its_document(self, fit_inputs,
                                                        tmp_path, monkeypatch):
         # every trial point is insane, so the damping runs out at once
-        monkeypatch.setattr(tribeta.fit._Residuals, "__call__",
-                            lambda self, vec: (np.full(self.n_bins, np.inf),
-                                               None))
+        monkeypatch.setattr(tribeta.fit.FitModel, "residuals",
+                            lambda self, counts, vec: (
+                                np.full(len(counts), np.inf), None))
         argv, _ = fit_inputs
         out = tmp_path / "result.json"
         code = run_cli(argv + ["--out", str(out)])
@@ -842,6 +842,23 @@ class TestUsageErrors:
         argv[4] = str(path)
         self.assert_input_error(argv + ["--out", str(tmp_path / "r.json")],
                                 capsys, str(path), *fragments)
+
+    def test_fit_window_of_too_few_bins_names_the_key(self, fit_inputs,
+                                                      tmp_path, capsys):
+        # the dataset's bins lie 2 eV apart, so this window holds two
+        argv, _ = fit_inputs
+        argv = list(argv)
+        doc = json.loads(Path(argv[4]).read_text())
+        doc["window_ev"] = [W0 - 3.0, W0 + 1.0]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        argv[4] = str(path)
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} window_ev: window selects 2 bins; "
+            "need at least 5\n")
+        assert not out.exists()
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -8,8 +8,7 @@ import pytest
 
 import tribeta.kernel
 from tribeta.errors import ValidationError
-from tribeta.fit import (FitConfig, FitModel, _param_scales, _Residuals,
-                         minimize)
+from tribeta.fit import FitConfig, FitModel, _param_scales, minimize
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams
 from tribeta.response import (Lattice, PseudoDataset, ResponseModel,
@@ -41,10 +40,25 @@ def make_config(study_fss, response, initial, window=(W0 - 200.0, W0 + 20.0)):
                      fss=study_fss)
 
 
+def build(dataset, cfg):
+    """The fit model of `dataset`'s bins and exposure."""
+    return FitModel.build(dataset.bin_centers, dataset.exposure, cfg)
+
+
+def window_counts(dataset, model):
+    """`dataset`'s counts in the model's window, as the fit reads them."""
+    return dataset.counts[model.mask].astype(float)
+
+
+def fit(dataset, cfg):
+    """`minimize` of `dataset`'s counts on the model of its bins."""
+    return minimize(dataset.counts, build(dataset, cfg))
+
+
 def chi2_at(params, dataset, cfg):
     """r . r of the fitter's Pearson residuals at `params`."""
-    residuals = _Residuals(dataset, replace(cfg, initial=params))
-    r, _ = residuals(residuals.x0)
+    model = build(dataset, replace(cfg, initial=params))
+    r, _ = model.residuals(window_counts(dataset, model), model.x0)
     return float(r @ r)
 
 
@@ -109,7 +123,7 @@ class TestMinimize:
         fss, response, truth, centers, exposure, zero_noise = setup
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
-        result = minimize(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, response, guess))
         assert result.converged
         assert abs(result.params.amplitude - 1.0) < 1e-6
         assert abs(result.params.endpoint_ev - W0) < 1e-4
@@ -120,7 +134,7 @@ class TestMinimize:
         fss, response, truth, centers, exposure, zero_noise = setup
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.2)
         cfg = make_config(fss, response, guess)
-        result = minimize(zero_noise, cfg)
+        result = fit(zero_noise, cfg)
         assert result.chi2 <= chi2_at(truth, zero_noise, cfg) + 1e-9
 
     def test_covariance_contracts(self, setup):
@@ -128,7 +142,7 @@ class TestMinimize:
         rng_ds = generate_pseudodata(truth, fss, response, centers, exposure,
                                      seed=5)
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.2)
-        result = minimize(rng_ds, make_config(fss, response, guess))
+        result = fit(rng_ds, make_config(fss, response, guess))
         assert result.converged
         assert result.covariance is not None
         assert result.covariance.shape == (4, 4)
@@ -142,7 +156,7 @@ class TestMinimize:
         guess = truth.with_values(amplitude=1.05)
         cfg = FitConfig(window_ev=(W0 - 200.0, W0 + 20.0), initial=guess,
                         response=response, fss=fss, free=("amplitude",))
-        result = minimize(zero_noise, cfg)
+        result = fit(zero_noise, cfg)
         assert result.params.amplitude == pytest.approx(1.0, rel=1e-6)
         assert result.params.endpoint_ev == W0
         assert result.params.m2nu_ev2 == 0.0
@@ -156,7 +170,7 @@ class TestMinimize:
                                exposure=exposure, seed=-1)
         guess = truth.with_values(amplitude=9.0, endpoint_ev=W0 - 0.05,
                                   m2nu_ev2=0.3, background=4400.0)
-        result = minimize(scaled, make_config(fss, response, guess))
+        result = fit(scaled, make_config(fss, response, guess))
         assert result.converged
         assert result.params.amplitude == pytest.approx(10.0, rel=1e-5)
         assert abs(result.params.endpoint_ev - W0) < 1e-4
@@ -178,7 +192,7 @@ class TestMinimize:
 
         monkeypatch.setattr(SpectrumParams, "with_values", counting)
         guess = truth.with_values(m2nu_ev2=9990.0)
-        result = minimize(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, response, guess))
         assert rejected
         assert result.converged
         assert abs(result.params.m2nu_ev2) < 1e-3
@@ -187,8 +201,20 @@ class TestMinimize:
     def test_window_needs_enough_bins(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth, window=(W0 - 4.0, W0 + 1.0))
-        with pytest.raises(ValidationError):
-            minimize(zero_noise, cfg)
+        with pytest.raises(ValidationError,
+                           match="window selects 3 bins; need at least 5"):
+            fit(zero_noise, cfg)
+
+    def test_counts_of_another_length_are_refused(self, setup):
+        # the counts are the one input a fit does not take from its model
+        fss, response, truth, centers, exposure, zero_noise = setup
+        model = build(zero_noise, make_config(fss, response, truth))
+        for counts in (zero_noise.counts[1:], np.append(zero_noise.counts, 1),
+                       zero_noise.counts[1:] > 0.0):
+            with pytest.raises(ValidationError,
+                               match=f"^{counts.size} counts for a fit model "
+                                     f"of {centers.size} bins$"):
+                minimize(counts, model)
 
     def test_config_validation(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
@@ -224,14 +250,14 @@ def central_difference(residuals, x, steps):
     return np.column_stack(cols)
 
 
-def fd_gauss_newton(residuals, x, iterations=30):
-    """Undamped Gauss-Newton on a central-difference Jacobian."""
-    values = lambda v: residuals(v)[0]
+def fd_gauss_newton(values, x, free, iterations=30):
+    """Undamped Gauss-Newton on a central-difference Jacobian of the
+    residuals `values` of the free parameters."""
     for _ in range(iterations):
-        jac = central_difference(values, x, _param_scales(x, residuals.free))
+        jac = central_difference(values, x, _param_scales(x, free))
         delta = np.linalg.solve(jac.T @ jac, -jac.T @ values(x))
         x = x + delta
-        if np.all(np.abs(delta) < 1e-6 * _param_scales(x, residuals.free)):
+        if np.all(np.abs(delta) < 1e-6 * _param_scales(x, free)):
             break
     return x
 
@@ -249,9 +275,10 @@ class TestJacobian:
                                     endpoint_drift=drift)
         cfg = FitConfig(window_ev=(W0 - 200.0, W0 + 20.0), initial=initial,
                         response=response, fss=fss, free=free)
-        residuals = _Residuals(zero_noise, cfg)
-        x = residuals.x0
-        r, jac = residuals(x)
+        model = build(zero_noise, cfg)
+        counts = window_counts(zero_noise, model)
+        x = model.x0
+        r, jac = model.residuals(counts, x)
         # the generator's mu; the fitter scales by A after the smear, which
         # moves mu by a few rounding errors eps * mu and so r by about
         # eps * sqrt(mu) (3.3 eps sqrt(mu) at most over these cases)
@@ -259,7 +286,7 @@ class TestJacobian:
         floor = np.sqrt(np.maximum(mu, 1.0))
         assert np.all(np.abs(r - (zero_noise.counts - mu) / floor)
                       <= 8.0 * np.finfo(float).eps * floor)
-        fd = central_difference(lambda v: residuals(v)[0], x,
+        fd = central_difference(lambda v: model.residuals(counts, v)[0], x,
                                 _param_scales(x, free))
         assert jac.shape == fd.shape == (len(centers), len(free))
         for col, fd_col in zip(jac.T, fd.T):
@@ -271,13 +298,15 @@ class TestJacobian:
                                       seed=5)
         cfg = make_config(fss, response,
                           truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
-        result = minimize(dataset, cfg)
+        result = fit(dataset, cfg)
         assert result.converged
-        residuals = _Residuals(dataset, cfg)
-        x_fd = fd_gauss_newton(residuals, residuals.x0)
+        model = build(dataset, cfg)
+        counts = window_counts(dataset, model)
+        x_fd = fd_gauss_newton(lambda v: model.residuals(counts, v)[0],
+                               model.x0, cfg.free)
         fitted = [result.params.amplitude, result.params.endpoint_ev,
                   result.params.m2nu_ev2, result.params.background]
-        for name, ours, theirs in zip(residuals.free, fitted, x_fd):
+        for name, ours, theirs in zip(cfg.free, fitted, x_fd):
             assert abs(ours - theirs) <= 1e-3 * result.errors[name]
 
     def test_one_kernel_pass_per_evaluation(self, setup, monkeypatch):
@@ -288,21 +317,21 @@ class TestJacobian:
         fss, response, truth, centers, exposure, zero_noise = setup
         passes, evaluations = [], []
         line_blocks = tribeta.kernel._line_blocks
-        evaluate = _Residuals.from_pass
+        evaluate = FitModel.from_pass
 
         def counting(*args):
             passes.append(1)
             return line_blocks(*args)
 
-        def counted(self, vec, kernel_pass):
+        def counted(self, counts, vec, kernel_pass):
             evaluations.append(1)
-            return evaluate(self, vec, kernel_pass)
+            return evaluate(self, counts, vec, kernel_pass)
 
         monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
-        monkeypatch.setattr(_Residuals, "from_pass", counted)
+        monkeypatch.setattr(FitModel, "from_pass", counted)
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
-        result = minimize(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, response, guess))
         assert result.converged
         assert result.n_iterations >= 2
         assert len(passes) == len(evaluations)
@@ -314,7 +343,7 @@ class TestJacobian:
         # lower chi^2 by nothing, so no trial point is evaluated
         fss, response, truth, centers, exposure, zero_noise = setup
         cfg = make_config(fss, response, truth)
-        model = FitModel.build(zero_noise, cfg)
+        model = build(zero_noise, cfg)
         passes = []
         line_blocks = tribeta.kernel._line_blocks
 
@@ -323,7 +352,7 @@ class TestJacobian:
             return line_blocks(*args)
 
         monkeypatch.setattr(tribeta.kernel, "_line_blocks", counting)
-        result = minimize(zero_noise, cfg, model)
+        result = minimize(zero_noise.counts, model)
         assert passes == []
         assert result.converged
         assert result.n_iterations == 1
@@ -333,10 +362,10 @@ class TestJacobian:
     def test_damping_exhausted_converged_is_a_bool(self, setup, monkeypatch):
         # every trial point is insane, so the damping runs out at once
         fss, response, truth, centers, exposure, zero_noise = setup
-        monkeypatch.setattr(_Residuals, "__call__", lambda self, vec: (
-            np.full(self.n_bins, np.inf), None))
+        monkeypatch.setattr(FitModel, "residuals", lambda self, counts, vec: (
+            np.full(len(counts), np.inf), None))
         guess = truth.with_values(amplitude=1.02, m2nu_ev2=0.5)
-        result = minimize(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, response, guess))
         assert result.message == "damping exhausted"
         assert type(result.converged) is bool
         assert result.params == guess
@@ -349,12 +378,13 @@ class TestJacobian:
                                       seed=1)
         cfg = make_config(fss, response,
                           truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
-        result = minimize(dataset, cfg)
+        result = fit(dataset, cfg)
         assert result.message == "predicted chi^2 change below tolerance"
         assert result.params.background > 0.0
         x = np.array([result.params.amplitude, result.params.endpoint_ev,
                       result.params.m2nu_ev2, result.params.background])
-        r, jac = _Residuals(dataset, cfg)(x)
+        model = build(dataset, cfg)
+        r, jac = model.residuals(window_counts(dataset, model), x)
         assert float(r @ r) == result.chi2
         assert np.array_equal(result.covariance, np.linalg.inv(jac.T @ jac))
 
@@ -382,17 +412,18 @@ class TestFitModel:
         cfg = make_config(fss, response,
                           truth.with_values(amplitude=1.01, m2nu_ev2=0.2),
                           window=window)
-        model = FitModel.build(expected, cfg, lattice)
+        model = FitModel.build(centers, exposure, cfg, lattice)
         for seed in (1, 2):
             dataset = draw_pseudodata(expected, seed)
-            assert self.fit_fields(minimize(dataset, cfg, model)) == \
-                self.fit_fields(minimize(dataset, cfg))
+            assert self.fit_fields(minimize(dataset.counts, model)) == \
+                self.fit_fields(fit(dataset, cfg))
 
     def test_model_arrays_are_read_only(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        model = FitModel.build(zero_noise, make_config(fss, response, truth))
-        arrays = [model.bin_centers, *model.first_pass, model.lattice.energies,
-                  model.lattice.inverse, model.lattice.weights]
+        model = build(zero_noise, make_config(fss, response, truth))
+        arrays = [model.mask, model.x0, *model.first_pass,
+                  model.lattice.energies, model.lattice.inverse,
+                  model.lattice.weights]
         assert not any(array.flags.writeable for array in arrays)
 
     def test_lattice_of_other_bins_or_response_is_refused(self, setup):
@@ -402,25 +433,4 @@ class TestFitModel:
                         Lattice.build(response, centers + 0.25),
                         Lattice.build(ResponseModel(sigma_ev=2.0), centers)):
             with pytest.raises(ValidationError, match="lattice was built"):
-                FitModel.build(zero_noise, cfg, lattice)
-
-    def test_model_of_other_bins_or_exposure_is_refused(self, setup):
-        fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth, window=(W0 - 100.0, W0 + 20.0))
-        model = FitModel.build(zero_noise, cfg)
-        shifted = PseudoDataset(bin_centers=centers + 1e-6,
-                                counts=zero_noise.counts, exposure=exposure,
-                                seed=-1)
-        rescaled = replace(zero_noise, exposure=2.0 * exposure)
-        for dataset in (shifted, rescaled):
-            with pytest.raises(ValidationError, match="bin centres or "
-                                                      "another exposure"):
-                minimize(dataset, cfg, model)
-
-    def test_model_of_another_config_is_refused(self, setup):
-        fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth)
-        model = FitModel.build(zero_noise, cfg)
-        other = replace(cfg, initial=truth.with_values(endpoint_drift=True))
-        with pytest.raises(ValidationError, match="another fit config"):
-            minimize(zero_noise, other, model)
+                FitModel.build(centers, exposure, cfg, lattice)

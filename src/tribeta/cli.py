@@ -250,7 +250,14 @@ def _cmd_fit(args) -> int:
                               "initial": params, "response": response,
                               "fss": spectrum_fss, "free": tuple(free)})
     with naming(f"{args.config} window_ev"):
-        config.window_mask(dataset.bin_centers)
+        mask = config.window_mask(dataset.bin_centers)
+    # the model's lowest energy is its lowest bin centre less the reach
+    lowest, reach = dataset.bin_centers[mask].min(), response.offsets()[-1]
+    if lowest - reach <= 0.0:
+        raise ValidationError(
+            f"{args.dataset}: the window's lowest bin centre, {lowest:g} eV, "
+            f"lies within the response half-width ({reach:g} eV) of 0 eV; "
+            "the spectrum needs eps_beta > 0")
     result = minimize(dataset.counts, FitModel.build(
         dataset.bin_centers, dataset.exposure, config))
     write_document(args.out, {

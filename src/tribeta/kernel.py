@@ -19,7 +19,10 @@ in place, so a call maps no new memory per block.  Energies where every
 line is closed are skipped, and that is exact: the lines are sorted, so
 when the available energy W0_eff - eps is at or below the lowest line,
 eps_n <= 0 for every line, theta(eps_n) closes it and the row sums to 0.
-Each row still sums the same terms in the same order as one dense pass.
+Each sum weights the square roots by P once, P_n (eps_n^2 - m2nu)^{1/2},
+and takes every row sum as one `np.einsum` contraction of those weights
+(no BLAS call), so a row is the same contraction of the same terms as in
+one dense pass.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ ArrayLike = Union[float, np.ndarray]
 #: sanity bound on the neutrino mass-squared fit parameter (eV^2)
 M2NU_SANITY_EV2 = 1.0e4
 
-#: elements per (energies x lines) block of a line sum: each of the four
+#: elements per (energies x lines) block of a line sum: each of the three
 #: float block buffers stays near 256 KB, inside a core's cache; they are
 #: allocated once per call and reused by every block
 _BLOCK_ELEMENTS = 1 << 15
@@ -98,16 +101,15 @@ def spectrum_prefactor(eps: np.ndarray, z_daughter: int) -> np.ndarray:
 
 def _line_blocks(eps: np.ndarray, params: SpectrumParams,
                  fss: FinalStateSpectrum):
-    """Yield (rows, eps_n, gated radicand, its square root, scratch) per
-    energy block.
+    """Yield (rows, eps_n, gated radicand, its square root) per energy block.
 
     eps_n = W0_eff - eps - E_n over all lines, and the radicand
     eps_n^2 - m2nu is gated by theta(eps_n) (eps_n > sqrt(m2nu) for
     m2nu >= 0).  Only rows with available energy above the lowest line are
     yielded, about `_BLOCK_ELEMENTS` elements per block; the sums of the
     other rows are 0.  The arrays are views of buffers allocated once per
-    call, which the next block overwrites; `scratch` is free for the
-    caller's products.
+    call, which the next block overwrites; the caller may overwrite the
+    square root in place.
     """
     avail = _effective_endpoints(eps, params) - eps
     open_rows = np.flatnonzero(avail > fss.energies[0])
@@ -116,11 +118,11 @@ def _line_blocks(eps: np.ndarray, params: SpectrumParams,
     step = min(max(1, _BLOCK_ELEMENTS // len(fss)), open_rows.size)
     m2 = params.m2nu_ev2
     threshold = np.sqrt(m2) if m2 >= 0.0 else 0.0
-    buffers = [np.empty((step, len(fss))) for _ in range(4)]
+    buffers = [np.empty((step, len(fss))) for _ in range(3)]
     closed_buffer = np.empty((step, len(fss)), dtype=bool)
     for start in range(0, len(open_rows), step):
         rows = open_rows[start:start + step]
-        en, rad, root, scratch = (b[:len(rows)] for b in buffers)
+        en, rad, root = (b[:len(rows)] for b in buffers)
         closed = closed_buffer[:len(rows)]
         np.subtract(avail[rows, None], fss.energies[None, :], out=en)
         np.multiply(en, en, out=rad)
@@ -130,7 +132,7 @@ def _line_blocks(eps: np.ndarray, params: SpectrumParams,
         np.less_equal(en, threshold, out=closed)
         np.copyto(rad, 0.0, where=closed)
         np.sqrt(rad, out=root)
-        yield rows, en, rad, root, scratch
+        yield rows, en, rad, root
 
 
 def _as_grid(eps_beta: ArrayLike):
@@ -149,9 +151,9 @@ def spectral_sum(eps_beta: ArrayLike, params: SpectrumParams,
     """Inner integral-spectrum sum  sum_n P_n (eps_n^2 - m2nu)^{3/2} theta."""
     eps, shape, scalar = _as_grid(eps_beta)
     s = np.zeros_like(eps)
-    for rows, _, rad, root, scratch in _line_blocks(eps, params, fss):
-        np.multiply(fss.probabilities, rad, out=scratch)
-        s[rows] = np.multiply(scratch, root, out=scratch).sum(axis=1)
+    for rows, _, rad, root in _line_blocks(eps, params, fss):
+        weighted = np.multiply(fss.probabilities, root, out=root)
+        s[rows] = np.einsum("ij,ij->i", weighted, rad)
     return _finalize(s, shape, scalar)
 
 
@@ -170,13 +172,12 @@ def differential_spectrum(eps_beta: ArrayLike, params: SpectrumParams,
     """dN/deps: A F E p sum_n P_n eps_n sqrt(eps_n^2 - m2nu) theta."""
     eps, shape, scalar = _as_grid(eps_beta)
     inner = np.zeros_like(eps)
-    for rows, en, _, root, scratch in _line_blocks(eps, params, fss):
-        # a closed line adds -0 or +0 here (root is 0) where the theta gate
-        # adds +0; a yielded row holds a term that is not -0, so the sum
-        # has the same bits
-        np.multiply(en, root, out=scratch)
-        inner[rows] = np.multiply(fss.probabilities, scratch,
-                                  out=scratch).sum(axis=1)
+    for rows, en, _, root in _line_blocks(eps, params, fss):
+        # a closed line adds +0 * eps_n (-0 where eps_n < 0) where the theta
+        # gate adds +0; the contraction's sums start at +0, so are never -0,
+        # and adding -0 or +0 to them gives the same bits
+        weighted = np.multiply(fss.probabilities, root, out=root)
+        inner[rows] = np.einsum("ij,ij->i", weighted, en)
     out = params.amplitude * spectrum_prefactor(eps, params.z_daughter) * inner
     return _finalize(out, shape, scalar)
 
@@ -209,12 +210,11 @@ def integral_spectrum_derivatives(eps_beta: ArrayLike, params: SpectrumParams,
     """
     eps, shape, scalar = _as_grid(eps_beta)
     s, ds_dw0, ds_dm2 = (np.zeros_like(eps) for _ in range(3))
-    for rows, en, rad, root, scratch in _line_blocks(eps, params, fss):
-        np.multiply(fss.probabilities, rad, out=scratch)
-        s[rows] = np.multiply(scratch, root, out=scratch).sum(axis=1)
-        np.multiply(fss.probabilities, root, out=scratch)
-        ds_dm2[rows] = scratch.sum(axis=1)
-        ds_dw0[rows] = np.multiply(scratch, en, out=scratch).sum(axis=1)
+    for rows, en, rad, root in _line_blocks(eps, params, fss):
+        weighted = np.multiply(fss.probabilities, root, out=root)
+        s[rows] = np.einsum("ij,ij->i", weighted, rad)
+        ds_dm2[rows] = np.einsum("ij->i", weighted)
+        ds_dw0[rows] = np.einsum("ij,ij->i", weighted, en)
     # scaled after the loop, so skipped rows get -1.5 * 0 = -0 as well
     ds_dw0 *= 3.0
     ds_dm2 *= -1.5

@@ -860,6 +860,26 @@ class TestUsageErrors:
             "need at least 5\n")
         assert not out.exists()
 
+    def test_fit_reaching_zero_energy_names_the_dataset(self, small_fss_file,
+                                                       tmp_path, capsys):
+        # 2 eV is within the 15 eV response half-width of 0 eV
+        data = tmp_path / "low.csv"
+        resp.save_dataset(resp.PseudoDataset(
+            np.arange(2.0, 16.0, 2.0), np.full(7, 100), 1.0, 1,
+            {"exposure": 1.0, "seed": 1}), str(data))
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({
+            "window_ev": [1.0, 15.0],
+            "initial": {"amplitude": 1.0, "endpoint_ev": W0}}))
+        out = tmp_path / "r.json"
+        assert run_cli(["fit", "--dataset", str(data), "--config", str(config),
+                        "--fss", str(small_fss_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: the window's lowest bin centre, 2 eV, lies within "
+            "the response half-width (15 eV) of 0 eV; the spectrum needs "
+            "eps_beta > 0\n")
+        assert not out.exists()
+
 
 def test_import_leaves_scipy_sparse_unloaded():
     # nothing in tribeta, the N-doubling gate included, needs scipy.sparse;

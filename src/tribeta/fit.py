@@ -3,7 +3,7 @@
 The statistic is Pearson chi^2 with a unit floor on the denominator,
 Sum_i (n_i - mu_i)^2 / max(mu_i, 1), with mu_i from the forward model that
 also generates the pseudo-data (`response.Lattice.counts`).  Minimization
-is damped least squares (Levenberg-style trust parameter) on a closed-form
+is Levenberg-Marquardt, damped on diag(J^T J), with a closed-form
 Jacobian: mu is linear in A and b, and the W0 and m2nu columns come from
 `kernel.integral_spectrum_derivatives` in the same kernel pass as mu
 (`response.Lattice.counts_with_derivatives`), so each trial point costs
@@ -11,6 +11,12 @@ one pass for its residuals and Jacobian together.  The
 (eps_n^2 - m2nu)^{3/2} term is C^1 at threshold for m2nu >= 0; for
 m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and the Jacobian is the
 derivative away from that jump.
+
+The damping starts at 0, so the first trial of every fit is the plain
+Gauss-Newton step.  A rejected trial (chi^2 not lower, or an insane W0 or
+m2nu) or a singular damped system sets it to max(10 * damping, 1e-3), so
+the first rejection engages 1e-3 and later ones grow it tenfold; an
+accepted step divides it by 3.
 
 Each iteration first asks whether it is done, from the residuals r and
 Jacobian J it holds: a full Gauss-Newton step would lower chi^2 by
@@ -222,9 +228,11 @@ class FitModel:
 
 
 def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
-    """Damped least-squares descent from the model's initial point to a
+    """Levenberg-Marquardt descent from the model's initial point to a
     local chi^2 minimum of `counts`, one per bin of the dataset the model
-    was built for (a ValidationError naming both sizes otherwise).
+    was built for (a ValidationError naming both sizes otherwise).  Each
+    fit's first trial is the undamped Gauss-Newton step; damping engages
+    only after a rejected trial or a singular system (module docstring).
 
     Deterministic given the counts and the model.  Non-convergence is
     flagged on the result, not raised; a singular Hessian leaves the
@@ -252,7 +260,7 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
     if not np.isfinite(chi2):
         raise ModelError("initial chi^2 is not finite")
 
-    lam = 1e-3
+    lam = 0.0
     converged = False
     message = "max iterations reached"
     iteration = 0
@@ -280,14 +288,14 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
             try:
                 delta = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                lam *= 10.0
+                lam = max(10.0 * lam, 1e-3)
                 continue
             r_try, jac_try = model.residuals(counts, x + delta)
             chi2_try = float(r_try @ r_try)
             if np.isfinite(chi2_try) and chi2_try < chi2:
                 accepted = True
                 break
-            lam *= 10.0
+            lam = max(10.0 * lam, 1e-3)
             if lam > 1e15:
                 break
         if not accepted:
@@ -299,7 +307,7 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
         x = x + delta
         r, jac = r_try, jac_try
         chi2 = chi2_try
-        lam = max(lam / 3.0, 1e-14)
+        lam /= 3.0
         small_step = np.max(np.abs(delta) / scales) < STEP_TOL
         small_change = change <= CHI2_TOL * max(1.0, chi2)
         if small_step or small_change:

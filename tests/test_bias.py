@@ -367,5 +367,5 @@ def test_scan_fits_stop_on_the_predicted_change(study_fss, monkeypatch):
         spec = ScanSpec(window_depths_ev=(100.0, 200.0, 400.0),
                         replications=4, base_seed=seed)
         bias_scan(spec, fss=study_fss)
-        assert len(passes) <= 140, seed
+        assert len(passes) <= 78, seed
     assert "damping exhausted" not in messages

@@ -389,6 +389,80 @@ class TestJacobian:
         assert np.array_equal(result.covariance, np.linalg.inv(jac.T @ jac))
 
 
+class TestDamping:
+    """A fit's first trial is the undamped Gauss-Newton step; damping starts
+    at 1e-3 (on diag(J^T J)) after a rejected trial or a singular system."""
+
+    GUESS = dict(amplitude=1.02, endpoint_ev=W0 - 0.1, m2nu_ev2=0.5,
+                 background=440.0)
+
+    @staticmethod
+    def record_trials(monkeypatch, reject_first=False):
+        """The free-parameter vectors of every trial point, in order; with
+        `reject_first` the first trial reads as insane."""
+        trials = []
+        residuals = FitModel.residuals
+
+        def recording(self, counts, vec):
+            trials.append(vec)
+            if reject_first and len(trials) == 1:
+                return np.full(len(counts), np.inf), None
+            return residuals(self, counts, vec)
+
+        monkeypatch.setattr(FitModel, "residuals", recording)
+        return trials
+
+    def start(self, setup):
+        """The model, and the gradient and J^T J at its initial point."""
+        fss, response, truth, centers, exposure, zero_noise = setup
+        model = build(zero_noise, make_config(
+            fss, response, truth.with_values(**self.GUESS)))
+        r, jac = model.from_pass(window_counts(zero_noise, model), model.x0,
+                                 model.first_pass)
+        return model, jac.T @ r, jac.T @ jac
+
+    def test_first_trial_is_the_gauss_newton_step(self, setup, monkeypatch):
+        zero_noise = setup[-1]
+        model, grad, hess = self.start(setup)
+        trials = self.record_trials(monkeypatch)
+        result = minimize(zero_noise.counts, model)
+        assert result.converged
+        expected = model.x0 - np.linalg.solve(hess, grad)
+        assert np.all(np.abs(trials[0] - expected)
+                      <= 1e-12 * np.abs(model.x0))
+
+    def test_rejected_trial_engages_the_damping(self, setup, monkeypatch):
+        zero_noise = setup[-1]
+        model, grad, hess = self.start(setup)
+        trials = self.record_trials(monkeypatch, reject_first=True)
+        result = minimize(zero_noise.counts, model)
+        assert result.converged
+        damped = hess + 1e-3 * np.diag(np.diag(hess))
+        expected = model.x0 - np.linalg.solve(damped, grad)
+        assert np.all(np.abs(trials[1] - expected)
+                      <= 1e-12 * np.abs(model.x0))
+
+    def test_singular_system_engages_the_damping(self, setup, monkeypatch):
+        # a zero background column makes J^T J exactly singular: the
+        # undamped solve fails, and the next attempt must be damped, not
+        # the same singular solve until the attempts run out
+        zero_noise = setup[-1]
+        model, _, _ = self.start(setup)
+        from_pass = FitModel.from_pass
+
+        def no_background(self, counts, vec, kernel_pass):
+            r, jac = from_pass(self, counts, vec, kernel_pass)
+            jac[:, 3] = 0.0
+            return r, jac
+
+        monkeypatch.setattr(FitModel, "from_pass", no_background)
+        trials = self.record_trials(monkeypatch)
+        result = minimize(zero_noise.counts, model)
+        assert trials
+        assert result.message != "damping exhausted"
+        assert np.all(np.array(trials)[:, 3] == model.x0[3])
+
+
 class TestFitModel:
     """A `FitModel` shares a window's lattice and first kernel pass between
     fits of datasets on the same bins with the same exposure."""

@@ -105,7 +105,7 @@ def grid_wavefunctions(bases, j):
 
 class TestBasisContracts:
     def test_orthonormality(self, model):
-        # J = 60 is 81 combinations of the 200 projected J = 0 vectors
+        # J = 60 is 81 combinations of the 162 projected J = 0 vectors
         bases = rotational_bases(model, 0, j_max=60, v_max=80,
                                  convergence_check=False)
         step = model.grid.radii()[1] - model.grid.radii()[0]
@@ -237,6 +237,10 @@ def coulomb_model():
         ground, Channel(kind="coulomb", weight=0.2, z_eff=2.0)))
 
 
+def small_grid_model():
+    return replace(default_model(), grid=GridSpec(0.3, 12.0, 256))
+
+
 class TestRotationalBases:
     """Bases projected from one J = 0 solve against a dense solve per J."""
 
@@ -250,26 +254,34 @@ class TestRotationalBases:
         w, v = eigh(h, subset_by_index=[0, n_states - 1])
         return w * HART, v / np.sqrt(step)
 
-    # v_max 12 / j_max 12 at q = 4: K = 2 (v_max + 1) alone misses by 5e-4 eV
-    @pytest.mark.parametrize("build,channel,j_max,v_max,q", [
-        (default_model, 0, 60, 80, None),
-        (default_model, 0, 60, 120, None),
-        (default_model, 0, 12, 12, 4.0),
-        (coulomb_model, 1, 60, 80, None),
-    ], ids=["v80", "v120", "v12-j12", "coulomb"])
+    # K = min(N, max(120, 2 (v_max + 1), 2 (j_max + 1))) projected states.
+    # v12-j12 at q = 4, every J: K = 2 (v_max + 1) alone misses by 5e-4 eV,
+    # a floor of 80 by 3e-9 eV.  v80-j100: K = 162 without the j_max term
+    # misses the J = 100 levels by 3e-9 eV.  grid-cap: 2 (j_max + 1) > N.
+    @pytest.mark.parametrize("build,channel,j_max,v_max,q,every_j,k", [
+        (default_model, 0, 60, 80, None, False, 162),
+        (default_model, 0, 60, 120, None, False, 242),
+        (default_model, 0, 12, 12, 4.0, True, 120),
+        (coulomb_model, 1, 60, 80, None, False, 162),
+        (default_model, 0, 100, 80, None, False, 202),
+        (small_grid_model, 0, 130, 12, None, False, 256),
+    ], ids=["v80", "v120", "v12-j12", "coulomb", "v80-j100", "grid-cap"])
     def test_matches_dense_solve_at_j_max(self, q_endpoint, build, channel,
-                                          j_max, v_max, q):
+                                          j_max, v_max, q, every_j, k):
         model = build()
         bases = rotational_bases(model, channel, j_max, v_max,
                                  convergence_check=False)
-        energies, vectors = self.dense_levels(model, channel, j_max, v_max + 1)
-        assert np.abs(bases.energies_ev[j_max] - energies).max() \
-            <= CONVERGENCE_TOL_EV / 10
+        assert bases.chi.shape[1] == k
         init = solve_initial(model)
-        integrand = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)[
-            j_max] * init.wavefunctions[:, 0] * init.step
-        probs = (grid_wavefunctions(bases, j_max).T @ integrand) ** 2
-        assert np.abs(probs - (vectors.T @ integrand) ** 2).max() <= 1e-12
+        bessel = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)
+        for j in range(j_max + 1) if every_j else (j_max,):
+            energies, vectors = self.dense_levels(model, channel, j,
+                                                  v_max + 1)
+            assert np.abs(bases.energies_ev[j] - energies).max() \
+                <= CONVERGENCE_TOL_EV / 10
+            integrand = bessel[j] * init.wavefunctions[:, 0] * init.step
+            probs = (grid_wavefunctions(bases, j).T @ integrand) ** 2
+            assert np.abs(probs - (vectors.T @ integrand) ** 2).max() <= 1e-12
 
     @staticmethod
     def rotational_problem(model, k):
@@ -301,7 +313,9 @@ class TestRotationalBases:
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_worker_error_reaches_the_caller(self, model, monkeypatch):
-        energies, projected = self.rotational_problem(model, 200)
+        k = rotational_bases(model, 0, 12, 12,
+                             convergence_check=False).chi.shape[1]
+        energies, projected = self.rotational_problem(model, k)
         failing = np.diag(energies) + 7 * 8 * projected
         eigh, raised_on = np.linalg.eigh, []
 
@@ -318,7 +332,7 @@ class TestRotationalBases:
         assert len(raised_on) == 1
         assert raised_on[0] is not threading.main_thread()
 
-    @pytest.mark.parametrize("j_max,dense_states", [(0, 81), (3, 200)])
+    @pytest.mark.parametrize("j_max,dense_states", [(0, 81), (3, 162)])
     def test_j0_is_the_dense_solve(self, model, j_max, dense_states):
         # with j_max = 0 nothing is projected: only v_max + 1 states are solved
         dense = solve_radial(model, n_states=dense_states)

@@ -200,8 +200,9 @@ class _Window:
     (an `expected_dataset`), and one `FitModel` per fit config, the mismatch
     fit first.  A replication fits its Poisson counts with each model,
     `minimize(counts, model)`.  mu and the fit models share one `Lattice` of
-    the bins, unless the fit window leaves a bin out; all their arrays are
-    read-only."""
+    the bins, unless the fit window leaves a bin out.  All their arrays are
+    read-only, in pool workers too, since each class unpickles through its
+    constructor."""
 
     expected: PseudoDataset
     fits: tuple[FitModel, ...]
@@ -282,14 +283,13 @@ def bias_scan(spec: ScanSpec, fss: Optional[FinalStateSpectrum] = None,
         n_top = int(round(top / spacing))
         centers = w0 + (np.arange(-n_edge, n_top + 1) * spacing)
         lattice = Lattice.build(response, centers)
-        expected = expected_dataset(truth, fss, response, centers, exposure,
-                                    lattice)
+        expected = expected_dataset(truth, fss, lattice, exposure)
         window_ev = (w0 - depth - 1e-9, w0 + top + 1e-9)
         # the mismatch fit, then the control
         fits = tuple(
-            FitModel.build(centers, exposure, FitConfig(
-                window_ev=window_ev, response=response, fss=fss,
-                initial=guess.with_values(endpoint_drift=drift)), lattice)
+            FitModel.build(lattice, exposure, FitConfig(
+                window_ev=window_ev, fss=fss,
+                initial=guess.with_values(endpoint_drift=drift)))
             for drift in (design["fitter_drift"], design["generator_drift"]))
         windows.append(_Window(expected, fits))
     tasks = [(iw, spec.base_seed + 1009 * iw + rep)

@@ -50,7 +50,7 @@ try:
     from .kernel import (SpectrumParams, differential_spectrum,
                          integral_spectrum, linearized_spectrum)
     from .physics import CONSTANTS, CONSTANTS_ENV_VAR
-    from .response import ResponseModel, convolve, load_dataset
+    from .response import Lattice, ResponseModel, convolve, load_dataset
     from .bias import (ScanSpec, bias_scan, build_study_fss, fig2_study,
                        save_bias_csv, save_fig2_csv)
 except ConfigurationError as exc:
@@ -244,11 +244,11 @@ def _cmd_fit(args) -> int:
     with naming(f"{args.config} initial"):
         params = SpectrumParams(**doc["initial"])
     with naming(f"{args.config} response"):
-        response = ResponseModel(**doc.get("response", {"sigma_ev": 2.5}))
+        response = ResponseModel(**doc.pop("response", {"sigma_ev": 2.5}))
     with naming(args.config):
         config = FitConfig(**{**doc, "window_ev": tuple(window),
-                              "initial": params, "response": response,
-                              "fss": spectrum_fss, "free": tuple(free)})
+                              "initial": params, "fss": spectrum_fss,
+                              "free": tuple(free)})
     with naming(f"{args.config} window_ev"):
         mask = config.window_mask(dataset.bin_centers)
     # the model's lowest energy is its lowest bin centre less the reach
@@ -258,8 +258,9 @@ def _cmd_fit(args) -> int:
             f"{args.dataset}: the window's lowest bin centre, {lowest:g} eV, "
             f"lies within the response half-width ({reach:g} eV) of 0 eV; "
             "the spectrum needs eps_beta > 0")
-    result = minimize(dataset.counts, FitModel.build(
-        dataset.bin_centers, dataset.exposure, config))
+    result = minimize(dataset.counts[mask], FitModel.build(
+        Lattice.build(response, dataset.bin_centers[mask]),
+        dataset.exposure, config))
     write_document(args.out, {
         "values": {
             "amplitude": result.params.amplitude,

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ModelError, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
-from .response import Lattice, ResponseModel
+from .response import Lattice
 
 PARAM_NAMES = ("amplitude", "endpoint", "m2nu", "background")
 
@@ -82,7 +82,6 @@ class FitConfig:
 
     window_ev: tuple[float, float]
     initial: SpectrumParams
-    response: ResponseModel
     fss: FinalStateSpectrum
     free: tuple[str, ...] = PARAM_NAMES
     max_iterations: int = 100
@@ -157,7 +156,8 @@ class FitModel:
     at x0.
 
     Fits of datasets on the same bins with the same exposure share one:
-    `minimize(counts, model)`.  Its arrays are read-only.
+    `minimize(counts, model)`.  Its arrays are read-only, also after
+    unpickling.
 
     The Pearson residuals (n - mu) / sqrt(max(mu, 1)) of the window's counts
     n and their Jacobian come from one kernel pass per free-parameter
@@ -178,21 +178,22 @@ class FitModel:
         for array in (self.mask, self.x0, *self.first_pass):
             array.setflags(write=False)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which freezes the arrays again
+        # (bias_scan worker processes receive fit models by pickle)
+        return (type(self), (self.config, self.exposure, self.mask,
+                             self.lattice, self.x0, self.first_pass))
+
     @classmethod
-    def build(cls, bin_centers: np.ndarray, exposure: float,
-              config: FitConfig, lattice: Optional[Lattice] = None
-              ) -> "FitModel":
-        """The model of a dataset's bin centres and exposure.  `lattice`,
-        the `Lattice` of all its bins under the config's response (a
-        ValidationError if it is not), serves the fit when every bin lies
-        inside the window."""
-        if lattice is not None and not lattice.is_of(config.response,
-                                                     bin_centers):
-            raise ValidationError("lattice was built for other bins or "
-                                  "another response than the fit's")
-        mask = config.window_mask(bin_centers)
-        if lattice is None or not mask.all():
-            lattice = Lattice.build(config.response, bin_centers[mask])
+    def build(cls, lattice: Lattice, exposure: float,
+              config: FitConfig) -> "FitModel":
+        """The model of a dataset's binning, its `Lattice`, and exposure.
+        The fit reads that lattice when every bin lies inside the window,
+        and otherwise one of the window's bins under the same response."""
+        mask = config.window_mask(lattice.bin_centers)
+        if not mask.all():
+            lattice = Lattice.build(lattice.response,
+                                    lattice.bin_centers[mask])
         initial = _params_vector(config.initial)
         x0 = np.array([initial[name] for name in config.free])
         first_pass = lattice.counts_with_derivatives(

@@ -69,16 +69,20 @@ class ResponseModel:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The bins x offsets convolution grid, reduced to its distinct energies.
+    """A binning: the bin centres under a response, with their bins x
+    offsets convolution grid reduced to its distinct energies.
 
     Bin centres on the offset lattice (2 eV bins, sigma/10 = 0.25 eV steps)
     share most grid energies, so a spectrum is evaluated once per distinct
     energy and scattered back onto the grid: `energies[inverse]` is the grid
-    c_i - o_k.  It depends only on the response and the bin centres, so a
-    fit builds it once.  The spectrum prefactor F(p, Z) E p at `energies`
-    is computed once per nuclear charge Z and kept for every later pass.
+    c_i - o_k.  Expected counts and the fits of them on the same bins share
+    one lattice, built once.  The spectrum prefactor F(p, Z) E p at
+    `energies` is computed once per nuclear charge Z and kept for every
+    later pass.  Its arrays are read-only, also after unpickling.
     """
 
+    response: ResponseModel
+    bin_centers: np.ndarray
     energies: np.ndarray
     inverse: np.ndarray      # shape (bins, offsets)
     weights: np.ndarray
@@ -87,23 +91,23 @@ class Lattice:
 
     def __post_init__(self):
         # fits that share a lattice cannot alter one another's
-        for array in (self.energies, self.inverse, self.weights):
+        for array in (self.bin_centers, self.energies, self.inverse,
+                      self.weights):
             array.setflags(write=False)
+
+    def __reduce__(self):
+        # unpickle through the constructor, which freezes the arrays again;
+        # the prefactors are computed anew
+        return (type(self), (self.response, self.bin_centers, self.energies,
+                             self.inverse, self.weights))
 
     @classmethod
     def build(cls, response: ResponseModel, bin_centers) -> "Lattice":
-        centers = np.atleast_1d(np.asarray(bin_centers, dtype=float)).ravel()
+        centers = np.array(bin_centers, dtype=float, ndmin=1).ravel()
         grid = centers[:, None] - response.offsets()[None, :]
         energies, inverse = np.unique(grid, return_inverse=True)
-        return cls(energies, inverse.reshape(grid.shape), response.weights())
-
-    def is_of(self, response: ResponseModel, bin_centers) -> bool:
-        """Whether this is the lattice of `bin_centers` under `response`."""
-        centers = np.atleast_1d(np.asarray(bin_centers, dtype=float)).ravel()
-        grid = centers[:, None] - response.offsets()[None, :]
-        return (self.inverse.shape == grid.shape
-                and np.array_equal(self.energies[self.inverse], grid)
-                and np.array_equal(self.weights, response.weights()))
+        return cls(response, centers, energies, inverse.reshape(grid.shape),
+                   response.weights())
 
     def prefactor(self, z_daughter: int) -> np.ndarray:
         """`kernel.spectrum_prefactor` at `energies`, read-only."""
@@ -170,6 +174,11 @@ class PseudoDataset:
         self.bin_centers.setflags(write=False)
         self.counts.setflags(write=False)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which freezes the arrays again
+        return (type(self), (self.bin_centers, self.counts, self.exposure,
+                             self.seed, self.truth))
+
     def __len__(self) -> int:
         return len(self.bin_centers)
 
@@ -235,16 +244,15 @@ def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
 
 
 def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
-                     response: ResponseModel, bin_centers, exposure: float,
-                     lattice: Lattice | None = None) -> PseudoDataset:
-    """The expected counts mu as a dataset (the Asimov dataset): float
-    counts, seed -1 and the truth record of `generate_pseudodata`, which
-    draws its counts from it.  `lattice`, the `Lattice` of `bin_centers`
-    under `response`, spares building it again.
+                     lattice: Lattice, exposure: float) -> PseudoDataset:
+    """The expected counts mu on the lattice's bins as a dataset (the Asimov
+    dataset): float counts, seed -1 and the truth record of
+    `generate_pseudodata`, which draws its counts from it.  The dataset's
+    bin centres are the lattice's.
 
     exposure = 0 is allowed and yields background-only counts.
     """
-    centers = np.asarray(bin_centers, dtype=float)
+    centers = lattice.bin_centers
     if exposure < 0.0:
         raise ValidationError("exposure must be >= 0")
     w0 = params.endpoint_ev
@@ -253,11 +261,9 @@ def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
         raise ValidationError(
             f"bins must lie within [W0 - {BINS_BELOW_W0_EV:g} eV, "
             f"W0 + {BINS_ABOVE_W0_EV:g} eV]")
-    if lattice is None:
-        lattice = Lattice.build(response, centers)
     truth = {
         "params": asdict(params),
-        "response": asdict(response),
+        "response": asdict(lattice.response),
         "exposure": exposure,
         "seed": None,
         "fss_lines": len(fss),
@@ -285,14 +291,20 @@ def generate_pseudodata(params: SpectrumParams, fss: FinalStateSpectrum,
 
     exposure = 0 is allowed and yields background-only counts.
     """
-    expected = expected_dataset(params, fss, response, bin_centers, exposure)
+    expected = expected_dataset(params, fss,
+                                Lattice.build(response, bin_centers), exposure)
     return draw_pseudodata(expected, seed)
 
 
 def save_dataset(dataset: PseudoDataset, path) -> None:
     """CSV `bin_center_eV, counts` plus the JSON truth sidecar `<path>.json`;
-    `path` is a string or an `os.PathLike`."""
+    `path` is a string or an `os.PathLike`.  Counts must be integers, as
+    `load_dataset` reads them: the float counts of an `expected_dataset`
+    are refused before any file is written."""
     path = os.fspath(path)
+    if not np.issubdtype(dataset.counts.dtype, np.integer):
+        raise ValidationError(f"{path}: counts must be integers, got "
+                              f"{dataset.counts.dtype} counts")
     write_table(path, ["bin_center_eV", "counts"],
                 zip(dataset.bin_centers, dataset.counts))
     write_document(path + ".json", dataset.truth)

@@ -13,7 +13,8 @@ from test_kernel import dense_line_sums
 from tribeta.fss import from_lines
 from tribeta.franck_condon import RecoilEngine, rotational_shift_ev
 from tribeta.kernel import SpectrumParams, effective_endpoint, linearized_sum
-from tribeta.response import PseudoDataset, ResponseModel, expected_counts
+from tribeta.response import (Lattice, PseudoDataset, ResponseModel,
+                              expected_counts)
 
 W0 = 18575.0
 
@@ -191,9 +192,9 @@ def test_criterion_11_exact_recovery():
     guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                               m2nu_ev2=0.5, background=420.0)
     config = FitConfig(window_ev=(centers[0], centers[-1]), initial=guess,
-                       response=response, fss=fss)
-    result = minimize(dataset.counts,
-                      FitModel.build(centers, exposure, config))
+                       fss=fss)
+    result = minimize(dataset.counts, FitModel.build(
+        Lattice.build(response, centers), exposure, config))
     da = abs(result.params.amplitude - 1.0)
     dw = abs(result.params.endpoint_ev - W0)
     dm = abs(result.params.m2nu_ev2)

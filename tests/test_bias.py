@@ -263,7 +263,7 @@ def _reference_scan(spec, fss):
         centers = w0 + 2.0 * np.arange(-int(round(depth / 2.0)), 11)
         configs = [FitConfig(window_ev=(w0 - depth - 1e-9, w0 + 20.0 + 1e-9),
                              initial=guess.with_values(endpoint_drift=drift),
-                             response=response, fss=fss)
+                             fss=fss)
                    for drift in (False, True)]
         rows = []
         for rep in range(spec.replications):
@@ -271,7 +271,8 @@ def _reference_scan(spec, fss):
                                           exposure,
                                           spec.base_seed + 1009 * iw + rep)
             fits = [minimize(dataset.counts, FitModel.build(
-                dataset.bin_centers, dataset.exposure, config))
+                Lattice.build(response, dataset.bin_centers),
+                dataset.exposure, config))
                 for config in configs]
             if all(fit.converged for fit in fits):
                 rows.append([v for fit in fits for v in (

@@ -1,5 +1,6 @@
 """Chi-square fitting: exact recovery, oracle values, covariance contracts."""
 
+import pickle
 from dataclasses import replace
 
 import mpmath as mp
@@ -18,11 +19,13 @@ from tribeta.response import (Lattice, PseudoDataset, ResponseModel,
 mp.mp.dps = 30
 
 W0 = 18575.0
+#: the response of the `setup` datasets, and of the fits of them
+RESPONSE = ResponseModel(sigma_ev=2.5)
 
 
 @pytest.fixture(scope="module")
 def setup(study_fss):
-    response = ResponseModel(sigma_ev=2.5)
+    response = RESPONSE
     truth = SpectrumParams(amplitude=1.0, endpoint_ev=W0, m2nu_ev2=0.0,
                            background=400.0)
     centers = np.arange(W0 - 200.0, W0 + 20.0 + 1e-9, 2.0)
@@ -35,14 +38,15 @@ def setup(study_fss):
     return study_fss, response, truth, centers, exposure, zero_noise
 
 
-def make_config(study_fss, response, initial, window=(W0 - 200.0, W0 + 20.0)):
-    return FitConfig(window_ev=window, initial=initial, response=response,
-                     fss=study_fss)
+def make_config(study_fss, initial, window=(W0 - 200.0, W0 + 20.0)):
+    return FitConfig(window_ev=window, initial=initial, fss=study_fss)
 
 
-def build(dataset, cfg):
-    """The fit model of `dataset`'s bins and exposure."""
-    return FitModel.build(dataset.bin_centers, dataset.exposure, cfg)
+def build(dataset, cfg, response=RESPONSE):
+    """The fit model of `dataset`'s bins under `response`, and its
+    exposure."""
+    return FitModel.build(Lattice.build(response, dataset.bin_centers),
+                          dataset.exposure, cfg)
 
 
 def window_counts(dataset, model):
@@ -55,9 +59,9 @@ def fit(dataset, cfg):
     return minimize(dataset.counts, build(dataset, cfg))
 
 
-def chi2_at(params, dataset, cfg):
+def chi2_at(params, dataset, cfg, response=RESPONSE):
     """r . r of the fitter's Pearson residuals at `params`."""
-    model = build(dataset, replace(cfg, initial=params))
+    model = build(dataset, replace(cfg, initial=params), response)
     r, _ = model.residuals(window_counts(dataset, model), model.x0)
     return float(r @ r)
 
@@ -65,12 +69,12 @@ def chi2_at(params, dataset, cfg):
 class TestChiSquare:
     def test_zero_at_truth(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth)
+        cfg = make_config(fss, truth)
         assert chi2_at(truth, zero_noise, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_after_perturbation(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth)
+        cfg = make_config(fss, truth)
         bumped = truth.with_values(amplitude=truth.amplitude * 1.01)
         assert chi2_at(bumped, zero_noise, cfg) > 0.0
 
@@ -85,8 +89,8 @@ class TestChiSquare:
         dataset = generate_pseudodata(truth, fss, response, centers, 1.0,
                                       seed=20260809)
         cfg = FitConfig(window_ev=(centers[0], centers[-1]), initial=truth,
-                        response=response, fss=fss)
-        ours = chi2_at(truth, dataset, cfg)
+                        fss=fss)
+        ours = chi2_at(truth, dataset, cfg, response)
 
         me = mp.mpf("510998.95000")
         alpha = mp.mpf("7.2973525693e-3")
@@ -113,7 +117,7 @@ class TestChiSquare:
 
     def test_empty_window_rejected(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth, window=(W0 + 30.0, W0 + 40.0))
+        cfg = make_config(fss, truth, window=(W0 + 30.0, W0 + 40.0))
         with pytest.raises(ValidationError):
             chi2_at(truth, zero_noise, cfg)
 
@@ -123,7 +127,7 @@ class TestMinimize:
         fss, response, truth, centers, exposure, zero_noise = setup
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
-        result = fit(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, guess))
         assert result.converged
         assert abs(result.params.amplitude - 1.0) < 1e-6
         assert abs(result.params.endpoint_ev - W0) < 1e-4
@@ -133,7 +137,7 @@ class TestMinimize:
     def test_chi2_at_minimum_below_truth(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.2)
-        cfg = make_config(fss, response, guess)
+        cfg = make_config(fss, guess)
         result = fit(zero_noise, cfg)
         assert result.chi2 <= chi2_at(truth, zero_noise, cfg) + 1e-9
 
@@ -142,7 +146,7 @@ class TestMinimize:
         rng_ds = generate_pseudodata(truth, fss, response, centers, exposure,
                                      seed=5)
         guess = truth.with_values(amplitude=1.01, m2nu_ev2=0.2)
-        result = fit(rng_ds, make_config(fss, response, guess))
+        result = fit(rng_ds, make_config(fss, guess))
         assert result.converged
         assert result.covariance is not None
         assert result.covariance.shape == (4, 4)
@@ -155,7 +159,7 @@ class TestMinimize:
         fss, response, truth, centers, exposure, zero_noise = setup
         guess = truth.with_values(amplitude=1.05)
         cfg = FitConfig(window_ev=(W0 - 200.0, W0 + 20.0), initial=guess,
-                        response=response, fss=fss, free=("amplitude",))
+                        fss=fss, free=("amplitude",))
         result = fit(zero_noise, cfg)
         assert result.params.amplitude == pytest.approx(1.0, rel=1e-6)
         assert result.params.endpoint_ev == W0
@@ -170,7 +174,7 @@ class TestMinimize:
                                exposure=exposure, seed=-1)
         guess = truth.with_values(amplitude=9.0, endpoint_ev=W0 - 0.05,
                                   m2nu_ev2=0.3, background=4400.0)
-        result = fit(scaled, make_config(fss, response, guess))
+        result = fit(scaled, make_config(fss, guess))
         assert result.converged
         assert result.params.amplitude == pytest.approx(10.0, rel=1e-5)
         assert abs(result.params.endpoint_ev - W0) < 1e-4
@@ -192,7 +196,7 @@ class TestMinimize:
 
         monkeypatch.setattr(SpectrumParams, "with_values", counting)
         guess = truth.with_values(m2nu_ev2=9990.0)
-        result = fit(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, guess))
         assert rejected
         assert result.converged
         assert abs(result.params.m2nu_ev2) < 1e-3
@@ -200,7 +204,7 @@ class TestMinimize:
 
     def test_window_needs_enough_bins(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth, window=(W0 - 4.0, W0 + 1.0))
+        cfg = make_config(fss, truth, window=(W0 - 4.0, W0 + 1.0))
         with pytest.raises(ValidationError,
                            match="window selects 3 bins; need at least 5"):
             fit(zero_noise, cfg)
@@ -208,7 +212,7 @@ class TestMinimize:
     def test_counts_of_another_length_are_refused(self, setup):
         # the counts are the one input a fit does not take from its model
         fss, response, truth, centers, exposure, zero_noise = setup
-        model = build(zero_noise, make_config(fss, response, truth))
+        model = build(zero_noise, make_config(fss, truth))
         for counts in (zero_noise.counts[1:], np.append(zero_noise.counts, 1),
                        zero_noise.counts[1:] > 0.0):
             with pytest.raises(ValidationError,
@@ -219,14 +223,12 @@ class TestMinimize:
     def test_config_validation(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         with pytest.raises(ValidationError):
-            FitConfig(window_ev=(W0, W0 - 10.0), initial=truth,
-                      response=response, fss=fss)
+            FitConfig(window_ev=(W0, W0 - 10.0), initial=truth, fss=fss)
         with pytest.raises(ValidationError):
-            FitConfig(window_ev=(W0 - 10.0, W0 + 60.0), initial=truth,
-                      response=response, fss=fss)
+            FitConfig(window_ev=(W0 - 10.0, W0 + 60.0), initial=truth, fss=fss)
         with pytest.raises(ValidationError):
             FitConfig(window_ev=(W0 - 10.0, W0), initial=truth,
-                      response=response, fss=fss, free=())
+                      fss=fss, free=())
 
     @pytest.mark.parametrize("setting,fragment", [
         ({"max_iterations": 0}, "max_iterations"),
@@ -237,7 +239,7 @@ class TestMinimize:
         fss, response, truth, centers, exposure, zero_noise = setup
         with pytest.raises(ValidationError, match=fragment):
             FitConfig(window_ev=(W0 - 10.0, W0), initial=truth,
-                      response=response, fss=fss, **setting)
+                      fss=fss, **setting)
 
 
 def central_difference(residuals, x, steps):
@@ -274,7 +276,7 @@ class TestJacobian:
                                     m2nu_ev2=m2nu, background=410.0,
                                     endpoint_drift=drift)
         cfg = FitConfig(window_ev=(W0 - 200.0, W0 + 20.0), initial=initial,
-                        response=response, fss=fss, free=free)
+                        fss=fss, free=free)
         model = build(zero_noise, cfg)
         counts = window_counts(zero_noise, model)
         x = model.x0
@@ -296,8 +298,7 @@ class TestJacobian:
         fss, response, truth, centers, exposure, zero_noise = setup
         dataset = generate_pseudodata(truth, fss, response, centers, exposure,
                                       seed=5)
-        cfg = make_config(fss, response,
-                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
+        cfg = make_config(fss, truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
         result = fit(dataset, cfg)
         assert result.converged
         model = build(dataset, cfg)
@@ -331,7 +332,7 @@ class TestJacobian:
         monkeypatch.setattr(FitModel, "from_pass", counted)
         guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                                   m2nu_ev2=0.5, background=440.0)
-        result = fit(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, guess))
         assert result.converged
         assert result.n_iterations >= 2
         assert len(passes) == len(evaluations)
@@ -342,7 +343,7 @@ class TestJacobian:
         # at the zero-noise truth a full Gauss-Newton step is predicted to
         # lower chi^2 by nothing, so no trial point is evaluated
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth)
+        cfg = make_config(fss, truth)
         model = build(zero_noise, cfg)
         passes = []
         line_blocks = tribeta.kernel._line_blocks
@@ -365,7 +366,7 @@ class TestJacobian:
         monkeypatch.setattr(FitModel, "residuals", lambda self, counts, vec: (
             np.full(len(counts), np.inf), None))
         guess = truth.with_values(amplitude=1.02, m2nu_ev2=0.5)
-        result = fit(zero_noise, make_config(fss, response, guess))
+        result = fit(zero_noise, make_config(fss, guess))
         assert result.message == "damping exhausted"
         assert type(result.converged) is bool
         assert result.params == guess
@@ -376,8 +377,7 @@ class TestJacobian:
         fss, response, truth, centers, exposure, zero_noise = setup
         dataset = generate_pseudodata(truth, fss, response, centers, exposure,
                                       seed=1)
-        cfg = make_config(fss, response,
-                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
+        cfg = make_config(fss, truth.with_values(amplitude=1.01, m2nu_ev2=0.2))
         result = fit(dataset, cfg)
         assert result.message == "predicted chi^2 change below tolerance"
         assert result.params.background > 0.0
@@ -415,8 +415,8 @@ class TestDamping:
     def start(self, setup):
         """The model, and the gradient and J^T J at its initial point."""
         fss, response, truth, centers, exposure, zero_noise = setup
-        model = build(zero_noise, make_config(
-            fss, response, truth.with_values(**self.GUESS)))
+        model = build(zero_noise,
+                      make_config(fss, truth.with_values(**self.GUESS)))
         r, jac = model.from_pass(window_counts(zero_noise, model), model.x0,
                                  model.first_pass)
         return model, jac.T @ r, jac.T @ jac
@@ -481,12 +481,10 @@ class TestFitModel:
         # the lattice of every bin serves the fit only if its window holds
         # every bin
         lattice = Lattice.build(response, centers)
-        expected = expected_dataset(truth, fss, response, centers, exposure,
-                                    lattice)
-        cfg = make_config(fss, response,
-                          truth.with_values(amplitude=1.01, m2nu_ev2=0.2),
+        expected = expected_dataset(truth, fss, lattice, exposure)
+        cfg = make_config(fss, truth.with_values(amplitude=1.01, m2nu_ev2=0.2),
                           window=window)
-        model = FitModel.build(centers, exposure, cfg, lattice)
+        model = FitModel.build(lattice, exposure, cfg)
         for seed in (1, 2):
             dataset = draw_pseudodata(expected, seed)
             assert self.fit_fields(minimize(dataset.counts, model)) == \
@@ -494,17 +492,28 @@ class TestFitModel:
 
     def test_model_arrays_are_read_only(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
-        model = build(zero_noise, make_config(fss, response, truth))
+        model = build(zero_noise, make_config(fss, truth))
         arrays = [model.mask, model.x0, *model.first_pass,
-                  model.lattice.energies, model.lattice.inverse,
-                  model.lattice.weights]
+                  model.lattice.bin_centers, model.lattice.energies,
+                  model.lattice.inverse, model.lattice.weights]
         assert not any(array.flags.writeable for array in arrays)
 
-    def test_lattice_of_other_bins_or_response_is_refused(self, setup):
+    def test_pickle_round_trip_keeps_arrays_read_only(self, setup):
+        # bias_scan sends its fit models and their lattice to its worker
+        # processes by pickle
         fss, response, truth, centers, exposure, zero_noise = setup
-        cfg = make_config(fss, response, truth)
-        for lattice in (Lattice.build(response, centers[1:]),
-                        Lattice.build(response, centers + 0.25),
-                        Lattice.build(ResponseModel(sigma_ev=2.0), centers)):
-            with pytest.raises(ValidationError, match="lattice was built"):
-                FitModel.build(centers, exposure, cfg, lattice)
+        model = build(zero_noise, make_config(fss, truth))
+        back = pickle.loads(pickle.dumps(model))
+        assert back.exposure == model.exposure
+        assert back.lattice.response == model.lattice.response
+
+        def arrays(m):
+            return [m.mask, m.x0, *m.first_pass, m.lattice.bin_centers,
+                    m.lattice.energies, m.lattice.inverse, m.lattice.weights]
+
+        for array, original in zip(arrays(back), arrays(model)):
+            assert np.array_equal(array, original)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert self.fit_fields(minimize(zero_noise.counts, back)) == \
+            self.fit_fields(minimize(zero_noise.counts, model))

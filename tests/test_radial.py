@@ -254,26 +254,28 @@ class TestRotationalBases:
         w, v = eigh(h, subset_by_index=[0, n_states - 1])
         return w * HART, v / np.sqrt(step)
 
-    # K = min(N, max(120, 2 (v_max + 1), 2 (j_max + 1))) projected states.
-    # v12-j12 at q = 4, every J: K = 2 (v_max + 1) alone misses by 5e-4 eV,
-    # a floor of 80 by 3e-9 eV.  v80-j100: K = 162 without the j_max term
-    # misses the J = 100 levels by 3e-9 eV.  grid-cap: 2 (j_max + 1) > N.
-    @pytest.mark.parametrize("build,channel,j_max,v_max,q,every_j,k", [
-        (default_model, 0, 60, 80, None, False, 162),
-        (default_model, 0, 60, 120, None, False, 242),
-        (default_model, 0, 12, 12, 4.0, True, 120),
-        (coulomb_model, 1, 60, 80, None, False, 162),
-        (default_model, 0, 100, 80, None, False, 202),
-        (small_grid_model, 0, 130, 12, None, False, 256),
+    # K = min(N, max(120, 2 (v_max + 1), 2 (j_max + 1))) projected states,
+    # all at q(W0).  v12-j12, every J: K = 2 (v_max + 1) alone misses by
+    # 5e-4 eV, a floor of 80 by 3e-9 eV, and a floor of 100 misses the
+    # probabilities by 3.3e-12, though it passes at q = 4.  v80-j100:
+    # K = 162 without the j_max term misses the J = 100 levels by 3e-9 eV.
+    # grid-cap: 2 (j_max + 1) > N.
+    @pytest.mark.parametrize("build,channel,j_max,v_max,every_j,k", [
+        (default_model, 0, 60, 80, False, 162),
+        (default_model, 0, 60, 120, False, 242),
+        (default_model, 0, 12, 12, True, 120),
+        (coulomb_model, 1, 60, 80, False, 162),
+        (default_model, 0, 100, 80, False, 202),
+        (small_grid_model, 0, 130, 12, False, 256),
     ], ids=["v80", "v120", "v12-j12", "coulomb", "v80-j100", "grid-cap"])
     def test_matches_dense_solve_at_j_max(self, q_endpoint, build, channel,
-                                          j_max, v_max, q, every_j, k):
+                                          j_max, v_max, every_j, k):
         model = build()
         bases = rotational_bases(model, channel, j_max, v_max,
                                  convergence_check=False)
         assert bases.chi.shape[1] == k
         init = solve_initial(model)
-        bessel = spherical_jn_table(j_max, (q or q_endpoint) * init.radii)
+        bessel = spherical_jn_table(j_max, q_endpoint * init.radii)
         for j in range(j_max + 1) if every_j else (j_max,):
             energies, vectors = self.dense_levels(model, channel, j,
                                                   v_max + 1)

@@ -1,6 +1,7 @@
 """Convolution quadrature and seeded Poisson pseudo-data."""
 
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -224,8 +225,7 @@ class TestPoissonSampler:
         p = SpectrumParams(amplitude=1e-10, endpoint_ev=W0, background=5.0)
         r = ResponseModel(sigma_ev=2.5)
         bins = np.arange(W0 - 60.0, W0 + 10.0, 2.0)
-        expected = expected_dataset(p, study_fss, r, bins, 3.0,
-                                    Lattice.build(r, bins))
+        expected = expected_dataset(p, study_fss, Lattice.build(r, bins), 3.0)
         assert np.array_equal(expected.counts,
                               expected_counts(p, study_fss, r, bins, 3.0))
         assert (expected.seed, expected.truth["seed"]) == (-1, None)
@@ -240,6 +240,23 @@ class TestPoissonSampler:
             assert drawn.truth == generated.truth
         # the expected counts are left as they were
         assert expected.truth["seed"] is None
+
+    def test_pickle_round_trip_keeps_expected_read_only(self, study_fss):
+        # bias_scan sends each window's expected counts to its worker
+        # processes by pickle
+        p = SpectrumParams(amplitude=1e-10, endpoint_ev=W0, background=5.0)
+        lattice = Lattice.build(ResponseModel(sigma_ev=2.5),
+                                np.arange(W0 - 60.0, W0 + 10.0, 2.0))
+        expected = expected_dataset(p, study_fss, lattice, 3.0)
+        assert expected.bin_centers is lattice.bin_centers
+        back = pickle.loads(pickle.dumps(expected))
+        assert (back.exposure, back.seed, back.truth) == \
+            (expected.exposure, expected.seed, expected.truth)
+        for name in ("bin_centers", "counts"):
+            array = getattr(back, name)
+            assert np.array_equal(array, getattr(expected, name))
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_counts_match_expectation_scale(self, study_fss):
         p = SpectrumParams(amplitude=1.0, endpoint_ev=W0, background=0.0)
@@ -267,6 +284,18 @@ class TestDatasetIO:
         assert np.allclose(back.bin_centers, ds.bin_centers)
         assert back.seed == 7
         assert back.exposure == 2.0
+
+    def test_expected_counts_are_refused_before_writing(self, tmp_path,
+                                                       study_fss):
+        # float counts would be written as text that load_dataset refuses
+        p = SpectrumParams(amplitude=1e-12, endpoint_ev=W0, background=3.0)
+        lattice = Lattice.build(ResponseModel(sigma_ev=2.5),
+                                np.arange(W0 - 30.0, W0 + 6.0, 3.0))
+        path = tmp_path / "expected.csv"
+        with pytest.raises(ValidationError,
+                           match="counts must be integers, got float64"):
+            save_dataset(expected_dataset(p, study_fss, lattice, 2.0), path)
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def bare_dataset(tmp_path, study_fss):

@@ -132,12 +132,22 @@ def _energy_grid(args) -> np.ndarray:
         raise ValidationError(f"--step must be > 0, got {args.step}")
     if args.points < 1:
         raise ValidationError(f"--points must be >= 1, got {args.points}")
+    for flag, value in (("--emin", args.emin), ("--emax", args.emax)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
     if not args.emin < args.emax:
         raise ValidationError(
             f"--emin must be below --emax, got {args.emin} and {args.emax}")
-    if args.step is not None:
-        return np.arange(args.emin, args.emax + 1e-9, args.step)
-    return np.linspace(args.emin, args.emax, args.points)
+    try:
+        if args.step is not None:
+            return np.arange(args.emin, args.emax + 1e-9, args.step)
+        return np.linspace(args.emin, args.emax, args.points)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses, or fails to allocate, a grid that large
+        flag, value = (("--points", args.points) if args.step is None
+                       else ("--step", args.step))
+        raise ValidationError(f"{flag} {value} gives too many energies from "
+                              f"--emin to --emax: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ class RecoilEngine:
     solve (`rotational_bases`) and are kept as coefficients C_J in that
     solve's K states chi_K.  `overlaps` projects onto chi_K once for all J,
     B = chi_K^T (j_J(qR) chi_0)^T dR, and reads integrals_J = C_J^T B[:, J].
+    chi_0 is exactly zero beyond the leading grid block it was solved on
+    (`solve_initial`), so the Bessel table and that projection run on its
+    support only: 192 of 768 points on the default model.
     Eigenbases are q-independent; a generation run is deterministic given
     the model and grid.  convergence_check runs the N-doubling gate on that
     J = 0 solve only: above it, boxed continuum pseudo-states move on
@@ -81,14 +84,18 @@ class RecoilEngine:
     def overlaps(self, q_au: float) -> FinalStateSpectrum:
         """Full recoil FSS at recoil momentum q (atomic units): one block of
         (J, v) lines per Morse or Coulomb channel, one line per lumped
-        channel.  The provenance holds each channel's truncation deficit
-        1 - sum P / w_c and `truncation_warning`, whether any channel keeps
-        less than TRUNCATION_WARN_FRACTION of its weight."""
+        channel.  j_J(qR) is tabulated and projected on chi_0's support
+        only, since every term beyond it is zero.  The provenance holds each
+        channel's truncation deficit 1 - sum P / w_c and
+        `truncation_warning`, whether any channel keeps less than
+        TRUNCATION_WARN_FRACTION of its weight."""
         check_recoil_momentum(q_au)
         # j_J(0) = delta_J0: at rest every J >= 1 line has P = 0
         j_top = self.j_max if q_au > 0.0 else 0
-        # (j_top + 1) x N: row J is j_J(qR) chi_0
-        radial = spherical_jn_table(j_top, q_au * self.radii) * self.chi0
+        # (j_top + 1) x support: row J is j_J(qR) chi_0
+        support = np.flatnonzero(self.chi0)[-1] + 1
+        radial = spherical_jn_table(j_top, q_au * self.radii[:support]) \
+            * self.chi0[:support]
         blocks = []
         deficits: dict[str, float] = {}
         warned = False
@@ -100,7 +107,7 @@ class RecoilEngine:
                 deficits[ch.label or f"channel{ic}"] = 0.0
                 continue
             bases = self.bases[ic]
-            projected = bases.chi.T @ radial.T * self.step
+            projected = bases.chi[:support].T @ radial.T * self.step
             # integrals[J] = C_J^T projected[:, J]
             integrals = np.matmul(projected.T[:, None, :],
                                   bases.coefficients[:j_top + 1])[:, 0, :]

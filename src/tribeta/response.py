@@ -169,10 +169,17 @@ class PseudoDataset:
     truth: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a writeable array is copied, so the caller's stays writeable and
+        # cannot change the dataset; a read-only one (a lattice's centres)
+        # is shared
+        for name in ("bin_centers", "counts"):
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray) or array.flags.writeable:
+                array = np.array(array)
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
         if np.any(self.counts < 0):
             raise ValidationError("counts must be nonnegative")
-        self.bin_centers.setflags(write=False)
-        self.counts.setflags(write=False)
 
     def __reduce__(self):
         # unpickle through the constructor, which freezes the arrays again

@@ -525,8 +525,15 @@ class TestUsageErrors:
         (["--points", "-3"], "--points"),
         (["--emax", str(W0 - 10.0)], "--emin"),
         (["--emax", str(W0 - 20.0)], "--emin"),
+        (["--emax", "inf", "--points", "3"], "--emax must be finite"),
+        (["--emin=-inf"], "--emin must be finite"),
+        (["--emax", "nan"], "--emax must be finite"),
+        (["--step", "1e-300"], "--step 1e-300 gives too many energies"),
+        (["--points", str(10**19)], "--points 10000000000000000000 gives"),
     ], ids=["step-zero", "step-negative", "step-nan", "points-zero",
-            "points-negative", "emin-equals-emax", "emin-above-emax"])
+            "points-negative", "emin-equals-emax", "emin-above-emax",
+            "emax-inf", "emin-minus-inf", "emax-nan", "step-too-fine",
+            "points-too-many"])
     def test_spectrum_bad_grid(self, small_fss_file, tmp_path, capsys, flags,
                                fragment):
         params = tmp_path / "params.json"

@@ -103,7 +103,8 @@ class TestRecoilOverlaps:
 
     def test_one_dense_solve_per_channel(self, model, monkeypatch):
         # every J of a channel comes from one J = 0 solve; its gate solves
-        # the doubled grid without a dense 2N-point eigh
+        # the doubled grid without a dense 2N-point eigh.  The T2 ground
+        # state is solved on leading blocks of N/8 and N/4 points
         sizes, dense = {}, []
         solve_grid, eigh = radial._solve_grid, radial.eigh
 
@@ -119,7 +120,7 @@ class TestRecoilOverlaps:
         monkeypatch.setattr(radial, "eigh", counted_eigh)
         RecoilEngine(model, j_max=60, v_max=80, convergence_check=True)
         n = model.grid.points
-        assert sizes == {model.initial_mass_au: [n],
+        assert sizes == {model.initial_mass_au: [n // 8, n // 4],
                          model.final_mass_au: [n]}
         assert max(dense) == n
 

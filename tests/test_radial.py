@@ -98,6 +98,53 @@ class TestMorseOracle:
         assert spacing == pytest.approx(omega - anharm, rel=1e-6)
 
 
+class TestInitialBlock:
+    """solve_initial solves the T2 ground state on a leading grid block."""
+
+    @staticmethod
+    def padded_residual(model, n):
+        """|H chi - E chi| / |chi| (hartree) of the ground state of
+        H[:n, :n], zero-padded, with H the dense full-grid Hamiltonian."""
+        radii = model.grid.radii()
+        h = radial._hamiltonian(model.initial.potential(radii), radii,
+                                model.initial_mass_au)
+        w, v = eigh(h[:n, :n], subset_by_index=[0, 0])
+        chi = np.zeros(radii.size)
+        chi[:n] = v[:, 0]
+        return np.linalg.norm(h @ chi - w[0] * chi)
+
+    def test_block_matches_the_dense_solve(self, model):
+        radii = model.grid.radii()
+        w, v = radial._solve_grid(model.initial.potential(radii), radii,
+                                  model.initial_mass_au, 1)
+        ground = solve_initial(model)
+        chi = ground.wavefunctions[:, 0]
+        n = np.flatnonzero(chi)[-1] + 1
+        assert n == radii.size // 4
+        assert not chi[n:].any()
+        # measured: |dE| 1.2e-14 eV, |d chi| 1.4e-13 against max |chi| 1.78
+        assert abs(ground.energies_ev[0] - w[0] * HART) <= 1e-12
+        assert np.abs(np.abs(chi) - np.abs(v[:, 0])).max() <= 1e-12
+        # the kept block passes the certificate and the next smaller fails
+        assert self.padded_residual(model, n) \
+            <= radial.INITIAL_RESIDUAL_HARTREE
+        assert self.padded_residual(model, n // 2) \
+            > radial.INITIAL_RESIDUAL_HARTREE
+
+    def test_a_wide_well_takes_the_full_grid_solve(self, model):
+        # a 0.05 eV well: the ground state reaches the end of the grid
+        wide = replace(model, initial=replace(model.initial, depth_ev=0.05))
+        radii = wide.grid.radii()
+        w, v = radial._solve_grid(wide.initial.potential(radii), radii,
+                                  wide.initial_mass_au, 1)
+        ground = solve_initial(wide)
+        assert np.array_equal(ground.wavefunctions, v)
+        assert np.array_equal(ground.energies_ev,
+                              w * CONSTANTS.hartree_ev)
+        assert self.padded_residual(wide, radii.size // 2) \
+            > radial.INITIAL_RESIDUAL_HARTREE
+
+
 def grid_wavefunctions(bases, j):
     """Grid wavefunctions of J, chi_K C_J (N x (v_max + 1))."""
     return bases.chi @ bases.coefficients[j]

@@ -358,6 +358,18 @@ class TestDatasetIO:
         assert "exposure = 1.0" in message
         assert back.exposure == 1.0
 
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        centers, counts = np.array([1.0, 2.0]), np.array([3, 4])
+        dataset = PseudoDataset(centers, counts, 1.0, 1)
+        assert centers.flags.writeable and counts.flags.writeable
+        centers[0], counts[0] = 9.0, 9
+        back = pickle.loads(pickle.dumps(dataset))
+        for held in (dataset, back):
+            assert held.bin_centers.tolist() == [1.0, 2.0]
+            assert held.counts.tolist() == [3, 4]
+            assert not held.bin_centers.flags.writeable
+            assert not held.counts.flags.writeable
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             PseudoDataset(bin_centers=np.array([1.0]),

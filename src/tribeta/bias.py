@@ -182,9 +182,12 @@ class BiasScanResult:
     flagged: bool = False   # >10% exclusions somewhere
 
     def to_dict(self) -> dict:
+        # a statistic the kept fits leave undefined (NaN) is null
         return {"spec": {**asdict(self.spec), **STUDY_DESIGN},
                 "flagged": self.flagged,
-                "windows": [asdict(w) for w in self.windows]}
+                "windows": [{key: None if math.isnan(value) else value
+                             for key, value in asdict(w).items()}
+                            for w in self.windows]}
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
@@ -201,8 +204,7 @@ class _Window:
     fit first.  A replication fits its Poisson counts with each model,
     `minimize(counts, model)`.  mu and the fit models share one `Lattice` of
     the bins, unless the fit window leaves a bin out.  All their arrays are
-    read-only, in pool workers too, since each class unpickles through its
-    constructor."""
+    read-only, in pool workers too (`errors.ReadOnlyArrays`)."""
 
     expected: PseudoDataset
     fits: tuple[FitModel, ...]

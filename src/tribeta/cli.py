@@ -42,7 +42,7 @@ from .errors import (AccuracyError, ConfigurationError, ModelError,
                      write_document, write_table)
 
 try:
-    from .fit import PARAM_NAMES, FitConfig, FitModel, minimize
+    from .fit import FitConfig, FitModel, minimize
     from .franck_condon import (TRUNCATION_WARN_FRACTION, MoleculeModel,
                                 RecoilEngine, check_recoil_momentum,
                                 default_model, truncation_warned)
@@ -240,16 +240,19 @@ def _cmd_fit(args) -> int:
         print(f"warning: {warning.message}", file=sys.stderr)
     doc = read_document(args.config)
     window = doc.get("window_ev")
-    free = doc.get("free", list(PARAM_NAMES))
-    max_iterations = doc.get("max_iterations", 100)
+    # `free` and `max_iterations` are optional: FitConfig has their defaults
     for key, ok, expected in (
             ("window_ev", isinstance(window, list) and len(window) == 2
              and all(type(x) in (int, float) for x in window), "[lo, hi] in eV"),
-            ("free", isinstance(free, list), "a list of parameter names"),
-            ("max_iterations", type(max_iterations) is int, "an integer")):
+            ("free", "free" not in doc or isinstance(doc["free"], list),
+             "a list of parameter names"),
+            ("max_iterations", "max_iterations" not in doc
+             or type(doc["max_iterations"]) is int, "an integer")):
         if not ok:
             raise ValidationError(
                 f"{args.config} {key}: expected {expected}, got {doc.get(key)!r}")
+    if "free" in doc:
+        doc["free"] = tuple(doc["free"])
     spectrum_fss = load_fss(args.fss)
     with naming(f"{args.config} initial"):
         params = SpectrumParams(**doc["initial"])
@@ -257,8 +260,7 @@ def _cmd_fit(args) -> int:
         response = ResponseModel(**doc.pop("response", {"sigma_ev": 2.5}))
     with naming(args.config):
         config = FitConfig(**{**doc, "window_ev": tuple(window),
-                              "initial": params, "fss": spectrum_fss,
-                              "free": tuple(free)})
+                              "initial": params, "fss": spectrum_fss})
     with naming(f"{args.config} window_ev"):
         mask = config.window_mask(dataset.bin_centers)
     # the model's lowest energy is its lowest bin centre less the reach

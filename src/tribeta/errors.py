@@ -12,11 +12,16 @@ whose message starts with the file and, where there is one, the section
 it came from (`fit.json response: sigma must be finite and positive`).
 
 Every output file is opened by `open_output`, which creates its parent
-directory: JSON documents as `document_text` (`write_document`), CSV
-tables with floats as `.12g` (`write_table`), and the FSS table.
+directory: JSON documents as `document_text` (`write_document`), in which
+a non-finite number is a ValueError, not `NaN`; CSV tables with floats as
+`.12g` (`write_table`); and the FSS table.
+
+`FinalStateSpectrum`, `Lattice`, `PseudoDataset` and `FitModel` derive from
+`ReadOnlyArrays`: each checks and keeps read-only copies of its arrays.
 """
 
 import csv
+import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -48,6 +53,32 @@ class AccuracyError(RuntimeError):
 
 class ModelError(ValueError):
     """Model evaluation produced an unusable value (e.g. negative expected counts)."""
+
+
+def _read_only(value):
+    """`value`, with a read-only copy of each array in it or in its tuple."""
+    if isinstance(value, tuple):
+        return tuple(map(_read_only, value))
+    if isinstance(value, np.ndarray):
+        value = np.array(value)
+        value.setflags(write=False)
+    return value
+
+
+class ReadOnlyArrays:
+    """Base of a frozen dataclass that holds arrays: each array field, or
+    tuple of arrays, becomes the record's own read-only copy, so no edit of
+    the caller's arrays, or of a view's base, reaches it.  A subclass checks
+    the copies, after `super().__post_init__()`.  Unpickling calls the
+    constructor with the `init` fields, so workers get checked copies too."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name)
+                                  for f in dataclasses.fields(self) if f.init))
 
 
 def read_document(path: str) -> dict:
@@ -84,7 +115,7 @@ def open_output(path: str, newline=None):
 
 
 def document_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_document(path: str, doc) -> None:

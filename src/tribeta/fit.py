@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelError, ValidationError
+from .errors import ModelError, ReadOnlyArrays, ValidationError
 from .fss import FinalStateSpectrum
 from .kernel import SpectrumParams
 from .response import Lattice
@@ -148,7 +148,7 @@ def _unit_shape(config: FitConfig, vec: np.ndarray) -> SpectrumParams:
 
 
 @dataclass(frozen=True, eq=False)
-class FitModel:
+class FitModel(ReadOnlyArrays):
     """Everything a fit reads but the counts: the config and exposure, which
     of the dataset's bins lie inside the window (`mask`), the `Lattice` of
     those bins, the initial values of the free parameters (`x0`), and the
@@ -173,16 +173,6 @@ class FitModel:
     lattice: Lattice
     x0: np.ndarray
     first_pass: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        for array in (self.mask, self.x0, *self.first_pass):
-            array.setflags(write=False)
-
-    def __reduce__(self):
-        # unpickle through the constructor, which freezes the arrays again
-        # (bias_scan worker processes receive fit models by pickle)
-        return (type(self), (self.config, self.exposure, self.mask,
-                             self.lattice, self.x0, self.first_pass))
 
     @classmethod
     def build(cls, lattice: Lattice, exposure: float,

@@ -44,7 +44,7 @@ class MorseParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform radial grid (bohr)."""
+    """Uniform radial grid (bohr); r_min > 0, where 1/R^2 is finite."""
 
     r_min_bohr: float = 0.3
     r_max_bohr: float = 12.0
@@ -53,8 +53,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 256:
             raise ValidationError("grid must have at least 256 points")
-        if not -math.inf < self.r_min_bohr < self.r_max_bohr < math.inf:
-            raise ValidationError("grid radii must be finite, with r_max > r_min")
+        if not 0.0 < self.r_min_bohr < self.r_max_bohr < math.inf:
+            raise ValidationError("grid radii need 0 < r_min < r_max < inf")
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min_bohr, self.r_max_bohr, self.points)
@@ -88,7 +88,8 @@ class Channel:
 
 @dataclass(frozen=True)
 class MoleculeModel:
-    """Initial curve, final channels, masses and the radial grid."""
+    """Initial curve, final channels, masses and the radial grid.  The
+    initial and every channel potential are finite on the grid."""
 
     initial: MorseParams
     channels: tuple[Channel, ...]
@@ -116,6 +117,14 @@ class MoleculeModel:
                 raise ValidationError(
                     f"grid r_max {self.grid.r_max_bohr} too small; "
                     f"need > R_e + 10/a = {reach:.2f} bohr")
+        with np.errstate(all="ignore"):  # a steep Morse wall overflows
+            curves = [("initial", self.initial.potential(self.grid.radii()))]
+            curves += [(f"channel {i} ({c.label or c.kind})", self.potential(i))
+                       for i, c in enumerate(self.channels) if c.kind != "line"]
+        for name, values in curves:
+            if not np.isfinite(values).all():
+                raise ValidationError(
+                    f"{name} potential is not finite on the grid")
 
     def potential(self, channel: int) -> np.ndarray:
         """Channel potential on the grid, in hartree."""

@@ -218,16 +218,14 @@ def solve_radial(model: MoleculeModel, channel: int = 0, n_states: int = 31,
         fine = replace(model, grid=GridSpec(
             model.grid.r_min_bohr, model.grid.r_max_bohr, 2 * model.grid.points))
         fine_radii, fine_potential = fine.grid.radii(), fine.potential(channel)
-        # the kinetic matrix is finite, so this is lu_factor's check_finite
-        if not np.isfinite(fine_potential).all():
-            raise ValueError("array must not contain infs or NaNs")
         h = _hamiltonian(fine_potential, fine_radii, fine.final_mass_au)
         sigma = fine_potential.min()
         h[np.diag_indices(fine_radii.size)] -= sigma
         with ThreadPoolExecutor(max_workers=1) as worker:
             # h is exactly symmetric, so its F-ordered view h.T is the same
             # matrix and LAPACK factors it in place; a C-ordered h would be
-            # copied (19 MB at 2N = 1536)
+            # copied (19 MB at 2N = 1536).  A MoleculeModel's potentials
+            # are finite on its grid, so h is finite and needs no check.
             factors = worker.submit(lu_factor, h.T, overwrite_a=True,
                                     check_finite=False)
             w, v = _solve_grid(potential, radii, model.final_mass_au,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FssParseError, ValidationError, open_output
+from .errors import FssParseError, ReadOnlyArrays, ValidationError, open_output
 
 #: upper bound on the summed line probabilities; the slack above 1 absorbs
 #: roundoff in generated spectra
@@ -50,7 +50,7 @@ class MomentSet:
 
 
 @dataclass(frozen=True, eq=False)
-class FinalStateSpectrum:
+class FinalStateSpectrum(ReadOnlyArrays):
     """Immutable FSS: read-only line columns sorted by energy, with
     provenance metadata.  The labels are int64, the channel >= 0, and J and
     v >= 0 or -1 where a line has none: the rules `load_fss` applies to a
@@ -65,6 +65,7 @@ class FinalStateSpectrum:
     provenance: dict
 
     def __post_init__(self):
+        super().__post_init__()
         e, p = self.energies, self.probabilities
         labels = (self.channels, self.rotations, self.vibrations)
         if not e.size:
@@ -91,15 +92,6 @@ class FinalStateSpectrum:
         if not (0.0 < total <= _TOTAL_PROBABILITY_MAX):
             raise ValidationError(
                 f"total probability {total} outside (0, {_TOTAL_PROBABILITY_MAX}]")
-        for column in (e, p, *labels):
-            column.setflags(write=False)
-
-    def __reduce__(self):
-        # unpickle through the constructor, which checks and freezes the
-        # columns again (bias_scan worker processes receive spectra by pickle)
-        return (type(self), (self.energies, self.probabilities, self.channels,
-                             self.rotations, self.vibrations, self.q_ref,
-                             self.provenance))
 
     @property
     def total_probability(self) -> float:

@@ -21,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigurationError, ModelError, ValidationError,
-                     read_document, write_document, write_table)
+from .errors import (ConfigurationError, ModelError, ReadOnlyArrays,
+                     ValidationError, read_document, write_document,
+                     write_table)
 from .fss import FinalStateSpectrum
 from .kernel import (SpectrumParams, integral_spectrum,
                      integral_spectrum_derivatives, spectrum_prefactor)
@@ -68,7 +69,7 @@ class ResponseModel:
 
 
 @dataclass(frozen=True)
-class Lattice:
+class Lattice(ReadOnlyArrays):
     """A binning: the bin centres under a response, with their bins x
     offsets convolution grid reduced to its distinct energies.
 
@@ -89,21 +90,9 @@ class Lattice:
     _prefactors: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
-    def __post_init__(self):
-        # fits that share a lattice cannot alter one another's
-        for array in (self.bin_centers, self.energies, self.inverse,
-                      self.weights):
-            array.setflags(write=False)
-
-    def __reduce__(self):
-        # unpickle through the constructor, which freezes the arrays again;
-        # the prefactors are computed anew
-        return (type(self), (self.response, self.bin_centers, self.energies,
-                             self.inverse, self.weights))
-
     @classmethod
     def build(cls, response: ResponseModel, bin_centers) -> "Lattice":
-        centers = np.array(bin_centers, dtype=float, ndmin=1).ravel()
+        centers = np.asarray(bin_centers, dtype=float).ravel()
         grid = centers[:, None] - response.offsets()[None, :]
         energies, inverse = np.unique(grid, return_inverse=True)
         return cls(response, centers, energies, inverse.reshape(grid.shape),
@@ -159,7 +148,7 @@ def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
 
 
 @dataclass(frozen=True)
-class PseudoDataset:
+class PseudoDataset(ReadOnlyArrays):
     """Binned observed counts with the generating truth record."""
 
     bin_centers: np.ndarray
@@ -169,22 +158,9 @@ class PseudoDataset:
     truth: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a writeable array is copied, so the caller's stays writeable and
-        # cannot change the dataset; a read-only one (a lattice's centres)
-        # is shared
-        for name in ("bin_centers", "counts"):
-            array = getattr(self, name)
-            if not isinstance(array, np.ndarray) or array.flags.writeable:
-                array = np.array(array)
-                array.setflags(write=False)
-                object.__setattr__(self, name, array)
+        super().__post_init__()
         if np.any(self.counts < 0):
             raise ValidationError("counts must be nonnegative")
-
-    def __reduce__(self):
-        # unpickle through the constructor, which freezes the arrays again
-        return (type(self), (self.bin_centers, self.counts, self.exposure,
-                             self.seed, self.truth))
 
     def __len__(self) -> int:
         return len(self.bin_centers)
@@ -254,8 +230,7 @@ def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
                      lattice: Lattice, exposure: float) -> PseudoDataset:
     """The expected counts mu on the lattice's bins as a dataset (the Asimov
     dataset): float counts, seed -1 and the truth record of
-    `generate_pseudodata`, which draws its counts from it.  The dataset's
-    bin centres are the lattice's.
+    `generate_pseudodata`, which draws its counts from it.
 
     exposure = 0 is allowed and yields background-only counts.
     """

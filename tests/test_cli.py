@@ -314,6 +314,15 @@ def test_unserializable_document_leaves_no_file(tmp_path):
     assert not new.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_non_finite_number_is_not_written(tmp_path, value):
+    # NaN and Infinity are not JSON
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_document(str(path), {"value": [1.0, value]})
+    assert not path.exists()
+
+
 class TestStudies:
     def test_fig2_outputs(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -333,6 +342,24 @@ class TestStudies:
         doc = json.loads((tmp_path / "bias.csv.json").read_text())
         assert doc["windows"][0]["n_fits"] == 2
 
+    def test_bias_scan_undefined_statistics_are_null(self, tmp_path):
+        # one kept fit leaves every standard error undefined
+        out = tmp_path / "bias.csv"
+        assert run_cli(["bias-scan", "--depths", "100", "--replications",
+                        "1", "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads(Path(f"{out}.json").read_text(),
+                         parse_constant=refuse)
+        window, = doc["windows"]
+        assert window["n_fits"] == 1
+        assert [window[key] for key in ("se_m2nu", "se_w0_shift",
+                                        "control_se_m2nu")] == [None] * 3
+        assert np.isfinite(window["mean_m2nu"])
+        # the CSV table keeps its nan cells
+        assert out.read_text().splitlines()[1].count(",nan,") == 3
 
     def test_bias_scan_jobs_flag(self):
         parser = tribeta.cli.build_parser()
@@ -768,12 +795,20 @@ class TestUsageErrors:
         (("channels", 2, "z_eff"), float("inf"), " channels[2]", "z_eff"),
         (("grid", "r_max_bohr"), float("nan"), " grid", "grid radii"),
         (("grid", "r_min_bohr"), float("-inf"), " grid", "grid radii"),
+        # 1/(2 M R^2) is infinite at R = 0
+        (("grid", "r_min_bohr"), 0.0, " grid", "grid radii"),
+        # exp(-a (R - R_e)) overflows at r_min
+        (("initial", "steepness_inv_bohr"), 1000.0, "",
+         "initial potential is not finite on the grid"),
+        (("channels", 0, "morse", "steepness_inv_bohr"), 1000.0, "",
+         "channel 0 (ionic ground) potential is not finite on the grid"),
         (("final_mass_au",), "x", "", "'<' not supported"),
         (("gird",), {"points": 512}, "", "'gird'"),
         (("initial",), None, " initial", "missing"),
     ], ids=["depth-nan", "steepness-inf", "final-mass-nan",
             "initial-mass-inf", "offset-nan", "z-eff-inf", "r-max-nan",
-            "r-min-inf", "final-mass-string", "unknown-key", "initial-missing"])
+            "r-min-inf", "r-min-zero", "initial-steep", "channel-steep",
+            "final-mass-string", "unknown-key", "initial-missing"])
     def test_fss_gen_non_finite_model(self, tmp_path, capsys, monkeypatch,
                                       path, value, section, fragment):
         def unreachable(*args, **kwargs):
@@ -796,6 +831,21 @@ class TestUsageErrors:
         self.assert_input_error(
             ["fss", "gen", "--q", "5", "--model", str(model), "--out",
              str(out)], capsys, f"error: {model}{section}: ", fragment)
+        assert not out.exists()
+
+    def test_fss_gen_coulomb_channel_infinite_on_the_grid(self, tmp_path,
+                                                          capsys):
+        # z_eff / R overflows at a subnormal r_min
+        doc = default_model().to_dict()
+        doc["grid"]["r_min_bohr"] = 1e-310
+        doc["channels"][2].update(kind="coulomb", label="")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "fss.dat"
+        self.assert_input_error(
+            ["fss", "gen", "--q", "5", "--model", str(model), "--out",
+             str(out)], capsys, f"error: {model}: ",
+            "channel 2 (coulomb) potential is not finite on the grid")
         assert not out.exists()
 
     @pytest.mark.parametrize("section,doc,unknown", [

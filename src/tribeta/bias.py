@@ -104,6 +104,12 @@ def fig2_study(fss: FinalStateSpectrum, endpoint_ev: float = DEFAULT_ENDPOINT_EV
     # `not 0 <= x < inf` so that NaN fails too
     if not 0.0 <= m_nu_ev < math.inf:
         raise ValidationError(f"m_nu must be finite and >= 0, got {m_nu_ev}")
+    # c_fit divides by m_nu^4; a product overflows to inf where `**` raises
+    m2 = m_nu_ev * m_nu_ev
+    if m_nu_ev > 0.0 and not np.finfo(float).tiny <= m2 * m2 < math.inf:
+        raise ValidationError(
+            "m_nu^4 must be a normal float: m_nu must be 0 or within about "
+            f"[1.2e-77, 1.2e77] eV, got {m_nu_ev}")
     depths = np.geomspace(2.0, 300.0, 240)
     params = SpectrumParams(amplitude=1.0, endpoint_ev=endpoint_ev,
                             m2nu_ev2=m_nu_ev ** 2)

@@ -7,7 +7,9 @@ is Levenberg-Marquardt, damped on diag(J^T J), with a closed-form
 Jacobian: mu is linear in A and b, and the W0 and m2nu columns come from
 `kernel.integral_spectrum_derivatives` in the same kernel pass as mu
 (`response.Lattice.counts_with_derivatives`), so each trial point costs
-one pass for its residuals and Jacobian together.  The
+one pass for its residuals and Jacobian together.  A fit point is one
+vector (A, W0, m2nu, b) in PARAM_NAMES order; a step moves only the free
+entries (`FitModel.free`), so fixed ones keep their initial bits.  The
 (eps_n^2 - m2nu)^{3/2} term is C^1 at threshold for m2nu >= 0; for
 m2nu < 0 it jumps by |m2nu|^{3/2} at eps_n = 0, and the Jacobian is the
 derivative away from that jump.
@@ -44,8 +46,8 @@ on "damping exhausted" when its gradient test fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -60,20 +62,11 @@ CHI2_TOL = 1e-10      # relative chi^2 change
 STEP_TOL = 1e-4       # accepted step, in parameter scales
 GRADIENT_TOL = 1e-8   # scaled gradient max-norm
 
-#: parameter scales for the gradient and step tolerances:
-#: A * 1e-6, 1e-4 eV, 1e-3 eV^2, b * 1e-4
-def _param_scales(x0: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    scales = []
-    for name, value in zip(names, x0):
-        if name == "amplitude":
-            scales.append(abs(value) * 1e-6)
-        elif name == "endpoint":
-            scales.append(1e-4)
-        elif name == "m2nu":
-            scales.append(1e-3)
-        else:
-            scales.append(max(abs(value), 1.0) * 1e-4)
-    return np.array(scales)
+
+def _param_scales(x: np.ndarray) -> np.ndarray:
+    """The scales of the gradient and step tolerances at the parameter
+    vector x: A * 1e-6, 1e-4 eV, 1e-3 eV^2, max(b, 1) * 1e-4."""
+    return np.array([abs(x[0]) * 1e-6, 1e-4, 1e-3, max(abs(x[3]), 1.0) * 1e-4])
 
 
 @dataclass(frozen=True)
@@ -132,36 +125,23 @@ class FitResult:
     message: str = ""
 
 
-def _params_vector(params: SpectrumParams) -> dict:
-    return {"amplitude": params.amplitude, "endpoint": params.endpoint_ev,
-            "m2nu": params.m2nu_ev2, "background": params.background}
-
-
-def _unit_shape(config: FitConfig, vec: np.ndarray) -> SpectrumParams:
-    """The unit-amplitude, zero-background shape at the free-parameter
-    vector; a ValidationError if its W0 or m2nu leaves the sane region."""
-    p = _params_vector(config.initial)
-    p.update(zip(config.free, vec))
-    return config.initial.with_values(
-        amplitude=1.0, endpoint_ev=p["endpoint"], m2nu_ev2=p["m2nu"],
-        background=0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class FitModel(ReadOnlyArrays):
     """Everything a fit reads but the counts: the config and exposure, which
     of the dataset's bins lie inside the window (`mask`), the `Lattice` of
-    those bins, the initial values of the free parameters (`x0`), and the
-    first kernel pass, the unit-amplitude mu with its W0 and m2nu columns
-    at x0.
+    those bins, the initial parameter vector (`x0`, all four parameters in
+    PARAM_NAMES order), and the first kernel pass, the unit-amplitude mu
+    with its W0 and m2nu columns at x0.  `free` holds the positions of
+    `config.free` in PARAM_NAMES, in that order: a fit moves those entries
+    of the vector and leaves the others at their initial bits.
 
     Fits of datasets on the same bins with the same exposure share one:
     `minimize(counts, model)`.  Its arrays are read-only, also after
     unpickling.
 
     The Pearson residuals (n - mu) / sqrt(max(mu, 1)) of the window's counts
-    n and their Jacobian come from one kernel pass per free-parameter
-    vector.  mu is linear in A and b, so it is built from the
+    n and their Jacobian in the free parameters come from one kernel pass
+    per parameter vector.  mu is linear in A and b, so it is built from the
     unit-amplitude, zero-background shape, and trial steps with A <= 0 or
     b < 0 are still evaluated; a trial W0 or m2nu outside the sane region
     gives infinite residuals and no Jacobian, a rejected step.
@@ -173,6 +153,12 @@ class FitModel(ReadOnlyArrays):
     lattice: Lattice
     x0: np.ndarray
     first_pass: tuple[np.ndarray, np.ndarray, np.ndarray]
+    free: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", np.array(
+            [PARAM_NAMES.index(name) for name in self.config.free]))
+        super().__post_init__()
 
     @classmethod
     def build(cls, lattice: Lattice, exposure: float,
@@ -184,37 +170,38 @@ class FitModel(ReadOnlyArrays):
         if not mask.all():
             lattice = Lattice.build(lattice.response,
                                     lattice.bin_centers[mask])
-        initial = _params_vector(config.initial)
-        x0 = np.array([initial[name] for name in config.free])
+        initial = config.initial
+        x0 = np.array([initial.amplitude, initial.endpoint_ev,
+                       initial.m2nu_ev2, initial.background])
         first_pass = lattice.counts_with_derivatives(
-            _unit_shape(config, x0), config.fss, exposure)
+            initial.with_values(amplitude=1.0, background=0.0), config.fss,
+            exposure)
         return cls(config, exposure, mask, lattice, x0, first_pass)
 
-    def residuals(self, counts: np.ndarray, vec: np.ndarray):
-        """(residuals, Jacobian) of the window's `counts` at vec, from one
-        kernel pass; (inf residuals, None) if vec is insane."""
+    def residuals(self, counts: np.ndarray, x: np.ndarray):
+        """(residuals, Jacobian) of the window's `counts` at the parameter
+        vector x, from one kernel pass; (inf residuals, None) if x's W0 or
+        m2nu is insane."""
         try:
-            shape = _unit_shape(self.config, vec)
+            shape = self.config.initial.with_values(
+                amplitude=1.0, endpoint_ev=x[1], m2nu_ev2=x[2], background=0.0)
         except ValidationError:
             return np.full(len(counts), np.inf), None
         kernel_pass = self.lattice.counts_with_derivatives(
             shape, self.config.fss, self.exposure)
-        return self.from_pass(counts, vec, kernel_pass)
+        return self.from_pass(counts, x, kernel_pass)
 
-    def from_pass(self, counts: np.ndarray, vec: np.ndarray, kernel_pass):
-        """(residuals, Jacobian) of the window's `counts` at vec from its
-        kernel pass: the unit mu, dmu/dW0 and dmu/dm2nu."""
+    def from_pass(self, counts: np.ndarray, x: np.ndarray, kernel_pass):
+        """(residuals, Jacobian in the `free` entries) of the window's
+        `counts` at x from its kernel pass: unit mu, dmu/dW0, dmu/dm2nu."""
         unit, d_w0, d_m2 = kernel_pass
-        p = _params_vector(self.config.initial)
-        p.update(zip(self.config.free, vec))
-        amplitude = p["amplitude"]
-        mu = amplitude * unit + p["background"]
+        amplitude = x[0]
+        mu = amplitude * unit + x[3]
         s = np.sqrt(np.maximum(mu, 1.0))
         r = (counts - mu) / s
-        dmu = {"amplitude": unit, "endpoint": amplitude * d_w0,
-               "m2nu": amplitude * d_m2, "background": np.ones(len(counts))}
+        dmu = (unit, amplitude * d_w0, amplitude * d_m2, np.ones(len(counts)))
         dr_dmu = -(1.0 + np.where(mu > 1.0, r / (2.0 * s), 0.0)) / s
-        jac = np.column_stack([dmu[name] for name in self.config.free])
+        jac = np.column_stack([dmu[i] for i in self.free])
         return r, jac * dr_dmu[:, None]
 
 
@@ -242,10 +229,10 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
                               f"{model.mask.size} bins")
     config = model.config
     counts = np.asarray(counts)[model.mask].astype(float)
-    free = config.free
-    r, jac = model.from_pass(counts, model.x0, model.first_pass)
+    free = model.free
     x = model.x0
-    scales = _param_scales(x, free)
+    r, jac = model.from_pass(counts, x, model.first_pass)
+    scales = _param_scales(x)[free]
 
     chi2 = float(r @ r)
     if not np.isfinite(chi2):
@@ -281,7 +268,9 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
             except np.linalg.LinAlgError:
                 lam = max(10.0 * lam, 1e-3)
                 continue
-            r_try, jac_try = model.residuals(counts, x + delta)
+            trial = x.copy()
+            trial[free] += delta
+            r_try, jac_try = model.residuals(counts, trial)
             chi2_try = float(r_try @ r_try)
             if np.isfinite(chi2_try) and chi2_try < chi2:
                 accepted = True
@@ -295,7 +284,7 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
             message = "damping exhausted"
             break
         change = chi2 - chi2_try
-        x = x + delta
+        x = trial
         r, jac = r_try, jac_try
         chi2 = chi2_try
         lam /= 3.0
@@ -318,19 +307,18 @@ def minimize(counts: np.ndarray, model: FitModel) -> FitResult:
             covariance, errors = None, None
         else:
             errors = {name: float(math.sqrt(d))
-                      for name, d in zip(free, diag)}
+                      for name, d in zip(config.free, diag)}
     except np.linalg.LinAlgError:
         covariance = None
 
-    values = _params_vector(config.initial)
-    values.update(zip(free, x))
+    amplitude, endpoint, m2nu, background = x
     try:
         fitted = config.initial.with_values(
-            amplitude=values["amplitude"], endpoint_ev=values["endpoint"],
-            m2nu_ev2=values["m2nu"], background=max(values["background"], 0.0))
+            amplitude=amplitude, endpoint_ev=endpoint, m2nu_ev2=m2nu,
+            background=max(background, 0.0))
     except ValidationError as exc:
         raise ModelError(f"fit left the sane parameter region: {exc}") from exc
-    return FitResult(params=fitted, free_names=free, errors=errors,
+    return FitResult(params=fitted, free_names=config.free, errors=errors,
                      covariance=covariance, chi2=chi2,
                      dof=len(counts) - len(free), n_iterations=iteration,
                      converged=converged, window_ev=config.window_ev,

@@ -54,6 +54,11 @@ class ResponseModel:
                 "convolution support must be finite and span >= 6 sigma")
         if not 0.0 < self.step_fraction <= 0.1 + 1e-12:
             raise ConfigurationError("grid step must satisfy 0 < step <= sigma/10")
+        reach = float(self.offsets()[-1])  # weights exp(-x^2 / 2 sigma^2)
+        if not (reach * reach < math.inf and self.sigma_ev ** 2 > 0.0):
+            raise ConfigurationError(
+                f"sigma = {self.sigma_ev:g} eV gives no finite Gaussian "
+                f"weights: need sigma^2 > 0 and a finite ({reach:g} eV)^2")
 
     def offsets(self) -> np.ndarray:
         n = int(math.ceil(self.half_width_sigmas / self.step_fraction))
@@ -149,12 +154,11 @@ def convolve(spectrum: Callable, response: ResponseModel) -> Callable:
 
 @dataclass(frozen=True)
 class PseudoDataset(ReadOnlyArrays):
-    """Binned observed counts with the generating truth record."""
+    """Binned observed counts with the generating truth record and seed."""
 
     bin_centers: np.ndarray
     counts: np.ndarray
     exposure: float
-    seed: int
     truth: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -229,7 +233,7 @@ def expected_counts(params: SpectrumParams, fss: FinalStateSpectrum,
 def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
                      lattice: Lattice, exposure: float) -> PseudoDataset:
     """The expected counts mu on the lattice's bins as a dataset (the Asimov
-    dataset): float counts, seed -1 and the truth record of
+    dataset): float counts and the truth record of
     `generate_pseudodata`, which draws its counts from it.
 
     exposure = 0 is allowed and yields background-only counts.
@@ -253,7 +257,7 @@ def expected_dataset(params: SpectrumParams, fss: FinalStateSpectrum,
     }
     return PseudoDataset(bin_centers=centers,
                          counts=lattice.counts(params, fss, exposure),
-                         exposure=exposure, seed=-1, truth=truth)
+                         exposure=exposure, truth=truth)
 
 
 def draw_pseudodata(expected: PseudoDataset, seed: int) -> PseudoDataset:
@@ -262,7 +266,7 @@ def draw_pseudodata(expected: PseudoDataset, seed: int) -> PseudoDataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = poisson_sample(rng, expected.counts)
     return PseudoDataset(bin_centers=expected.bin_centers, counts=counts,
-                         exposure=expected.exposure, seed=seed,
+                         exposure=expected.exposure,
                          truth={**expected.truth, "seed": seed})
 
 
@@ -293,8 +297,8 @@ def save_dataset(dataset: PseudoDataset, path) -> None:
 
 
 def load_dataset(path) -> PseudoDataset:
-    """Read a `save_dataset` CSV, with exposure and seed from `<path>.json`;
-    `path` is a string or an `os.PathLike`."""
+    """Read a `save_dataset` CSV, with exposure and truth record (an integer
+    seed, if any) from `<path>.json`; `path` is a str or an `os.PathLike`."""
     path = os.fspath(path)
     centers, counts = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -337,4 +341,4 @@ def load_dataset(path) -> PseudoDataset:
         raise ValidationError(
             f"{sidecar} seed: expected an integer, got {seed!r}")
     return PseudoDataset(bin_centers=np.array(centers), counts=np.array(counts),
-                         exposure=exposure, seed=seed, truth=truth)
+                         exposure=exposure, truth=truth)

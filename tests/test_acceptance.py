@@ -188,7 +188,7 @@ def test_criterion_11_exact_recovery():
     exposure = 1e8 / rate
     mu = expected_counts(truth, fss, response, centers, exposure)
     dataset = PseudoDataset(bin_centers=centers, counts=mu,
-                            exposure=exposure, seed=-1)
+                            exposure=exposure)
     guess = truth.with_values(amplitude=1.02, endpoint_ev=W0 - 0.1,
                               m2nu_ev2=0.5, background=420.0)
     config = FitConfig(window_ev=(centers[0], centers[-1]), initial=guess,

@@ -183,7 +183,8 @@ class TestBiasScanExclusions:
         drawn = recording_draws(monkeypatch)
 
         def flaky_minimize(counts, model):
-            key = (drawn[id(counts)].seed, model.config.initial.endpoint_drift)
+            key = (drawn[id(counts)].truth["seed"],
+                   model.config.initial.endpoint_drift)
             fits[key] = result = minimize(counts, model)
             return dataclasses.replace(result,
                                        converged=key not in failing)
@@ -234,8 +235,8 @@ class TestBiasScanExclusions:
 
         def flaky_minimize(counts, model):
             result = minimize(counts, model)
-            return dataclasses.replace(result,
-                                       converged=drawn[id(counts)].seed != 3)
+            seed = drawn[id(counts)].truth["seed"]
+            return dataclasses.replace(result, converged=seed != 3)
 
         monkeypatch.setattr(tribeta.bias, "minimize", flaky_minimize)
         result = bias_scan(spec, fss=study_fss)

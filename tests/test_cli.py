@@ -593,11 +593,16 @@ class TestUsageErrors:
             capsys, "window depths must be at most 1000 eV", "got 1500")
         assert not out.exists()
 
-    @pytest.mark.parametrize("mnu", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("mnu", ["nan", "inf", "-1", "1e-100", "1e200"])
     def test_fig2_bad_mass(self, tmp_path, capsys, mnu):
+        # a finite m_nu > 0 is refused where m_nu^4 underflows, so that
+        # c_fit would be infinite, or where m_nu^2 overflows
+        fragment = ("m_nu must be finite and >= 0"
+                    if mnu in ("nan", "inf", "-1")
+                    else "m_nu^4 must be a normal float")
         out = tmp_path / "fig2.csv"
         self.assert_input_error(["fig2", "--mnu", mnu, "--out", str(out)],
-                                capsys, "m_nu must be finite and >= 0")
+                                capsys, fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize("q", ["nan", "inf", "-1"])
@@ -752,22 +757,28 @@ class TestUsageErrors:
             capsys, f"error: {params}: ", fragment)
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e-200", "1e300"])
     def test_convolve_non_finite_sigma(self, tmp_path, capsys, sigma):
+        # a finite sigma is refused where sigma^2 underflows to 0, so that
+        # every weight would be NaN, or where the reach's square overflows
+        fragment = ("sigma must be finite" if sigma in ("nan", "inf")
+                    else "gives no finite Gaussian weights")
         rates = tmp_path / "rates.csv"
         rates.write_text("epsilon_beta_eV,rate\n1.0,2.0\n2.0,3.0\n")
         out = tmp_path / "out.csv"
         self.assert_input_error(
             ["convolve", "--rates", str(rates), "--sigma", sigma,
-             "--out", str(out)], capsys, "sigma must be finite")
+             "--out", str(out)], capsys, fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value,fragment", [
         ("response", "half_width_sigmas", float("inf"), "6 sigma"),
         ("response", "sigma_ev", float("nan"), "sigma must be finite"),
+        ("response", "sigma_ev", 1e-200, "no finite Gaussian weights"),
         ("initial", "m2nu_ev2", float("nan"), "m2nu"),
         ("initial", None, None, "missing"),
-    ], ids=["half-width-inf", "sigma-nan", "m2nu-nan", "initial-missing"])
+    ], ids=["half-width-inf", "sigma-nan", "sigma-tiny", "m2nu-nan",
+            "initial-missing"])
     def test_fit_config_non_finite(self, fit_inputs, tmp_path, capsys,
                                    section, key, value, fragment):
         argv = list(fit_inputs[0])
@@ -922,7 +933,7 @@ class TestUsageErrors:
         # 2 eV is within the 15 eV response half-width of 0 eV
         data = tmp_path / "low.csv"
         resp.save_dataset(resp.PseudoDataset(
-            np.arange(2.0, 16.0, 2.0), np.full(7, 100), 1.0, 1,
+            np.arange(2.0, 16.0, 2.0), np.full(7, 100), 1.0,
             {"exposure": 1.0, "seed": 1}), str(data))
         config = tmp_path / "fit.json"
         config.write_text(json.dumps({

@@ -248,11 +248,14 @@ def _reads_whole(cls):
 
 
 def test_every_dataclass_field_is_read():
-    """A field that nothing in src/ reads is state no output depends on."""
+    """A field that nothing in src/ reads is state no output depends on.
+    A read through the CLI's argparse namespace `args` reads an option, not
+    a field."""
     modules = _modules()
     reads = {node.attr for tree in modules.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load)}
+             and isinstance(node.ctx, ast.Load)
+             and getattr(node.value, "id", None) != "args"}
     unread = []
     for path, tree in modules.items():
         for cls in ast.walk(tree):

@@ -9,7 +9,8 @@ import pytest
 
 import tribeta.kernel
 from tribeta.errors import ValidationError
-from tribeta.fit import FitConfig, FitModel, _param_scales, minimize
+from tribeta.fit import (PARAM_NAMES, FitConfig, FitModel, _param_scales,
+                         minimize)
 from tribeta.fss import from_lines
 from tribeta.kernel import SpectrumParams
 from tribeta.response import (Lattice, PseudoDataset, ResponseModel,
@@ -34,7 +35,7 @@ def setup(study_fss):
     exposure = 1e8 / rate
     mu = expected_counts(truth, study_fss, response, centers, exposure)
     zero_noise = PseudoDataset(bin_centers=centers, counts=mu,
-                               exposure=exposure, seed=-1)
+                               exposure=exposure)
     return study_fss, response, truth, centers, exposure, zero_noise
 
 
@@ -166,12 +167,43 @@ class TestMinimize:
         assert result.params.m2nu_ev2 == 0.0
         assert result.dof == len(centers) - 1
 
+    @pytest.mark.parametrize("order", [("m2nu", "endpoint"),
+                                       PARAM_NAMES[::-1]],
+                             ids=["two-free", "four-free"])
+    def test_order_of_free_is_kept(self, setup, order):
+        # free_names, the errors and the covariance follow config.free, and
+        # the fit is the same in either order up to that permutation
+        fss, response, truth, centers, exposure, zero_noise = setup
+        dataset = generate_pseudodata(truth, fss, response, centers, exposure,
+                                      seed=2)
+        guess = truth.with_values(endpoint_ev=W0 - 0.1, m2nu_ev2=0.2)
+        results = [fit(dataset, replace(make_config(fss, guess), free=free))
+                   for free in (order, order[::-1])]
+        for free, result in zip((order, order[::-1]), results):
+            assert result.converged
+            assert result.free_names == free
+            assert list(result.errors) == list(free)
+            assert result.covariance.shape == (len(free), len(free))
+            if len(free) == 2:
+                assert result.params.amplitude == guess.amplitude
+                assert result.params.background == guess.background
+        given, reversed_ = results
+        values = [(p.amplitude, p.endpoint_ev, p.m2nu_ev2, p.background)
+                  for p in (given.params, reversed_.params)]
+        for name, ours, theirs in zip(PARAM_NAMES, *values):
+            if name in order:
+                assert abs(ours - theirs) <= 1e-6 * given.errors[name]
+        flip = np.arange(len(order))[::-1]
+        assert np.all(np.abs(reversed_.covariance[np.ix_(flip, flip)]
+                             - given.covariance)
+                      <= 1e-9 * np.abs(given.covariance))
+
     def test_reparametrization_scaling(self, setup):
         # scaling counts and exposure by 10 scales A by 10, leaves W0, m2nu
         fss, response, truth, centers, exposure, zero_noise = setup
         scaled = PseudoDataset(bin_centers=centers,
                                counts=zero_noise.counts * 10.0,
-                               exposure=exposure, seed=-1)
+                               exposure=exposure)
         guess = truth.with_values(amplitude=9.0, endpoint_ev=W0 - 0.05,
                                   m2nu_ev2=0.3, background=4400.0)
         result = fit(scaled, make_config(fss, guess))
@@ -242,9 +274,12 @@ class TestMinimize:
                       fss=fss, **setting)
 
 
-def central_difference(residuals, x, steps):
+def central_difference(residuals, x, free):
+    """Central differences of `residuals` in the free entries of the
+    parameter vector x, in `free`'s order, one parameter scale each way."""
     cols = []
-    for i, h in enumerate(steps):
+    for i in free:
+        h = _param_scales(x)[i]
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
@@ -254,12 +289,13 @@ def central_difference(residuals, x, steps):
 
 def fd_gauss_newton(values, x, free, iterations=30):
     """Undamped Gauss-Newton on a central-difference Jacobian of the
-    residuals `values` of the free parameters."""
+    residuals `values`, moving the free entries of the parameter vector."""
     for _ in range(iterations):
-        jac = central_difference(values, x, _param_scales(x, free))
+        jac = central_difference(values, x, free)
         delta = np.linalg.solve(jac.T @ jac, -jac.T @ values(x))
-        x = x + delta
-        if np.all(np.abs(delta) < 1e-6 * _param_scales(x, free)):
+        x = x.copy()
+        x[free] += delta
+        if np.all(np.abs(delta) < 1e-6 * _param_scales(x)[free]):
             break
     return x
 
@@ -289,7 +325,7 @@ class TestJacobian:
         assert np.all(np.abs(r - (zero_noise.counts - mu) / floor)
                       <= 8.0 * np.finfo(float).eps * floor)
         fd = central_difference(lambda v: model.residuals(counts, v)[0], x,
-                                _param_scales(x, free))
+                                model.free)
         assert jac.shape == fd.shape == (len(centers), len(free))
         for col, fd_col in zip(jac.T, fd.T):
             assert np.max(np.abs(col - fd_col)) <= 1e-6 * np.max(np.abs(col))
@@ -304,10 +340,10 @@ class TestJacobian:
         model = build(dataset, cfg)
         counts = window_counts(dataset, model)
         x_fd = fd_gauss_newton(lambda v: model.residuals(counts, v)[0],
-                               model.x0, cfg.free)
+                               model.x0, model.free)
         fitted = [result.params.amplitude, result.params.endpoint_ev,
                   result.params.m2nu_ev2, result.params.background]
-        for name, ours, theirs in zip(cfg.free, fitted, x_fd):
+        for name, ours, theirs in zip(PARAM_NAMES, fitted, x_fd):
             assert abs(ours - theirs) <= 1e-3 * result.errors[name]
 
     def test_one_kernel_pass_per_evaluation(self, setup, monkeypatch):
@@ -493,7 +529,7 @@ class TestFitModel:
     def test_model_arrays_are_read_only(self, setup):
         fss, response, truth, centers, exposure, zero_noise = setup
         model = build(zero_noise, make_config(fss, truth))
-        arrays = [model.mask, model.x0, *model.first_pass,
+        arrays = [model.mask, model.x0, model.free, *model.first_pass,
                   model.lattice.bin_centers, model.lattice.energies,
                   model.lattice.inverse, model.lattice.weights]
         assert not any(array.flags.writeable for array in arrays)
@@ -508,7 +544,8 @@ class TestFitModel:
         assert back.lattice.response == model.lattice.response
 
         def arrays(m):
-            return [m.mask, m.x0, *m.first_pass, m.lattice.bin_centers,
+            return [m.mask, m.x0, m.free, *m.first_pass,
+                    m.lattice.bin_centers,
                     m.lattice.energies, m.lattice.inverse, m.lattice.weights]
 
         for array, original in zip(arrays(back), arrays(model)):

@@ -44,7 +44,7 @@ RECORDS = {
         [np.array([1.0, 2.0]), np.array([0.5, 1.5, 2.5]),
          np.array([[1, 2], [2, 1]]), np.array([0.5, 0.5])]),
     "PseudoDataset": (
-        lambda *arrays: PseudoDataset(*arrays, 3.0, 7, {"seed": 7}),
+        lambda *arrays: PseudoDataset(*arrays, 3.0, {"seed": 7}),
         lambda r: [r.bin_centers, r.counts],
         [np.array([1.0, 2.0]), np.array([3, 4])]),
     "FitModel": (

@@ -228,7 +228,7 @@ class TestPoissonSampler:
         expected = expected_dataset(p, study_fss, Lattice.build(r, bins), 3.0)
         assert np.array_equal(expected.counts,
                               expected_counts(p, study_fss, r, bins, 3.0))
-        assert (expected.seed, expected.truth["seed"]) == (-1, None)
+        assert expected.truth["seed"] is None
         assert not expected.counts.flags.writeable
         assert not expected.bin_centers.flags.writeable
         for seed in (42, 43):
@@ -236,7 +236,7 @@ class TestPoissonSampler:
             generated = generate_pseudodata(p, study_fss, r, bins, 3.0, seed)
             assert np.array_equal(drawn.counts, generated.counts)
             assert np.array_equal(drawn.bin_centers, generated.bin_centers)
-            assert (drawn.exposure, drawn.seed) == (3.0, seed)
+            assert (drawn.exposure, drawn.truth["seed"]) == (3.0, seed)
             assert drawn.truth == generated.truth
         # the expected counts are left as they were
         assert expected.truth["seed"] is None
@@ -252,8 +252,8 @@ class TestPoissonSampler:
         assert np.array_equal(expected.bin_centers, lattice.bin_centers)
         assert not np.shares_memory(expected.bin_centers, lattice.bin_centers)
         back = pickle.loads(pickle.dumps(expected))
-        assert (back.exposure, back.seed, back.truth) == \
-            (expected.exposure, expected.seed, expected.truth)
+        assert (back.exposure, back.truth) == \
+            (expected.exposure, expected.truth)
         for name in ("bin_centers", "counts"):
             array = getattr(back, name)
             assert np.array_equal(array, getattr(expected, name))
@@ -284,7 +284,7 @@ class TestDatasetIO:
         back = load_dataset(path)
         assert np.array_equal(back.counts, ds.counts)
         assert np.allclose(back.bin_centers, ds.bin_centers)
-        assert back.seed == 7
+        assert back.truth["seed"] == 7
         assert back.exposure == 2.0
 
     def test_expected_counts_are_refused_before_writing(self, tmp_path,
@@ -363,4 +363,4 @@ class TestDatasetIO:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             PseudoDataset(bin_centers=np.array([1.0]),
-                          counts=np.array([-1]), exposure=1.0, seed=0)
+                          counts=np.array([-1]), exposure=1.0)

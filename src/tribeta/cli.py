@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--j-max", type=int, default=60)
     p_gen.add_argument("--v-max", type=int, default=80)
     p_gen.add_argument("--no-grid-check", action="store_true",
-                       help="skip the N-doubling convergence gate")
+                       help="skip the grid check against the half grid")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(handler=_cmd_fss_gen, command="fss gen")
 

@@ -54,9 +54,10 @@ class RecoilEngine:
     (`solve_initial`), so the Bessel table and that projection run on its
     support only: 192 of 768 points on the default model.
     Eigenbases are q-independent; a generation run is deterministic given
-    the model and grid.  convergence_check runs the N-doubling gate on that
-    J = 0 solve only: above it, boxed continuum pseudo-states move on
-    doubling however good the grid is (measurements in README).
+    the model and grid.  convergence_check checks that J = 0 solve against
+    its half grid, on its lowest 10 levels only: above them, boxed continuum
+    pseudo-states move with the grid however good it is (measurements in
+    README).
 
     The engine's T2 ground state chi_0 and channel-0 J = 0 basis are the
     only ones: `pseudo_spectrum`, `operator_moments` and `c_term_bound` read

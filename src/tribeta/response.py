@@ -35,6 +35,10 @@ _MU_MAX = 2.0 ** 62
 #: the pseudo-data generator's bin range about the endpoint W0
 BINS_BELOW_W0_EV = 1000.0
 BINS_ABOVE_W0_EV = 50.0
+#: widest convolution support (in sigma): 20,001 offsets at the default
+#: step; numpy cannot build the offsets of a huge half-width, and a wide
+#: one would ask for gigabytes
+HALF_WIDTH_MAX_SIGMAS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -49,19 +53,24 @@ class ResponseModel:
         # `not lo <= x < hi` so that NaN fails too
         if not 0.0 < self.sigma_ev < math.inf:
             raise ConfigurationError("sigma must be finite and positive")
-        if not 6.0 <= self.half_width_sigmas < math.inf:
+        if not 6.0 <= self.half_width_sigmas <= HALF_WIDTH_MAX_SIGMAS:
             raise ConfigurationError(
-                "convolution support must be finite and span >= 6 sigma")
+                f"convolution support must span 6 sigma to "
+                f"{HALF_WIDTH_MAX_SIGMAS:g} sigma")
         if not 0.0 < self.step_fraction <= 0.1 + 1e-12:
             raise ConfigurationError("grid step must satisfy 0 < step <= sigma/10")
-        reach = float(self.offsets()[-1])  # weights exp(-x^2 / 2 sigma^2)
+        # weights exp(-x^2 / 2 sigma^2) up to the last offset
+        reach = self._half_steps() * (self.step_fraction * self.sigma_ev)
         if not (reach * reach < math.inf and self.sigma_ev ** 2 > 0.0):
             raise ConfigurationError(
                 f"sigma = {self.sigma_ev:g} eV gives no finite Gaussian "
                 f"weights: need sigma^2 > 0 and a finite ({reach:g} eV)^2")
 
+    def _half_steps(self) -> int:
+        return math.ceil(self.half_width_sigmas / self.step_fraction)
+
     def offsets(self) -> np.ndarray:
-        n = int(math.ceil(self.half_width_sigmas / self.step_fraction))
+        n = self._half_steps()
         return np.arange(-n, n + 1) * (self.step_fraction * self.sigma_ev)
 
     def weights(self) -> np.ndarray:

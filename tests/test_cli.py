@@ -16,12 +16,12 @@ import scipy
 import tribeta.cli
 import tribeta.fit
 import tribeta.franck_condon.overlaps
-import tribeta.franck_condon.radial
 import tribeta.response as resp
 from tribeta.cli import main
 from tribeta.errors import ModelError, write_document
 from tribeta.fss import load_fss
-from tribeta.franck_condon import GridSpec, default_model
+from tribeta.franck_condon import (Channel, GridSpec, MoleculeModel,
+                                   MorseParams, default_model)
 from tribeta.kernel import SpectrumParams
 
 W0 = 18575.0
@@ -470,16 +470,22 @@ class TestManifest:
         assert json.loads(out.read_text())["converged"] is False
         assert self.manifest(out)["inputs"] == self.digests(argv[2::2])
 
-    def test_unconverged_grid_check_exit_2(self, tmp_path, monkeypatch,
-                                           capsys):
-        # the gate's Lanczos bound never reaches 0, so it hits its step cap
-        monkeypatch.setattr(tribeta.franck_condon.radial, "LANCZOS_STOP_EV",
-                            0.0)
+    def test_unconverged_grid_check_exit_2(self, tmp_path, capsys):
+        # a very stiff well is unresolved at the minimum point count
+        stiff = MoleculeModel(
+            initial=MorseParams(4.747, 1.0298, 1.4011),
+            channels=(Channel(kind="morse", weight=1.0,
+                              morse=MorseParams(60.0, 40.0, 1.0)),),
+            grid=GridSpec(0.3, 12.0, 256))
+        model = tmp_path / "stiff.json"
+        model.write_text(stiff.to_json())
         out = tmp_path / "fss.dat"
-        assert run_cli(["fss", "gen", "--q", "1.0", "--j-max", "0",
-                        "--v-max", "2", "--out", str(out)]) == 2
-        assert "did not converge" in capsys.readouterr().err
-        assert not out.exists()
+        assert run_cli(["fss", "gen", "--q", "1.0", "--model", str(model),
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("accuracy error: grid too coarse")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [model]
 
 
 class TestUsageErrors:
@@ -773,11 +779,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("section,key,value,fragment", [
         ("response", "half_width_sigmas", float("inf"), "6 sigma"),
+        ("response", "half_width_sigmas", 1e300, "6 sigma to 1000 sigma"),
         ("response", "sigma_ev", float("nan"), "sigma must be finite"),
         ("response", "sigma_ev", 1e-200, "no finite Gaussian weights"),
         ("initial", "m2nu_ev2", float("nan"), "m2nu"),
         ("initial", None, None, "missing"),
-    ], ids=["half-width-inf", "sigma-nan", "sigma-tiny", "m2nu-nan",
+    ], ids=["half-width-inf", "half-width-huge", "sigma-nan", "sigma-tiny", "m2nu-nan",
             "initial-missing"])
     def test_fit_config_non_finite(self, fit_inputs, tmp_path, capsys,
                                    section, key, value, fragment):
@@ -950,7 +957,7 @@ class TestUsageErrors:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # nothing in tribeta, the N-doubling gate included, needs scipy.sparse;
+    # nothing in tribeta, the grid check included, needs scipy.sparse;
     # loading it would add about 0.03 s and 3 MB to a command
     result = subprocess.run(
         [sys.executable, "-c", "import sys, tribeta.cli\n"

@@ -147,6 +147,7 @@ ALLOWED_UNPASSED = {
     "MoleculeModel.initial_mass_au": "read from the --model JSON",
     "MoleculeModel.final_mass_au": "read from the --model JSON",
     "MoleculeModel.grid": "read from the --model JSON",
+    "GridSpec": "read from the --model JSON grid",
     "main.argv": "argument list of the console entry point, for callers",
     "Constants": "read from the TRIBETA_CONSTANTS file",
     "FitConfig.free": "read from fit.json",

@@ -102,9 +102,10 @@ class TestRecoilOverlaps:
         assert abs(pa[key] - pb[key]) < 1e-3
 
     def test_one_dense_solve_per_channel(self, model, monkeypatch):
-        # every J of a channel comes from one J = 0 solve; its gate solves
-        # the doubled grid without a dense 2N-point eigh.  The T2 ground
-        # state is solved on leading blocks of N/8 and N/4 points
+        # every J of a channel comes from one J = 0 solve; its check solves
+        # the half grid, N/2 points, and nothing larger than the grid is
+        # solved.  The T2 ground state is solved on leading blocks of N/8
+        # and N/4 points
         sizes, dense = {}, []
         solve_grid, eigh = radial._solve_grid, radial.eigh
 
@@ -121,7 +122,7 @@ class TestRecoilOverlaps:
         RecoilEngine(model, j_max=60, v_max=80, convergence_check=True)
         n = model.grid.points
         assert sizes == {model.initial_mass_au: [n // 8, n // 4],
-                         model.final_mass_au: [n]}
+                         model.final_mass_au: [n, n // 2]}
         assert max(dense) == n
 
     def test_overlaps_match_grid_space_product(self, model, q_endpoint):

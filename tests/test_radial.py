@@ -212,29 +212,38 @@ class TestBasisContracts:
     def test_convergence_gate_passes_on_default_grid(self, model):
         solve_radial(model, n_states=10, convergence_check=True)
 
+    def test_convergence_gate_passes_at_the_minimum_grid(self):
+        # 256 points: the lowest 10 levels move 2.0e-9 eV against the half
+        # grid, within CONVERGENCE_TOL_EV
+        small = replace(default_model(), grid=GridSpec(0.3, 12.0, 256))
+        solve_radial(small, n_states=10, convergence_check=True)
+
     @pytest.mark.parametrize("points", [768, 1024])
     def test_gate_levels_match_dense_solve(self, model, monkeypatch, points):
-        # the gate's doubled-grid levels against a dense eigvalsh of the
-        # doubled Hamiltonian built here
+        # the check's half-grid levels against a dense eigvalsh of the
+        # Hamiltonian on every other grid point, built here
         seen = []
-        lowest_levels = radial._lowest_levels
+        solve_grid = radial._solve_grid
 
-        def recorded(lu, sigma, seed, coarse):
-            seen.append(lowest_levels(lu, sigma, seed, coarse))
+        def recorded(potential, radii, mass_au, n_states):
+            seen.append(solve_grid(potential, radii, mass_au, n_states))
             return seen[-1]
 
-        monkeypatch.setattr(radial, "_lowest_levels", recorded)
+        monkeypatch.setattr(radial, "_solve_grid", recorded)
         coarse = replace(model, grid=GridSpec(0.3, 12.0, points))
-        fine = replace(model, grid=GridSpec(0.3, 12.0, 2 * points))
-        radii = fine.grid.radii()
-        h = kinetic_matrix(radii.size, radii[1] - radii[0], fine.final_mass_au)
-        h[np.diag_indices(radii.size)] += fine.potential(0)
+        radii = coarse.grid.radii()[::2]
+        h = kinetic_matrix(radii.size, radii[1] - radii[0],
+                           coarse.final_mass_au)
+        h[np.diag_indices(radii.size)] += coarse.potential(0)[::2]
         dense = eigvalsh(h, subset_by_index=[0, 9]) * HART
         for n_states in (1, 3, 31):
+            seen.clear()
             solve_radial(coarse, n_states=n_states, convergence_check=True)
             k = min(10, n_states)
-            assert seen[-1].size == k
-            assert np.abs(seen[-1] * HART - dense[:k]).max() <= 1e-11
+            (_, grid), (half, vectors) = seen
+            assert grid.shape == (points, n_states)
+            assert half.size == k and vectors.shape == (points // 2, k)
+            assert np.abs(half * HART - dense[:k]).max() <= 1e-11
 
     def test_gated_basis_equals_ungated(self, model):
         # the gate only checks the coarse solve; it never changes it
@@ -254,24 +263,10 @@ class TestBasisContracts:
         with pytest.raises(AccuracyError, match="grid too coarse"):
             solve_radial(stiff, n_states=10, convergence_check=True)
 
-    def test_convergence_gate_fails_closed(self, model, monkeypatch):
-        # a Lanczos run that does not meet its stop bound within the step
-        # cap fails the gate; the bound never reaches 0
-        monkeypatch.setattr(radial, "LANCZOS_STOP_EV", 0.0)
-        with pytest.raises(AccuracyError, match="did not converge"):
-            solve_radial(model, n_states=10, convergence_check=True)
-
-    def test_convergence_gate_stops_at_the_grid_size(self, monkeypatch):
-        # with no step cap, the basis may not outgrow the doubled grid
-        monkeypatch.setattr(radial, "LANCZOS_STOP_EV", 0.0)
-        monkeypatch.setattr(radial, "LANCZOS_MAX_STEPS", 10**6)
-        small = replace(default_model(), grid=GridSpec(0.3, 12.0, 256))
-        with pytest.raises(AccuracyError, match="did not converge"):
-            solve_radial(small, n_states=10, convergence_check=True)
-
     def test_gate_rejects_a_non_finite_potential(self, model):
-        # the gate's doubled grid is a MoleculeModel, and no model holds a
-        # potential that overflows on its grid (without a RuntimeWarning)
+        # the check's half grid reuses the model's potential values, and no
+        # model holds a potential that overflows on its grid (without a
+        # RuntimeWarning)
         steep = replace(model.channels[0],
                         morse=MorseParams(2.04, 800.0, 1.29))
         with pytest.raises(ValidationError, match=r"channel 0 \(ionic ground\) "

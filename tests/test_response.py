@@ -39,6 +39,21 @@ class TestResponseModel:
         with pytest.raises(ConfigurationError):
             ResponseModel(sigma_ev=2.5, half_width_sigmas=3.0)
 
+    @pytest.mark.parametrize("half_width", [
+        tribeta.response.HALF_WIDTH_MAX_SIGMAS * (1.0 + 1e-9), 1e300],
+        ids=["just-above", "1e300"])
+    def test_too_wide_rejected(self, half_width):
+        # numpy cannot build 2e301 offsets; no width between the cap and
+        # 1e300 is tried, since those would allocate gigabytes
+        with pytest.raises(ConfigurationError, match="6 sigma to 1000 sigma"):
+            ResponseModel(sigma_ev=2.5, half_width_sigmas=half_width)
+
+    def test_widest_support(self):
+        r = ResponseModel(sigma_ev=2.5,
+                          half_width_sigmas=tribeta.response.HALF_WIDTH_MAX_SIGMAS)
+        assert r.offsets().size == 20_001
+        assert r.offsets()[-1] == 2500.0
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
             ResponseModel(sigma_ev=0.0)
